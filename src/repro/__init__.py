@@ -29,18 +29,16 @@ Quickstart::
     print(analysis.grammar_text())
 """
 
-from .analysis.analyzer import TypeAnalysis, analyze, make_input_pattern
-from .fixpoint.engine import AnalysisConfig
-from .prolog.program import Program, parse_program
-from .prolog.parser import parse_term
-from .typegraph.display import grammar_to_text, parse_rules
-from .typegraph.grammar import Grammar
+from ._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "TypeAnalysis", "analyze", "make_input_pattern", "AnalysisConfig",
-    "Program", "parse_program", "parse_term",
-    "Grammar", "grammar_to_text", "parse_rules",
-    "__version__",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "analysis.analyzer": ("TypeAnalysis", "analyze", "make_input_pattern"),
+    "fixpoint.engine": ("AnalysisConfig",),
+    "prolog.program": ("Program", "parse_program"),
+    "prolog.parser": ("parse_term",),
+    "typegraph.grammar": ("Grammar",),
+    "typegraph.display": ("grammar_to_text", "parse_rules"),
+})
+__all__.append("__version__")

@@ -22,13 +22,35 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import json
+import gc
+import os
 import sys
 
-from . import AnalysisConfig, analyze
-from .analysis import format_table
-from .benchprogs import BENCHMARKS, benchmark
+from .analysis.analyzer import analyze
 from .domains.pattern import PAT_BOTTOM
+from .fixpoint.engine import AnalysisConfig
+
+#: The ``--benchmark`` names, spelled out so that printing the help
+#: does not import the benchmark corpus (a test keeps it in step with
+#: ``repro.benchprogs.BENCHMARKS``).
+BENCHMARK_NAMES = ("AR", "AR1", "BR", "CHK", "CS", "DS", "KA", "LDS",
+                   "LPE", "LPL", "PE", "PG", "PL", "PR", "QU", "RE")
+
+_SUBCOMMANDS = ("check", "batch", "cache", "profile", "serve", "router")
+
+#: Commands that analyze one program and exit: :func:`entry` runs them
+#: with the cyclic GC paused and skips the interpreter's teardown.
+_ONE_SHOT = ("analyze", "check", "profile")
+
+
+class UsageError(Exception):
+    """A bad argument or unreadable input: ``error: ...`` on stderr and
+    exit status 2."""
+
+
+def _benchmark_help(verb: str) -> str:
+    return "%s a built-in benchmark (%s)" % (verb,
+                                             ", ".join(BENCHMARK_NAMES))
 
 
 def _parse_query(text: str):
@@ -54,23 +76,106 @@ def _check_input_arity(input_types, query) -> None:
                              query[1]))
 
 
+def _workload(args, parser):
+    """(name, source, query, input types) of the one program named by
+    ``FILE QUERY`` or ``--benchmark``, with ``--input`` applied."""
+    if args.benchmark:
+        from .benchprogs import BENCHMARKS
+        bp = BENCHMARKS.get(args.benchmark.upper())
+        if bp is None:
+            parser.error("unknown benchmark %r (expected one of %s)"
+                         % (args.benchmark, ", ".join(BENCHMARK_NAMES)))
+        name, source = bp.name, bp.source
+        query, input_types = bp.query, bp.input_types
+    else:
+        if not args.file or not args.query:
+            parser.error("either FILE QUERY or --benchmark is required")
+        try:
+            with open(args.file) as handle:
+                source = handle.read()
+        except OSError as error:
+            raise UsageError(error) from None
+        name, query, input_types = args.file, _parse_query(args.query), None
+    if args.input:
+        input_types = [t.strip() for t in args.input.split(",")]
+    _check_input_arity(input_types, query)
+    return name, source, query, input_types
+
+
+def _print_json(obj) -> None:
+    """A ``--json`` output: compact, with sorted keys, through the C
+    encoder (``indent`` would fall back to the pure-Python one)."""
+    from .service.serialize import canonical_json
+    print(canonical_json(obj))
+
+
+def _command(argv) -> str:
+    return argv[0] if argv and argv[0] in _SUBCOMMANDS else "analyze"
+
+
 def main(argv=None) -> int:
+    """Run one CLI command in this process and return its exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "check":
-        return check_main(argv[1:])
-    if argv and argv[0] == "batch":
-        return batch_main(argv[1:])
-    if argv and argv[0] == "cache":
-        return cache_main(argv[1:])
-    if argv and argv[0] == "profile":
-        return profile_main(argv[1:])
-    if argv and argv[0] == "serve":
+    command = _command(argv)
+    if command == "serve":
         from .service.server import serve_main
         return serve_main(argv[1:])
-    if argv and argv[0] == "router":
+    if command == "router":
         from .service.cluster import router_main
         return router_main(argv[1:])
+    run = {"analyze": analyze_main, "check": check_main,
+           "batch": batch_main, "cache": cache_main,
+           "profile": profile_main}[command]
+    try:
+        return run(argv if command == "analyze" else argv[1:])
+    except UsageError as error:
+        print("error: %s" % error, file=sys.stderr)
+        return 2
+
+
+def entry() -> None:
+    """The process entry point of ``python -m repro`` and the ``repro``
+    script: run :func:`main` on ``sys.argv`` and exit with its code.
+
+    A one-shot command runs with the cyclic GC paused, since the few
+    cycles it makes die with the process anyway, and ends with
+    ``os._exit`` once its output is flushed, which skips tearing down
+    a heap nothing will read again.  If the reader of the output goes
+    away first, the command ends quietly with status 1.  The other
+    commands exit normally.  :func:`main` does neither, so in-process
+    callers keep a normal interpreter.
+    """
+    argv = sys.argv[1:]
+    if _command(argv) not in _ONE_SHOT:
+        sys.exit(main(argv))
+    gc.disable()
+    try:
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = _exit_status(stop.code)
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = 1
+    os._exit(code)
+
+
+def _exit_status(code) -> int:
+    """The status ``sys.exit(code)`` ends a process with, printing a
+    message ``code`` to stderr as it would."""
+    if code is None:
+        return 0
+    if isinstance(code, int):
+        return code
+    print(code, file=sys.stderr)
+    return 1
+
+
+def analyze_main(argv) -> int:
+    """``repro FILE QUERY``: analyze one program and print the query's
+    success types (or, with ``--json``, the serialized result)."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Type analysis of Prolog using type graphs "
@@ -87,8 +192,7 @@ def main(argv=None) -> int:
     parser.add_argument("query", nargs="?",
                         help="query predicate as name/arity")
     parser.add_argument("--benchmark", metavar="NAME",
-                        help="analyze a built-in benchmark (%s)"
-                             % ", ".join(sorted(BENCHMARKS)))
+                        help=_benchmark_help("analyze"))
     parser.add_argument("--input", metavar="TYPES",
                         help="comma-separated input types per argument "
                              "(any, list, int, codes)")
@@ -106,36 +210,25 @@ def main(argv=None) -> int:
                         help="dump the serialized analysis result as "
                              "JSON instead of the human-readable report")
     args = parser.parse_args(argv)
-
-    if args.benchmark:
-        bp = benchmark(args.benchmark)
-        source, query, input_types = bp.source, bp.query, bp.input_types
-    else:
-        if not args.file or not args.query:
-            parser.error("either FILE QUERY or --benchmark is required")
-        with open(args.file) as handle:
-            source = handle.read()
-        query = _parse_query(args.query)
-        input_types = None
-    if args.input:
-        input_types = [t.strip() for t in args.input.split(",")]
-    _check_input_arity(input_types, query)
+    _, source, query, input_types = _workload(args, parser)
 
     config = AnalysisConfig(max_or_width=args.or_width)
     try:
         analysis = analyze(source, query, input_types=input_types,
                            config=config, baseline=args.baseline)
+    except SyntaxError as error:  # ParseError, TokenizeError
+        raise UsageError(error) from None
     except (KeyError, ValueError) as error:
         raise SystemExit("error: %s" % (error.args[0],))
 
     if args.json:
-        from .service import encode_result, program_hash
-        print(json.dumps({
+        from .service.serialize import encode_result, program_hash
+        _print_json({
             "query": list(query),
             "program_hash": program_hash(analysis.program),
             "wall_time": analysis.wall_time,
             "result": encode_result(analysis.result),
-        }, indent=2, sort_keys=True))
+        })
         return 0
     if args.baseline:
         print("(principal-functor baseline domain)")
@@ -157,6 +250,7 @@ def main(argv=None) -> int:
             rows.append(["%s/%d" % pred,
                          " ".join(t or "-" for t in in_tags.get(pred, [])),
                          " ".join(t or "-" for t in out_tags[pred])])
+        from .analysis.report import format_table
         print(format_table(["predicate", "input tags", "output tags"],
                            rows))
     print()
@@ -191,13 +285,8 @@ def check_main(argv) -> int:
     from .analysis.report import format_check_report
     from .assertions import (AssertionSyntaxError, check_analysis,
                              harvest_assertions)
-    from .prolog.parser import ParseError
     from .prolog.program import parse_program
     from .service.serialize import check_fingerprint, encode_check
-
-    def usage_error(message) -> int:
-        print("error: %s" % message, file=sys.stderr)
-        return 2
 
     parser = argparse.ArgumentParser(
         prog="repro check",
@@ -210,8 +299,7 @@ def check_main(argv) -> int:
     parser.add_argument("query", nargs="?",
                         help="query predicate as name/arity")
     parser.add_argument("--benchmark", metavar="NAME",
-                        help="check a built-in benchmark (%s)"
-                             % ", ".join(sorted(BENCHMARKS)))
+                        help=_benchmark_help("check"))
     parser.add_argument("--input", metavar="TYPES",
                         help="comma-separated input types per argument "
                              "(any, list, int, codes)")
@@ -224,34 +312,16 @@ def check_main(argv) -> int:
     parser.add_argument("--json", action="store_true",
                         help="dump verdicts and slices as JSON")
     args = parser.parse_args(argv)
-
-    if args.benchmark:
-        bp = benchmark(args.benchmark)
-        source, query, input_types = bp.source, bp.query, bp.input_types
-        name = bp.name
-    else:
-        if not args.file or not args.query:
-            parser.error("either FILE QUERY or --benchmark is required")
-        try:
-            with open(args.file) as handle:
-                source = handle.read()
-        except OSError as error:
-            return usage_error(error)
-        query = _parse_query(args.query)
-        input_types = None
-        name = args.file
-    if args.input:
-        input_types = [t.strip() for t in args.input.split(",")]
-    _check_input_arity(input_types, query)
+    name, source, query, input_types = _workload(args, parser)
 
     try:
         assertions = tuple(harvest_assertions(parse_program(source)))
     except AssertionSyntaxError as error:
-        return usage_error("bad assertion directive: %s" % error)
-    except ParseError as error:
-        return usage_error(error)
+        raise UsageError("bad assertion directive: %s" % error) from None
+    except SyntaxError as error:  # ParseError, TokenizeError
+        raise UsageError(error) from None
     except (KeyError, ValueError) as error:
-        return usage_error(error.args[0])
+        raise UsageError(error.args[0]) from None
 
     config = AnalysisConfig(max_or_width=args.or_width,
                             keep_deps=True, assertions=assertions)
@@ -261,17 +331,17 @@ def check_main(argv) -> int:
         report, slices = check_analysis(
             analysis, assertions, with_slices=not args.no_slices)
     except (KeyError, ValueError) as error:
-        return usage_error(error.args[0])
+        raise UsageError(error.args[0]) from None
 
     if args.json:
         check = encode_check(report, slices)
-        print(json.dumps({
+        _print_json({
             "name": name,
             "query": list(query),
             "check": check,
             "check_fingerprint": check_fingerprint(check),
             "passed": report.ok,
-        }, indent=2, sort_keys=True))
+        })
         return 0 if report.ok else 1
     if not assertions:
         print("%s: no assert_pattern/assert_calls directives declared"
@@ -294,6 +364,7 @@ def profile_main(argv) -> int:
     import cProfile
     import pstats
 
+    from .analysis.report import format_table
     from .typegraph import arena, opcache
 
     parser = argparse.ArgumentParser(
@@ -305,8 +376,7 @@ def profile_main(argv) -> int:
     parser.add_argument("query", nargs="?",
                         help="query predicate as name/arity")
     parser.add_argument("--benchmark", metavar="NAME",
-                        help="profile a built-in benchmark (%s)"
-                             % ", ".join(sorted(BENCHMARKS)))
+                        help=_benchmark_help("profile"))
     parser.add_argument("--input", metavar="TYPES",
                         help="comma-separated input types per argument")
     parser.add_argument("--or-width", type=int, default=None)
@@ -318,20 +388,7 @@ def profile_main(argv) -> int:
                         default="tottime",
                         help="profile ordering (default: tottime)")
     args = parser.parse_args(argv)
-
-    if args.benchmark:
-        bp = benchmark(args.benchmark)
-        source, query, input_types = bp.source, bp.query, bp.input_types
-    else:
-        if not args.file or not args.query:
-            parser.error("either FILE QUERY or --benchmark is required")
-        with open(args.file) as handle:
-            source = handle.read()
-        query = _parse_query(args.query)
-        input_types = None
-    if args.input:
-        input_types = [t.strip() for t in args.input.split(",")]
-    _check_input_arity(input_types, query)
+    _, source, query, input_types = _workload(args, parser)
 
     # Fresh counters so the report attributes traffic to this run only
     # (cached *results* are kept — a warm service process profiles as
@@ -411,7 +468,8 @@ def profile_main(argv) -> int:
 
 def batch_main(argv) -> int:
     """Analyze many workloads through the result cache."""
-    from .benchprogs import benchmark_names
+    from .analysis.report import format_table
+    from .benchprogs import BENCHMARKS, benchmark_names
     from .service import Job, ResultCache, jobs_from_benchmarks, run_batch
 
     parser = argparse.ArgumentParser(
@@ -421,7 +479,7 @@ def batch_main(argv) -> int:
                     "misses (optionally over a process pool).")
     parser.add_argument("names", nargs="*",
                         help="built-in benchmark names (%s)"
-                             % ", ".join(sorted(BENCHMARKS)))
+                             % ", ".join(BENCHMARK_NAMES))
     parser.add_argument("--all", action="store_true",
                         help="run the whole built-in corpus")
     parser.add_argument("--file", action="append", default=[],
@@ -468,7 +526,7 @@ def batch_main(argv) -> int:
         raise SystemExit("error: %s" % (error.args[0],))
 
     if args.json:
-        print(json.dumps({
+        _print_json({
             "hits": report.hits,
             "misses": report.misses,
             "seconds": report.seconds,
@@ -476,7 +534,7 @@ def batch_main(argv) -> int:
                       "seconds": r.seconds,
                       "key": r.key.digest,
                       "result": r.payload} for r in report.results],
-        }, indent=2, sort_keys=True))
+        })
         return 0
     rows = []
     for job_result in report.results:
@@ -550,4 +608,4 @@ def cache_main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -1,21 +1,15 @@
 """Analysis layer: high-level API, program metrics, tag extraction and
 report formatting."""
 
-from .analyzer import TypeAnalysis, analyze, make_input_pattern
-from .callgraph import (CallGraph, ProgramMetrics, RecursionClass,
-                        build_callgraph, classify_procedures,
-                        norm_scc_indices, program_metrics,
-                        recursion_summary)
-from .report import format_table, format_tag_row
-from .tags import (TAGS, TagComparison, compare_tags, tag_of_grammar,
-                   tags_of_subst)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "TypeAnalysis", "analyze", "make_input_pattern",
-    "CallGraph", "ProgramMetrics", "RecursionClass", "build_callgraph",
-    "classify_procedures", "norm_scc_indices", "program_metrics",
-    "recursion_summary",
-    "format_table", "format_tag_row",
-    "TAGS", "TagComparison", "compare_tags", "tag_of_grammar",
-    "tags_of_subst",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "analyzer": ("TypeAnalysis", "analyze", "make_input_pattern"),
+    "callgraph": ("CallGraph", "ProgramMetrics", "RecursionClass",
+                  "build_callgraph", "classify_procedures",
+                  "norm_scc_indices", "program_metrics",
+                  "recursion_summary"),
+    "report": ("format_table", "format_tag_row"),
+    "tags": ("TAGS", "TagComparison", "compare_tags", "tag_of_grammar",
+             "tags_of_subst"),
+})

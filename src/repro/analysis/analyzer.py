@@ -25,7 +25,6 @@ from ..prolog.normalize import NormProgram, normalize_program
 from ..prolog.program import PredId, Program, parse_program
 from ..typegraph.grammar import Grammar, g_any, g_int
 from ..typegraph.ops import g_list_of
-from .tags import tags_of_subst
 
 __all__ = ["TypeAnalysis", "analyze", "make_input_pattern"]
 
@@ -125,6 +124,7 @@ class TypeAnalysis:
         return seen
 
     def _tags(self, which: str) -> Dict[PredId, List[Optional[str]]]:
+        from .tags import tags_of_subst
         tags: Dict[PredId, List[Optional[str]]] = {}
         for pred in self.analyzed_predicates():
             collapsed = self.result.collapsed_for(pred)

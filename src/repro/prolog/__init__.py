@@ -1,27 +1,19 @@
 """Prolog front end: terms, tokenizer, parser, programs, normalization,
 and a reference SLD interpreter used as the concrete-semantics oracle."""
 
-from .terms import (Atom, Int, Struct, Term, Var, NIL, CONS, make_list,
-                    list_elements, is_list_term, functor_of, format_term,
-                    term_variables)
-from .reader import Token, TokenizeError, tokenize
-from .operators import OperatorTable, default_operators
-from .parser import ParseError, parse_term, parse_clauses
-from .program import Clause, PredId, Procedure, Program, parse_program
-from .normalize import (NBuild, NCall, NGoal, NUnify, NormClause,
-                        NormProcedure, NormProgram, normalize_clause,
-                        normalize_program)
-from .interpreter import Bindings, SolveLimits, Solver, solve
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Atom", "Int", "Struct", "Term", "Var", "NIL", "CONS",
-    "make_list", "list_elements", "is_list_term", "functor_of",
-    "format_term", "term_variables",
-    "Token", "TokenizeError", "tokenize",
-    "OperatorTable", "default_operators",
-    "ParseError", "parse_term", "parse_clauses",
-    "Clause", "PredId", "Procedure", "Program", "parse_program",
-    "NBuild", "NCall", "NGoal", "NUnify", "NormClause", "NormProcedure",
-    "NormProgram", "normalize_clause", "normalize_program",
-    "Bindings", "SolveLimits", "Solver", "solve",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "terms": ("Atom", "Int", "Struct", "Term", "Var", "NIL", "CONS",
+              "make_list", "list_elements", "is_list_term", "functor_of",
+              "format_term", "term_variables"),
+    "reader": ("Token", "TokenizeError", "tokenize"),
+    "operators": ("OperatorTable", "default_operators"),
+    "parser": ("ParseError", "parse_term", "parse_clauses"),
+    "program": ("Clause", "PredId", "Procedure", "Program",
+                "parse_program"),
+    "normalize": ("NBuild", "NCall", "NGoal", "NUnify", "NormClause",
+                  "NormProcedure", "NormProgram", "normalize_clause",
+                  "normalize_program"),
+    "interpreter": ("Bindings", "SolveLimits", "Solver", "solve"),
+})

@@ -27,54 +27,27 @@ Quickstart::
     report.results[0].result().output
 """
 
-from .batch import (BatchReport, Job, JobResult, WorkerPool,
-                    jobs_from_benchmarks, run_batch)
-from .cache import CacheKey, CacheStats, ResultCache, make_key
-from .incremental import (PromotionReport, ReanalysisInfo,
-                          dirty_predicates, promote, reanalyze)
-from .serialize import (FORMAT_VERSION, canonical_json, config_hash,
-                        content_hash, decode_config, decode_grammar,
-                        decode_result, decode_subst, encode_config,
-                        encode_grammar, encode_result, encode_subst,
-                        payload_fingerprint, predicate_hashes,
-                        program_hash, result_fingerprint)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FORMAT_VERSION",
-    "canonical_json", "content_hash",
-    "encode_grammar", "decode_grammar",
-    "encode_subst", "decode_subst",
-    "encode_config", "decode_config", "config_hash",
-    "encode_result", "decode_result", "result_fingerprint",
-    "payload_fingerprint", "predicate_hashes", "program_hash",
-    "CacheKey", "CacheStats", "ResultCache", "make_key",
-    "Job", "JobResult", "BatchReport", "WorkerPool", "run_batch",
-    "jobs_from_benchmarks",
-    "AnalysisServer", "serve_main",
-    "ServeClient", "ServeError", "spawn_server", "spawn_router",
-    "wait_for_server",
-    "ClusterRouter", "HashRing", "router_main",
-    "dirty_predicates", "promote", "PromotionReport",
-    "reanalyze", "ReanalysisInfo",
-]
-
-#: server/client re-exports resolved lazily: every one-shot CLI, batch
-#: worker, and pool child imports this package, and none of them needs
-#: the asyncio/socket/subprocess stack the daemon drags in.
-_LAZY = {
-    "AnalysisServer": "server", "serve_main": "server",
-    "ServeClient": "client", "ServeError": "client",
-    "spawn_server": "client", "spawn_router": "client",
-    "wait_for_server": "client",
-    "ClusterRouter": "cluster", "HashRing": "cluster",
-    "router_main": "cluster",
-}
-
-
-def __getattr__(name):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError("module %r has no attribute %r"
-                             % (__name__, name))
-    from importlib import import_module
-    return getattr(import_module("." + module_name, __name__), name)
+#: Every re-export resolves lazily: every one-shot CLI, batch worker,
+#: and pool child imports this package, and each needs only a part of
+#: it (none of them the asyncio/socket/subprocess stack the daemon
+#: drags in).
+__all__, __getattr__ = lazy_exports(__name__, {
+    "serialize": ("FORMAT_VERSION", "canonical_json", "content_hash",
+                  "encode_grammar", "decode_grammar",
+                  "encode_subst", "decode_subst",
+                  "encode_config", "decode_config", "config_hash",
+                  "encode_result", "decode_result", "result_fingerprint",
+                  "payload_fingerprint", "predicate_hashes",
+                  "program_hash"),
+    "cache": ("CacheKey", "CacheStats", "ResultCache", "make_key"),
+    "batch": ("Job", "JobResult", "BatchReport", "WorkerPool",
+              "run_batch", "jobs_from_benchmarks"),
+    "server": ("AnalysisServer", "serve_main"),
+    "client": ("ServeClient", "ServeError", "spawn_server",
+               "spawn_router", "wait_for_server"),
+    "cluster": ("ClusterRouter", "HashRing", "router_main"),
+    "incremental": ("dirty_predicates", "promote", "PromotionReport",
+                    "reanalyze", "ReanalysisInfo"),
+})

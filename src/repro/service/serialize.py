@@ -21,11 +21,8 @@ from __future__ import annotations
 import hashlib
 import json
 import weakref
-from typing import Dict, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
 
-from ..assertions.checker import CheckReport
-from ..assertions.slicer import BlameSlice
-from ..assertions.frontend import Assertion
 from ..domains.leaf import LeafDomain, domain_from_descriptor
 from ..domains.pattern import PAT_BOTTOM, AbstractSubst, PatNode
 from ..fixpoint.engine import (AnalysisConfig, AnalysisResult,
@@ -33,6 +30,9 @@ from ..fixpoint.engine import (AnalysisConfig, AnalysisResult,
 from ..prolog.program import PredId, Program, parse_program
 from ..prolog.terms import format_term
 from ..typegraph.grammar import Grammar
+
+if TYPE_CHECKING:
+    from ..assertions.checker import CheckReport
 
 __all__ = [
     "FORMAT_VERSION", "canonical_json", "content_hash",
@@ -310,6 +310,8 @@ def encode_check(report: CheckReport, slices=()) -> dict:
 
 def decode_check(data: dict):
     """(CheckReport, [BlameSlice]) back out of :func:`encode_check`."""
+    from ..assertions.checker import CheckReport
+    from ..assertions.slicer import BlameSlice
     report = CheckReport.from_obj(data)
     slices = [BlameSlice.from_obj(s) for s in data.get("slices", ())]
     return report, slices
@@ -342,6 +344,7 @@ def encode_config(config: AnalysisConfig) -> dict:
 
 
 def decode_config(data: dict) -> AnalysisConfig:
+    from ..assertions.frontend import Assertion
     type_database = data.get("type_database")
     if type_database is not None:
         type_database = [Grammar.from_obj(g) for g in type_database]

@@ -3,31 +3,22 @@ the widening operator, and alternative views (tree automata, monadic
 logic programs).  The hot kernels run on the flat-int arena
 (:mod:`repro.typegraph.arena`) unless ``REPRO_ARENA`` disables it."""
 
-from . import opcache
-from .grammar import (ANY, INT, Alt, FuncAlt, Grammar, GrammarBuilder,
-                      g_alternatives, g_any, g_atom, g_bottom, g_functor,
-                      g_int, g_int_literal, intern_grammar, member,
-                      normalize, normalize_reference, subgrammar)
-from . import arena
-from .ops import (g_equiv, g_intersect, g_is_list, g_le, g_list_of,
-                  g_split, g_union)
-from .widening import g_widen, widening_clashes
-from .graph import TypeGraph, Vertex, to_grammar, treeify
-from .display import grammar_rules, grammar_to_text, parse_rules
-from .views import TreeAutomaton, monadic_text, to_automaton, to_monadic_program
-from .depthbound import depth_bound_join, restrict_depth
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ANY", "INT", "Alt", "FuncAlt", "Grammar", "GrammarBuilder",
-    "arena",
-    "g_alternatives", "g_any", "g_atom", "g_bottom", "g_functor",
-    "g_int", "g_int_literal", "intern_grammar", "member", "normalize",
-    "normalize_reference", "opcache", "subgrammar",
-    "g_equiv", "g_intersect", "g_is_list", "g_le", "g_list_of",
-    "g_split", "g_union",
-    "g_widen", "widening_clashes",
-    "TypeGraph", "Vertex", "to_grammar", "treeify",
-    "grammar_rules", "grammar_to_text", "parse_rules",
-    "TreeAutomaton", "monadic_text", "to_automaton", "to_monadic_program",
-    "depth_bound_join", "restrict_depth",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "grammar": ("ANY", "INT", "Alt", "FuncAlt", "Grammar",
+                "GrammarBuilder", "g_alternatives", "g_any", "g_atom",
+                "g_bottom", "g_functor", "g_int", "g_int_literal",
+                "intern_grammar", "member", "normalize",
+                "normalize_reference", "subgrammar"),
+    "arena": ("arena",),
+    "opcache": ("opcache",),
+    "ops": ("g_equiv", "g_intersect", "g_is_list", "g_le", "g_list_of",
+            "g_split", "g_union"),
+    "widening": ("g_widen", "widening_clashes"),
+    "graph": ("TypeGraph", "Vertex", "to_grammar", "treeify"),
+    "display": ("grammar_rules", "grammar_to_text", "parse_rules"),
+    "views": ("TreeAutomaton", "monadic_text", "to_automaton",
+              "to_monadic_program"),
+    "depthbound": ("depth_bound_join", "restrict_depth"),
+})

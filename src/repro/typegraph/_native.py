@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import importlib.util
 import os
-import subprocess
 import sys
 import sysconfig
 import tempfile
@@ -58,6 +57,7 @@ def _build(source: str) -> str:
                           "_arenakernels_%s%s" % (digest, suffix))
     if os.path.exists(target):
         return target
+    import subprocess
     cc = os.environ.get("REPRO_KERNEL_CC") or "cc"
     include = sysconfig.get_paths()["include"]
     scratch = target + ".build-%d" % os.getpid()

@@ -54,10 +54,12 @@ The arena kernels themselves run in one of three tiers, selected by
   compiled lazily with the system C compiler, which additionally
   serves the memoized grammar *operations* (``g_le``/``g_union``/
   ``g_intersect``/``g_functor``/``subgrammar``) and the Pat(Type)
-  pattern walks from C-side tables.  Falls back to ``numpy`` (then
-  ``python``) when no toolchain is available.
+  pattern walks from C-side tables.  Falls back straight to
+  ``python`` when no toolchain is available: ``numpy`` measures
+  slower than ``python`` on the Table-3 suite, so it runs only when
+  requested by name.
 
-``auto`` (the default) resolves to the fastest available tier.  Every
+``auto`` (the default) resolves like ``native``.  Every
 tier returns the *identical interned* ``Grammar`` objects — the three
 implementations share the canonical renumbering and the process-wide
 intern tables, so ``gid``s, fingerprints, and serialized forms are
@@ -149,8 +151,8 @@ def _resolve_kernel() -> str:
     chain = {
         "python": ("python",),
         "numpy": ("numpy", "python"),
-        "native": ("native", "numpy", "python"),
-        "auto": ("native", "numpy", "python"),
+        "native": ("native", "python"),
+        "auto": ("native", "python"),
     }[_KERNEL_REQUESTED]
     _NUMPY_MOD = None
     NATIVE = None

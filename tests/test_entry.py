@@ -1,0 +1,162 @@
+"""The process entry point: ``python -m repro`` (and the ``repro``
+script) runs a one-shot command with the GC paused and skips heap
+teardown; the in-process ``main()`` does neither.  Also the import
+hygiene of the one-shot analyze path."""
+
+import gc
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from repro.__main__ import BENCHMARK_NAMES, main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
+
+APPEND = """
+app([], X, X).
+app([F|T], S, [F|R]) :- app(T, S, R).
+"""
+
+#: Stats that depend on the process an analysis ran in (clocks, the
+#: warmth of the process-wide operation caches and intern tables),
+#: not on the program.
+PROCESS_STATS = ("cpu_time", "opcache_hits", "opcache_misses",
+                 "arena_compiles")
+
+
+def run_repro(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-m", "repro", *argv],
+                          env=env, capture_output=True, timeout=300)
+
+
+def without_process_state(output: dict) -> dict:
+    output = dict(output, result=dict(output["result"]))
+    output.pop("wall_time")
+    output["result"]["stats"] = {
+        name: value for name, value in output["result"]["stats"].items()
+        if name not in PROCESS_STATS}
+    return output
+
+
+@pytest.fixture
+def append_file(tmp_path):
+    path = tmp_path / "app.pl"
+    path.write_text(APPEND)
+    return str(path)
+
+
+def test_analyze_exits_zero_with_complete_json(append_file, capsys):
+    proc = run_repro(append_file, "app/3", "--json")
+    assert proc.returncode == 0, proc.stderr
+    piped = json.loads(proc.stdout)
+    assert piped["query"] == ["app", 3]
+    # compact, sorted keys, one line
+    assert proc.stdout.decode().count("\n") == 1
+    assert proc.stdout.startswith(b'{"program_hash":')
+
+    assert main([append_file, "app/3", "--json"]) == 0
+    in_process = json.loads(capsys.readouterr().out)
+    assert without_process_state(piped) == \
+        without_process_state(in_process)
+
+
+def test_check_violation_exits_one_with_complete_json(capsys):
+    proc = run_repro("check", "--benchmark", "CHK", "--json")
+    assert proc.returncode == 1, proc.stderr
+    piped = json.loads(proc.stdout)
+    assert piped["passed"] is False
+    assert main(["check", "--benchmark", "CHK", "--json"]) == 1
+    assert piped == json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--no-such-flag"],
+    ["only-a-file.pl"],
+    ["check", "--benchmark", "CHK", "--no-such-flag"],
+])
+def test_usage_errors_exit_two(argv):
+    proc = run_repro(*argv)
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stderr
+
+
+def test_missing_and_unparsable_files_are_usage_errors(tmp_path):
+    bad = tmp_path / "bad.pl"
+    bad.write_text("p(a.\n")
+    unterminated = tmp_path / "quote.pl"
+    unterminated.write_text('p(a) :- "\n')
+    for argv in ([str(tmp_path / "missing.pl"), "p/1"],
+                 [str(bad), "p/1"], [str(unterminated), "p/1"],
+                 ["check", str(unterminated), "p/1"]):
+        proc = run_repro(*argv)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith(b"error: "), proc.stderr
+        assert b"Traceback" not in proc.stderr
+        assert main(argv) == 2
+
+
+def test_closed_pipe_ends_quietly():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "--benchmark", "KA", "--json"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(20).startswith(b"{")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) in (0, 1)
+    assert b"Traceback" not in stderr, stderr
+    assert b"BrokenPipeError" not in stderr, stderr
+
+
+def test_in_process_main_keeps_the_gc_on(append_file, capsys):
+    assert gc.isenabled()
+    assert main([append_file, "app/3", "--json"]) == 0
+    assert main(["check", "--benchmark", "CHK"]) == 1
+    assert gc.isenabled()
+
+
+def test_benchmark_names_match_the_corpus():
+    from repro.benchprogs import BENCHMARKS
+    assert BENCHMARK_NAMES == tuple(sorted(BENCHMARKS))
+
+
+def test_one_shot_analysis_loads_only_what_it_uses(append_file):
+    """A fresh ``import repro.__main__`` plus one ``--json`` analysis
+    leaves the batch/cache/server stack, the interpreter, the
+    assertion checker, the benchmark corpus and the display/report
+    helpers unloaded."""
+    code = (
+        "import os, sys\n"
+        "import repro.__main__ as cli\n"
+        "sys.stdout = open(os.devnull, 'w')\n"
+        "code = cli.main([%r, 'app/3', '--json'])\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(code, ' '.join(sorted(m for m in sys.modules\n"
+        "                            if m.startswith('repro'))))\n"
+        % append_file)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = proc.stdout.split(" ", 1)
+    assert code == "0"
+    loaded = set(loaded.split())
+    assert "repro.fixpoint.engine" in loaded
+    forbidden = {
+        "repro.service.batch", "repro.service.cache",
+        "repro.service.incremental", "repro.prolog.interpreter",
+        "repro.assertions", "repro.benchprogs",
+        "repro.analysis.callgraph", "repro.analysis.report",
+        "repro.analysis.tags", "repro.typegraph.display",
+        "repro.typegraph.views", "repro.typegraph.depthbound",
+    }
+    assert not loaded & forbidden, sorted(loaded & forbidden)
