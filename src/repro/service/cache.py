@@ -15,7 +15,10 @@ Two layers:
 
 Payloads are the JSON-ready objects of :mod:`repro.service.serialize`;
 the cache never decodes them — it is a plain content-addressed blob
-store with an index by program hash.
+store with an index by program hash.  A memory-tier entry may also
+hold its payload's JSON bytes (:meth:`ResultCache.payload_bytes`),
+encoded on first demand so a served hit is not re-encoded; they live
+and die with the entry.
 
 Concurrency model (PR 5's server hangs many readers and writers off
 one instance and many *processes* off one ``cache_dir``):
@@ -138,6 +141,18 @@ class CacheStats:
     invalidations: int = 0
 
 
+class _Entry:
+    """One memory-tier entry: its key, its payload, and the payload's
+    JSON bytes once a response has needed them."""
+
+    __slots__ = ("key", "payload", "encoded")
+
+    def __init__(self, key: CacheKey, payload: dict) -> None:
+        self.key = key
+        self.payload = payload
+        self.encoded: Optional[bytes] = None
+
+
 class ResultCache:
     """LRU-over-disk store for serialized analysis results.
 
@@ -159,8 +174,7 @@ class ResultCache:
         self.max_memory_entries = max_memory_entries
         self.fsync = (os.environ.get("REPRO_CACHE_FSYNC") == "1"
                       if fsync is None else bool(fsync))
-        self._memory: "OrderedDict[str, Tuple[CacheKey, dict]]" = \
-            OrderedDict()
+        self._memory: "OrderedDict[str, _Entry]" = OrderedDict()
         self.stats = CacheStats()
         #: guards the memory layer and the stats counters; disk I/O
         #: happens outside it (atomic-rename protocol, see module doc).
@@ -195,7 +209,7 @@ class ResultCache:
             self._memory.move_to_end(digest)
             self.stats.hits += 1
             self.stats.memory_hits += 1
-            return entry[1]
+            return entry.payload
 
     def get(self, key: CacheKey) -> Optional[dict]:
         """The stored payload, or None.  Disk hits are promoted into
@@ -207,7 +221,7 @@ class ResultCache:
                 self._memory.move_to_end(digest)
                 self.stats.hits += 1
                 self.stats.memory_hits += 1
-                return entry[1]
+                return entry.payload
         if self.cache_dir is not None:
             path = self._entry_path(key)
             try:
@@ -254,8 +268,8 @@ class ResultCache:
         the router's anti-entropy pass compares across replicas.  A
         lock and a list copy; never touches disk."""
         with self._lock:
-            return [(digest, key.program_hash)
-                    for digest, (key, _) in self._memory.items()]
+            return [(digest, entry.key.program_hash)
+                    for digest, entry in self._memory.items()]
 
     def get_by_digest(self, digest: str) -> Optional[Tuple[CacheKey, dict]]:
         """Memory-tier lookup by key digest (no :class:`CacheKey` in
@@ -264,7 +278,29 @@ class ResultCache:
         not traffic."""
         with self._lock:
             entry = self._memory.get(digest)
-            return None if entry is None else entry
+            return None if entry is None else (entry.key, entry.payload)
+
+    def payload_bytes(self, digest: str, payload: dict) -> bytes:
+        """``payload`` as JSON bytes (what ``encode_message`` writes
+        for it), encoded at most once per memory-tier entry.
+
+        The bytes are kept on the entry under ``digest`` only while it
+        holds this very payload object.  Eviction, invalidation,
+        ``clear`` and replacement each drop the entry, and its bytes
+        with it, so a recomputed result never comes back with the
+        bytes of the computation it replaced.  The encode runs outside
+        the lock."""
+        with self._lock:
+            entry = self._memory.get(digest)
+            if (entry is not None and entry.payload is payload
+                    and entry.encoded is not None):
+                return entry.encoded
+        encoded = json.dumps(payload).encode("utf-8")
+        with self._lock:
+            entry = self._memory.get(digest)
+            if entry is not None and entry.payload is payload:
+                entry.encoded = encoded
+        return encoded
 
     def _write_disk(self, key: CacheKey, payload: dict) -> None:
         record = {"key": key.to_obj(), "payload": payload}
@@ -321,7 +357,7 @@ class ResultCache:
 
     def _remember(self, key: CacheKey, payload: dict) -> None:
         digest = key.digest
-        self._memory[digest] = (key, payload)
+        self._memory[digest] = _Entry(key, payload)
         self._memory.move_to_end(digest)
         while len(self._memory) > self.max_memory_entries:
             self._memory.popitem(last=False)
@@ -334,9 +370,9 @@ class ResultCache:
         keys: Dict[str, CacheKey] = {}
         with self._lock:
             memory_items = list(self._memory.items())
-        for digest, (key, _) in memory_items:
-            if key.program_hash == prog_hash:
-                keys[digest] = key
+        for digest, entry in memory_items:
+            if entry.key.program_hash == prog_hash:
+                keys[digest] = entry.key
         for key, _ in self._iter_disk(prog_hash):
             keys.setdefault(key.digest, key)
         return list(keys.values())
@@ -366,9 +402,9 @@ class ResultCache:
         seen: Dict[str, Tuple[CacheKey, dict]] = {}
         with self._lock:
             memory_items = list(self._memory.items())
-        for digest, (key, payload) in memory_items:
-            if key.program_hash == prog_hash:
-                seen[digest] = (key, payload)
+        for digest, entry in memory_items:
+            if entry.key.program_hash == prog_hash:
+                seen[digest] = (entry.key, entry.payload)
         for key, payload in self._iter_disk(prog_hash):
             seen.setdefault(key.digest, (key, payload))
         return list(seen.values())
@@ -409,9 +445,9 @@ class ResultCache:
         with self._lock:
             entries = list(self._memory.values())
         written = 0
-        for key, payload in entries:
-            if not os.path.exists(self._entry_path(key)):
-                self._write_disk(key, payload)
+        for entry in entries:
+            if not os.path.exists(self._entry_path(entry.key)):
+                self._write_disk(entry.key, entry.payload)
                 written += 1
         return written
 

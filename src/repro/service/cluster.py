@@ -102,7 +102,8 @@ from .serialize import program_hash
 from .server import RequestError, ServerStats
 from .transport import (LINE_LIMIT, AsyncLineConnection, ConnectError,
                         LineServer, ProtocolError, decode_message,
-                        encode_message, error_envelope, ok_envelope)
+                        encode_message, error_envelope, fresh_digest,
+                        ok_envelope)
 
 __all__ = ["HashRing", "ShardState", "ClusterRouter", "MembershipJournal",
            "DEFAULT_ROUTER_PORT", "load_fleet", "router_main"]
@@ -1342,22 +1343,16 @@ class ClusterRouter:
         the next ``replicate - 1`` replicas' memory tiers, in the
         background.  Only *fresh* computations replicate — cache hits
         and coalesced riders were already seeded when first computed.
+        The shard marks a fresh result in the line's leading bytes
+        (``transport.frame_analyze``), so every other response — errors
+        included — passes through without being decoded here.
 
         ``read_repair`` is set when this response came from a failover:
         a replica that had to *recompute* a digest the ``_seeded`` LRU
         considers already-pushed is proof the seeded copies did not
         survive, so the dedupe entry is dropped and the push redone."""
-        try:
-            envelope = decode_message(response)
-        except ProtocolError:
-            return
-        if not envelope.get("ok"):
-            return
-        result = envelope.get("result") or {}
-        if result.get("cached") or result.get("coalesced"):
-            return
-        digest = result.get("key")
-        if not digest:
+        digest = fresh_digest(response)
+        if digest is None:
             return
         if digest in self._seeded:
             if not read_repair:
@@ -1368,15 +1363,19 @@ class ClusterRouter:
         if len(self._seeded) > 4096:
             self._seeded.popitem(last=False)
         task = asyncio.ensure_future(
-            self._replicate(home, preference, request, result))
+            self._replicate(home, preference, request, response))
         self._replication_tasks.add(task)
         task.add_done_callback(self._replication_tasks.discard)
 
     async def _replicate(self, home: str, preference: Tuple[str, ...],
-                         request: dict, result: dict) -> None:
+                         request: dict, response: bytes) -> None:
         spec = {field: request[field] for field in self._SPEC_FIELDS
                 if request.get(field) is not None}
-        payload = result.get("payload")
+        try:
+            payload = decode_message(response)["result"].get("payload")
+        except ProtocolError:
+            self.stats.replication_failures += 1
+            return
         if payload is None:
             # Most clients ask payload=False, so the forwarded bytes
             # carry no tables; re-fetch from the home shard — a memory

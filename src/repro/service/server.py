@@ -11,9 +11,14 @@ newline-delimited JSON protocol.
 Protocol (one JSON object per line, over TCP)::
 
     -> {"id": 1, "op": "analyze", "benchmark": "QU"}
-    <- {"id": 1, "ok": true, "result": {"fingerprint": "...",
+    <- {"fresh": "<key digest>", "id": 1, "ok": true,
+        "result": {"fingerprint": "...", "key": "<key digest>",
         "cached": false, "coalesced": false, "seconds": 0.004,
         "payload": {...encode_result...}}}
+
+    (``fresh`` leads only a response whose result this request
+    computed — not a cache hit, not a coalesced rider — and clients
+    ignore it; see ``transport.frame_analyze``.)
 
     -> {"op": "analyze", "source": "app([],L,L).\\n...",
         "query": ["app", 3], "input_types": ["list", "any", "any"]}
@@ -70,7 +75,7 @@ import os
 import sys
 import time
 from collections import OrderedDict, deque
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from dataclasses import replace as _replace
 
@@ -83,7 +88,7 @@ from .serialize import (canonical_json, check_fingerprint, decode_config,
                         program_hash)
 from .transport import (LINE_LIMIT as _LINE_LIMIT, LineServer,
                         ProtocolError, decode_message, error_envelope,
-                        ok_envelope)
+                        frame_analyze, ok_envelope)
 
 __all__ = ["AnalysisServer", "ServerStats", "RequestError",
            "DEFAULT_PORT", "serve_main"]
@@ -243,12 +248,12 @@ class AnalysisServer:
 
     # -- connection handling -------------------------------------------------
 
-    async def _serve_line(self, line: bytes) -> dict:
+    async def _serve_line(self, line: bytes) -> Union[dict, bytes]:
         """:class:`LineServer` handler: one request line in, one
-        response envelope out."""
+        response envelope (or already framed line) out."""
         return await self._dispatch(line)
 
-    async def _dispatch(self, line: bytes) -> dict:
+    async def _dispatch(self, line: bytes) -> Union[dict, bytes]:
         request_id = None
         try:
             try:
@@ -262,9 +267,13 @@ class AnalysisServer:
                 raise RequestError("unknown op %r (expected one of %s)"
                                    % (op, ", ".join(sorted(self._OPS))))
             result = await handler(self, request)
+            if isinstance(result, bytes):  # analyze frames its own line
+                return result
             return ok_envelope(request_id, result)
         except RequestError as error:
-            if error.code not in ("overloaded", "timeout"):
+            # Load shedding, slow analyses and a fetch racing an
+            # eviction are the fleet working as designed, not faults.
+            if error.code not in ("overloaded", "timeout", "not-found"):
                 self.stats.errors += 1
             return error_envelope(request_id, str(error), error.code)
         except Exception as error:  # analysis/internal failure
@@ -426,9 +435,8 @@ class AnalysisServer:
         both; they differ only in whether the blame slices travel back
         to the client."""
         spec, key = self._check_spec_of(request)
-        outcome = await self._analyze(spec, key, True,
-                                      self._timeout_of(request))
-        payload = outcome.pop("payload", None) or {}
+        outcome, payload = await self._analyze(spec, key,
+                                               self._timeout_of(request))
         check = payload.get("check") or {"verdicts": [], "slices": []}
         verdicts = check.get("verdicts", [])
         counts: Dict[str, int] = {}
@@ -457,8 +465,11 @@ class AnalysisServer:
         return fingerprint
 
     async def _analyze(self, spec: dict, key: CacheKey,
-                       want_payload: bool,
-                       timeout: Optional[float]) -> dict:
+                       timeout: Optional[float]) -> Tuple[dict, dict]:
+        """Serve one workload from the cache, a computation already in
+        flight, or a new one; returns the result fields and the
+        payload separately, since each op ships the payload its own
+        way."""
         start = time.perf_counter()
         self.stats.requests += 1
         digest = key.digest
@@ -525,9 +536,7 @@ class AnalysisServer:
             "coalesced": coalesced,
             "seconds": round(seconds, 6),
         }
-        if want_payload:
-            result["payload"] = payload
-        return result
+        return result, payload
 
     async def _run_spec(self, spec: dict, key: CacheKey,
                         future: "asyncio.Future") -> None:
@@ -564,11 +573,19 @@ class AnalysisServer:
 
     # -- ops -----------------------------------------------------------------
 
-    async def _op_analyze(self, request: dict) -> dict:
+    async def _op_analyze(self, request: dict) -> bytes:
+        """Answered as a framed line: the payload travels as the bytes
+        its cache entry keeps, and a fresh result is marked for the
+        router's replicate gate (``transport.frame_analyze``)."""
         spec, key = self._spec_of(request)
-        return await self._analyze(spec, key,
-                                   bool(request.get("payload", True)),
-                                   self._timeout_of(request))
+        result, payload = await self._analyze(spec, key,
+                                              self._timeout_of(request))
+        digest = key.digest
+        fresh = not (result["cached"] or result["coalesced"])
+        return frame_analyze(
+            request.get("id"), result, fresh=digest if fresh else None,
+            payload=(self.cache.payload_bytes(digest, payload)
+                     if request.get("payload", True) else None))
 
     async def _op_check(self, request: dict) -> dict:
         """Assertion verdicts for the workload's own ``assert_*``
@@ -597,11 +614,12 @@ class AnalysisServer:
 
         async def one(spec: dict, key: CacheKey) -> dict:
             try:
-                result = await self._analyze(spec, key, want_payload,
-                                             timeout)
+                result, payload = await self._analyze(spec, key, timeout)
             except RequestError as error:
                 return {"name": spec["name"], "ok": False,
                         "error": str(error), "code": error.code}
+            if want_payload:
+                result["payload"] = payload
             result["name"] = spec["name"]
             result["ok"] = True
             return result
@@ -768,8 +786,7 @@ async def _warm(server: AnalysisServer, names) -> None:
         names = benchmark_names()
     for name in names:
         spec, key = server._spec_of({"benchmark": name})
-        await server._analyze(spec, key, want_payload=False,
-                              timeout=server.request_timeout)
+        await server._analyze(spec, key, timeout=server.request_timeout)
         print("warmed %s" % name, file=sys.stderr)
 
 

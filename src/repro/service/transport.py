@@ -11,7 +11,10 @@ a third copy:
 * **framing** — :func:`encode_message` / :func:`decode_message` and
   the shared :data:`LINE_LIMIT`;
 * **envelopes** — :func:`ok_envelope` / :func:`error_envelope`, the
-  ``{"id", "ok", "result" | "error"+"code"}`` response shape;
+  ``{"id", "ok", "result" | "error"+"code"}`` response shape, and the
+  analyze response framed from already-encoded payload bytes
+  (:func:`frame_analyze`), whose optional leading ``fresh`` field a
+  router reads without parsing the line (:func:`fresh_digest`);
 * **connection lifecycle** — :class:`LineServer` (asyncio accept loop,
   per-connection read/dispatch/write cycle, oversized-line recovery,
   connection tracking for graceful drain), :class:`AsyncLineConnection`
@@ -34,8 +37,9 @@ from typing import Any, Awaitable, Callable, Optional, Union
 
 __all__ = ["LINE_LIMIT", "ProtocolError", "ConnectError",
            "encode_message", "decode_message",
-           "ok_envelope", "error_envelope",
-           "LineServer", "AsyncLineConnection", "BlockingLineConnection"]
+           "ok_envelope", "error_envelope", "frame_analyze",
+           "fresh_digest", "LineServer", "AsyncLineConnection",
+           "BlockingLineConnection"]
 
 #: Maximum request/response line length (program sources travel
 #: inline, so this is deliberately generous: 16 MiB).
@@ -90,11 +94,54 @@ def error_envelope(request_id: Any, message: str,
             "code": code}
 
 
+#: How a line carrying a fresh analyze result begins.
+_FRESH_PREFIX = b'{"fresh": "'
+
+
+def frame_analyze(request_id: Any, result: dict,
+                  fresh: Optional[str] = None,
+                  payload: Optional[bytes] = None) -> bytes:
+    """One framed analyze response, built around bytes already encoded.
+
+    ``payload`` is the JSON encoding of the result's payload (a shard
+    keeps it next to its cache entry, so a hit is not re-encoded); it
+    is spliced in as the last field of ``result``.  ``fresh`` is the
+    cache-key digest of a result this very request computed: it leads
+    the line as ``"fresh": "<digest>"``, so a router finds the results
+    it must replicate by their first bytes (:func:`fresh_digest`) and
+    forwards every other response unparsed.  Apart from that field,
+    which clients ignore, the line decodes to the same object as
+    ``encode_message(ok_envelope(request_id, result + payload))``.
+    """
+    body = json.dumps(result).encode("utf-8")
+    if payload is not None:
+        body = b"".join((body[:-1],
+                         b', "payload": ' if result else b'"payload": ',
+                         payload, b"}"))
+    head = (b'{"id": ' if fresh is None
+            else b"".join((_FRESH_PREFIX, fresh.encode("ascii"),
+                           b'", "id": ')))
+    return b"".join((head, json.dumps(request_id).encode("utf-8"),
+                     b', "ok": true, "result": ', body, b"}\n"))
+
+
+def fresh_digest(line: bytes) -> Optional[str]:
+    """The digest a :func:`frame_analyze` line marks as fresh, read
+    from its leading bytes without parsing the rest; None for every
+    other response."""
+    if not line.startswith(_FRESH_PREFIX):
+        return None
+    start = len(_FRESH_PREFIX)
+    end = line.find(b'"', start)
+    return None if end < 0 else line[start:end].decode("ascii")
+
+
 # -- asyncio server side -----------------------------------------------------
 
 #: A request handler: raw line in, response out.  Returning ``bytes``
 #: means "already framed, write verbatim" — the router's passthrough
-#: path forwards shard responses without re-serializing them.
+#: path forwards shard responses without re-serializing them, and a
+#: shard answers analyze with :func:`frame_analyze` lines.
 LineHandler = Callable[[bytes], Awaitable[Union[dict, bytes, None]]]
 
 

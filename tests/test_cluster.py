@@ -122,7 +122,8 @@ def run_cluster(scenario, shards=2, server_kwargs=None,
 
 
 async def send(port, request):
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    reader, writer = await asyncio.open_connection("127.0.0.1", port,
+                                                   limit=1 << 24)
     try:
         writer.write(json.dumps(request).encode() + b"\n")
         await writer.drain()
@@ -220,8 +221,11 @@ def test_l2_promotion_hits_on_second_shard(tmp_path):
             "id": 1, "op": "analyze", "benchmark": "RE",
             "payload": False})
         assert first["ok"] and not first["result"]["cached"]
-        # take the owner out; the replica must serve from shared disk
-        router.shards[owner].mark_down()
+        # Take the owner out; the replica must serve from shared disk.
+        # A health probe must not bring the owner back (it would serve
+        # the read from its memory tier); one is run here to show it.
+        await take_out(router, owner)
+        await router._check_shard(router.shards[owner])
         second = await send(router.port, {
             "id": 2, "op": "analyze", "benchmark": "RE",
             "payload": False})
@@ -403,6 +407,15 @@ async def wait_until(predicate, timeout=8.0, interval=0.02):
             return True
         await asyncio.sleep(interval)
     return False
+
+
+async def take_out(router, node):
+    """Take a live shard out of rotation until undrained.  A
+    ``mark_down`` would not hold: the shard still answers pings, so
+    the next health probe would mark it up again."""
+    drained = await send(router.port, {"id": None, "op": "drain-shard",
+                                       "shard": node})
+    assert drained["ok"], drained
 
 
 def test_supervisor_restarts_dead_shard_with_identical_results(tmp_path):
@@ -631,7 +644,7 @@ def test_replication_seeds_replica_memory_for_failover():
         replica = servers[1 - owner_index]
         seeded = await wait_until(
             lambda: replica.cache.stats.seeds >= 1, timeout=5.0)
-        router.shards[owner].mark_down()
+        await take_out(router, owner)
         second = await send(router.port, {
             "id": 2, "op": "analyze", "benchmark": "QU",
             "payload": False})
@@ -669,6 +682,51 @@ def test_replication_skips_cached_results():
         scenario, router_kwargs={"replicate": 2})
     assert replications == 1  # the first, fresh result — nothing else
     assert failures == 0
+
+
+def test_router_forwards_cached_reads_undecoded(monkeypatch):
+    """The replicate gate reads the shard's ``fresh`` marker: cached
+    reads pass the router as bytes (no response is decoded), while
+    every fresh analyze is still decoded once and replicated."""
+    from repro.service import cluster as cluster_module
+    decoded = []
+    real_decode = cluster_module.decode_message
+
+    def counting_decode(line):
+        message = real_decode(line)
+        if "op" not in message:  # a response, not a client request
+            decoded.append(message)
+        return message
+
+    monkeypatch.setattr(cluster_module, "decode_message", counting_decode)
+
+    async def scenario(router, servers):
+        for name, want in (("QU", True), ("RE", False)):
+            fresh = await send(router.port, {
+                "id": 1, "op": "analyze", "benchmark": name,
+                "payload": want})
+            assert fresh["ok"] and not fresh["result"]["cached"]
+        assert await wait_until(lambda: router.stats.replications >= 2)
+        await wait_until(lambda: not router._replication_tasks)
+        fresh_decodes = len(decoded)
+        del decoded[:]
+        for request_id in range(3):
+            for name in ("QU", "RE"):
+                hit = await send(router.port, {
+                    "id": request_id, "op": "analyze",
+                    "benchmark": name, "payload": True})
+                assert hit["result"]["cached"], hit
+                assert "payload" in hit["result"]
+        executed = sum(server.stats.analyses_executed
+                       for server in servers)
+        return (fresh_decodes, list(decoded), router.stats.replications,
+                executed)
+
+    fresh_decodes, cached_decodes, replications, executed = run_cluster(
+        scenario, router_kwargs={"replicate": 2})
+    assert cached_decodes == []
+    assert fresh_decodes >= 2
+    assert replications == executed == 2
 
 
 # -- anti-entropy replica repair ---------------------------------------------
@@ -742,7 +800,7 @@ def test_seed_vs_invalidate_race_leaves_replica_divergent():
                          timeout=2.0)
         divergent = replica.cache.get_by_digest(digest) is None
         # ...and the stale-miss that divergence costs on failover:
-        router.shards[owner].mark_down()
+        await take_out(router, owner)
         failover = await send(router.port, {"id": 4, "op": "analyze",
                                             "benchmark": "QU",
                                             "payload": False})
@@ -783,7 +841,7 @@ def test_anti_entropy_repairs_the_invalidate_race():
         repair = await send(router.port, {"id": 4, "op": "anti-entropy"})
         assert repair["ok"], repair
         repaired = replica.cache.get_by_digest(digest) is not None
-        router.shards[owner].mark_down()
+        await take_out(router, owner)
         failover = await send(router.port, {"id": 5, "op": "analyze",
                                             "benchmark": "QU",
                                             "payload": False})
@@ -875,7 +933,7 @@ def test_failover_recompute_triggers_read_repair():
         await wait_until(lambda: router.stats.replications >= 2)
         await send(router.port, {"id": 2, "op": "invalidate",
                                  "source": benchmark("QU").source})
-        router.shards[preference[0]].mark_down()
+        await take_out(router, preference[0])
         second = await send(router.port, {"id": 3, "op": "analyze",
                                           "benchmark": "QU",
                                           "payload": False})

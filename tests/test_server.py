@@ -22,9 +22,10 @@ from repro import analyze
 from repro.benchprogs import benchmark
 from repro.service.cache import ResultCache
 from repro.service.client import ServeClient, ServeError, spawn_server
-from repro.service.serialize import result_fingerprint
+from repro.service.serialize import payload_fingerprint, result_fingerprint
 from repro.service import server as server_module
 from repro.service.server import AnalysisServer, RequestError
+from repro.service.transport import encode_message, ok_envelope
 
 
 def direct_fingerprint(name):
@@ -204,6 +205,22 @@ async def send(server, request):
         writer.close()
 
 
+async def send_raw(server, request):
+    """One request; the response line exactly as the server wrote it."""
+    reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                   server.port,
+                                                   limit=1 << 24)
+    try:
+        writer.write(json.dumps(request).encode() + b"\n")
+        await writer.drain()
+        return await reader.readline()
+    finally:
+        writer.close()
+
+
+FRESH = b'{"fresh": "'
+
+
 def slow_execute(delay):
     real = server_module._execute_spec
 
@@ -340,3 +357,144 @@ def test_worker_pool_mode_matches_oneshot():
         if process.poll() is None:
             process.terminate()
             process.wait(timeout=30)
+
+
+# -- analyze responses framed from stored bytes -------------------------------
+
+TABLE1 = ["KA", "QU", "PR", "PE", "CS", "DS", "PG", "RE", "BR", "PL"]
+
+
+def test_spliced_analyze_responses_equal_the_envelope_encoding():
+    """Every analyze response (fresh or a hit answered from stored
+    payload bytes) decodes to what ``encode_message(ok_envelope(...))``
+    gives for the same result and the cached payload."""
+    request_ids = [11, "req-11", None]
+
+    async def scenario(server):
+        checked = 0
+        for index, name in enumerate(TABLE1 + ["CHK"]):
+            # the fresh read alternates payload on/off across programs
+            plan = [(request_ids[index % 3], index % 2 == 0)]
+            plan += [(rid, want) for want in (True, False)
+                     for rid in request_ids]
+            for position, (rid, want) in enumerate(plan):
+                line = await send_raw(server, {
+                    "id": rid, "op": "analyze", "benchmark": name,
+                    "payload": want})
+                message = json.loads(line)
+                digest = message["result"]["key"]
+                assert message.pop("fresh", None) == (
+                    digest if position == 0 else None), (name, position)
+                result = dict(message["result"])
+                assert result["cached"] == (position > 0)
+                key, payload = server.cache.get_by_digest(digest)
+                result.pop("payload", None)
+                if want:
+                    result["payload"] = payload
+                    assert payload_fingerprint(
+                        message["result"]["payload"]) == \
+                        result["fingerprint"]
+                expected = encode_message(ok_envelope(rid, result))
+                assert message == json.loads(expected), (name, rid, want)
+                if position > 0:  # a hit: byte for byte the old line
+                    assert line == expected
+                checked += 1
+        return checked
+
+    assert run_scenario(scenario) == 11 * 7
+
+
+def test_fresh_marker_only_on_successful_fresh_analyze(monkeypatch):
+    monkeypatch.setattr(server_module, "_execute_spec",
+                        slow_execute(0.3))
+    source = "marked(a). marked(b)."
+
+    async def scenario(server):
+        request = {"op": "analyze", "source": source,
+                   "query": ["marked", 1]}
+        first, rider = await asyncio.gather(
+            send_raw(server, dict(request, id=1)),
+            send_raw(server, dict(request, id=2, payload=False)))
+        lines = {
+            "cached": await send_raw(server, dict(request, id=3)),
+            "coalesced": rider,
+            "error": await send_raw(server, {
+                "id": 4, "op": "analyze", "benchmark": "NOPE"}),
+            "check": await send_raw(server, {
+                "id": 5, "op": "check", "benchmark": "CHK"}),
+            "slice": await send_raw(server, {
+                "id": 6, "op": "slice", "source": "sliced(a).",
+                "query": ["sliced", 1]}),
+            "batch": await send_raw(server, {
+                "id": 7, "op": "batch", "jobs": [
+                    {"source": "batched(a).", "query": ["batched", 1]}],
+                "payload": True}),
+            "fetch": await send_raw(server, {
+                "id": 8, "op": "fetch",
+                "digest": json.loads(first)["result"]["key"]}),
+        }
+        return first, lines
+
+    first, lines = run_scenario(scenario)
+    message = json.loads(first)
+    assert first.startswith(FRESH)
+    assert message["fresh"] == message["result"]["key"]
+    assert not message["result"]["cached"]
+    coalesced = json.loads(lines["coalesced"])["result"]
+    assert coalesced["coalesced"] and "payload" not in coalesced
+    assert json.loads(lines["cached"])["result"]["cached"]
+    assert not json.loads(lines["error"])["ok"]
+    for what in ("check", "slice", "batch"):  # each computed afresh
+        assert json.loads(lines[what])["ok"], what
+    for what, line in lines.items():
+        assert not line.startswith(FRESH), what
+        assert "fresh" not in json.loads(line), what
+
+
+def test_recompute_after_invalidate_serves_new_payload_bytes(monkeypatch):
+    """Stored bytes belong to one computation: after ``invalidate`` the
+    recomputed result's hits carry the new payload."""
+    real = server_module._execute_spec
+    runs = []
+
+    def numbered(spec):
+        name, payload, extra = real(spec)
+        runs.append(spec)
+        return name, dict(payload, stats=dict(payload["stats"],
+                                              run=len(runs))), extra
+
+    monkeypatch.setattr(server_module, "_execute_spec", numbered)
+    source = "again(a). again(b)."
+    request = {"op": "analyze", "source": source, "query": ["again", 1]}
+
+    async def scenario(server):
+        runs_seen = []
+        for _ in range(2):
+            for _ in range(3):  # one fresh read, then two hits
+                line = await send_raw(server, dict(request, id=1))
+                runs_seen.append(json.loads(line)["result"]["payload"]
+                                 ["stats"]["run"])
+            invalidated = await send(server, {
+                "id": 2, "op": "invalidate", "source": source})
+            assert invalidated["result"]["invalidated"] == 1
+        return runs_seen
+
+    assert run_scenario(scenario) == [1, 1, 1, 2, 2, 2]
+
+
+def test_fetch_not_found_is_not_a_server_error():
+    """A fetch for an entry evicted since the router's digest call is a
+    race the router already tolerates, not a fault of this shard."""
+
+    async def scenario(server):
+        missing = await send(server, {"id": 1, "op": "fetch",
+                                      "digest": "0" * 64})
+        after_fetch = server.stats.errors
+        bad = await send(server, {"id": 2, "op": "fetch"})
+        return missing, after_fetch, bad, server.stats.errors
+
+    missing, after_fetch, bad, errors = run_scenario(scenario)
+    assert missing["code"] == "not-found"
+    assert after_fetch == 0
+    assert bad["code"] == "bad-request"
+    assert errors == 1

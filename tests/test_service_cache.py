@@ -378,3 +378,67 @@ def test_seed_is_memory_only(tmp_path, append_source, payload):
     assert cache.get(key) == payload
     assert cache.stats.memory_hits == 1
     assert ResultCache(tmp_path).get(key) is None       # other procs miss
+
+
+# -- stored payload bytes ----------------------------------------------------
+
+def test_payload_bytes_encoded_once_per_entry(append_source, payload):
+    import json
+    key = make_key(append_source, ("append", 3))
+    cache = ResultCache()
+    cache.put(key, payload)
+    stored = cache.get_memory(key)
+    first = cache.payload_bytes(key.digest, stored)
+    assert first == json.dumps(payload).encode("utf-8")
+    assert cache.payload_bytes(key.digest, stored) is first
+
+
+def test_payload_bytes_follow_a_recompute(tmp_path, append_source,
+                                          payload):
+    """Invalidate, then put a recomputed payload: the bytes served are
+    the new computation's, never the ones cached for the old one."""
+    import json
+    key = make_key(append_source, ("append", 3))
+    cache = ResultCache(tmp_path)
+    cache.put(key, payload)
+    old = cache.payload_bytes(key.digest, cache.get_memory(key))
+    assert cache.invalidate(key)
+    recomputed = dict(payload, stats={"recomputed": True})
+    cache.put(key, recomputed)
+    new = cache.payload_bytes(key.digest, cache.get_memory(key))
+    assert new != old
+    assert json.loads(new)["stats"] == {"recomputed": True}
+    # a replacing put without an invalidate drops the bytes as well
+    replaced = dict(payload, stats={"replaced": True})
+    cache.put(key, replaced)
+    assert json.loads(cache.payload_bytes(
+        key.digest, cache.get_memory(key)))["stats"] == {"replaced": True}
+
+
+def test_payload_bytes_of_another_object_are_not_stored(append_source,
+                                                        payload):
+    key = make_key(append_source, ("append", 3))
+    cache = ResultCache()
+    cache.put(key, payload)
+    stale = dict(payload)  # equal, but not the object the entry holds
+    first = cache.payload_bytes(key.digest, stale)
+    assert cache.payload_bytes(key.digest, stale) is not first
+    assert cache.payload_bytes("no-such-digest", payload) == first
+
+
+def test_eviction_and_clear_release_payload_bytes(append_source,
+                                                  payload):
+    import sys
+    cache = ResultCache(max_memory_entries=1)
+    keys = [make_key(append_source + "\np%d(a).\n" % i, ("append", 3))
+            for i in range(2)]
+    cache.put(keys[0], payload)
+    encoded = cache.payload_bytes(keys[0].digest, payload)
+    held = sys.getrefcount(encoded)
+    cache.put(keys[1], payload)  # evicts keys[0]
+    assert cache.stats.evictions == 1
+    assert sys.getrefcount(encoded) == held - 1
+    encoded = cache.payload_bytes(keys[1].digest, payload)
+    held = sys.getrefcount(encoded)
+    cache.clear()
+    assert sys.getrefcount(encoded) == held - 1

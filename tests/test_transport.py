@@ -18,7 +18,7 @@ import pytest
 from repro.service.transport import (
     AsyncLineConnection, BlockingLineConnection, ConnectError,
     LineServer, ProtocolError, decode_message, encode_message,
-    error_envelope, ok_envelope)
+    error_envelope, frame_analyze, fresh_digest, ok_envelope)
 
 
 # -- framing and envelopes ---------------------------------------------------
@@ -48,6 +48,54 @@ def test_envelope_shapes():
     assert error == {"id": None, "ok": False, "error": "boom",
                      "code": "timeout"}
     assert error_envelope(1, "bad")["code"] == "bad-request"
+
+
+RESULT = {"fingerprint": "f" * 64, "key": "ab12" * 16, "cached": True,
+          "coalesced": False, "seconds": 0.000123}
+PAYLOAD = {"entries": [{"pred": ["p", 1], "types": [None, 1.5]}],
+           "name": "caf\u00e9", "stats": {"iterations": 3}}
+
+
+@pytest.mark.parametrize("request_id", [7, "r-7", None])
+@pytest.mark.parametrize("with_payload", [True, False])
+def test_frame_analyze_is_the_ok_envelope_line(request_id, with_payload):
+    """Unmarked, a framed analyze line is byte for byte what
+    ``encode_message(ok_envelope(...))`` writes for the same result."""
+    expected_result = (dict(RESULT, payload=PAYLOAD) if with_payload
+                       else RESULT)
+    line = frame_analyze(
+        request_id, RESULT,
+        payload=encode_message(PAYLOAD)[:-1] if with_payload else None)
+    assert line == encode_message(ok_envelope(request_id,
+                                              expected_result))
+    assert fresh_digest(line) is None
+
+
+@pytest.mark.parametrize("request_id", [7, "r-7", None])
+def test_frame_analyze_fresh_marker_leads_the_line(request_id):
+    digest = RESULT["key"]
+    line = frame_analyze(request_id, RESULT, fresh=digest,
+                         payload=encode_message(PAYLOAD)[:-1])
+    assert line.startswith(b'{"fresh": "%s", ' % digest.encode())
+    assert line.endswith(b"\n") and b"\n" not in line[:-1]
+    assert fresh_digest(line) == digest
+    message = decode_message(line)
+    assert message.pop("fresh") == digest
+    assert message == ok_envelope(request_id,
+                                  dict(RESULT, payload=PAYLOAD))
+
+
+def test_frame_analyze_empty_result():
+    line = frame_analyze(1, {}, payload=b"[1]")
+    assert decode_message(line) == ok_envelope(1, {"payload": [1]})
+
+
+def test_fresh_digest_ignores_other_lines():
+    for message in (ok_envelope(1, {"fresh": "x"}),
+                    error_envelope(None, "boom", "not-found"),
+                    {"op": "analyze", "fresh": "x"}):
+        assert fresh_digest(encode_message(message)) is None
+    assert fresh_digest(b'{"fresh": "unterminated') is None
 
 
 # -- LineServer --------------------------------------------------------------
