@@ -19,6 +19,8 @@ functor domain cannot.
 
 from __future__ import annotations
 
+import itertools
+import threading
 from typing import Optional, Sequence, Tuple
 
 from ..typegraph.grammar import (Grammar, g_any, g_functor, g_int,
@@ -48,18 +50,31 @@ class _Top:
 TOP = _Top()
 
 
-_NEXT_DID = 0
+#: Domain identity registry: ``(class, configuration items)`` -> did.
+#: Keys are the scalar settings of :meth:`LeafDomain._configuration`,
+#: so the registry holds one small entry per distinct configuration a
+#: process has seen.  Ids come from one counter under one lock, so
+#: they are dense, never reused, and two configurations never share
+#: one.
+_DIDS: dict = {}
+_DIDS_LOCK = threading.Lock()
+_NEXT_DID = itertools.count()
 
 
 class LeafDomain:
     """Abstract base for leaf domains.  Subclasses must be stateless
     apart from configuration (they are shared across substitutions).
 
-    Every instance gets a dense per-process id ``did`` (assigned here,
-    never reused) so the pattern-level operation memos in
-    :mod:`repro.domains.pattern` can key on it — two distinct domain
-    instances never share cache lines, even if one is garbage
-    collected and another allocated at the same address."""
+    Every instance carries a dense per-process id ``did`` that the
+    pattern-level operation memos in :mod:`repro.domains.pattern`
+    (and the native tier's per-substitution collapse maps) key on.
+    The id is the domain's *configuration*: instances of one class
+    with equal :meth:`descriptor` share it, because they compute
+    identical results, so a memo line written by one analysis serves
+    every later analysis with the same configuration.  A subclass
+    without a descriptor, or a type domain with a type database, gets
+    a fresh id per instance (see :meth:`_configuration`).  Subclasses
+    set their configuration before calling ``LeafDomain.__init__``."""
 
     name = "abstract"
 
@@ -71,9 +86,23 @@ class LeafDomain:
     idempotent_joins = True
 
     def __init__(self) -> None:
-        global _NEXT_DID
-        self.did = _NEXT_DID
-        _NEXT_DID += 1
+        key = self._configuration()
+        with _DIDS_LOCK:
+            did = _DIDS.get(key)
+            if did is None:
+                did = next(_NEXT_DID)
+                if key is not None:
+                    _DIDS[key] = did
+        self.did = did
+
+    def _configuration(self):
+        """Registry key of everything this domain's results depend on,
+        or None for a fresh id (the instance then shares no memo
+        lines)."""
+        try:
+            return type(self), tuple(sorted(self.descriptor().items()))
+        except NotImplementedError:
+            return None
 
     def top(self):
         """The value describing every term (free variables included)."""
@@ -149,9 +178,16 @@ class TypeLeafDomain(LeafDomain):
 
     def __init__(self, max_or_width: Optional[int] = None,
                  type_database: Optional[list] = None) -> None:
-        super().__init__()
         self.max_or_width = max_or_width
         self.type_database = type_database
+        super().__init__()
+
+    def _configuration(self):
+        # a type database would make its full encoding a permanent
+        # registry key, one per distinct database a client sends
+        if self.type_database is not None:
+            return None
+        return super()._configuration()
 
     def top(self) -> Grammar:
         return g_any()
@@ -227,8 +263,8 @@ class DepthBoundLeafDomain(TypeLeafDomain):
 
     def __init__(self, k: int = 1,
                  max_or_width: Optional[int] = None) -> None:
-        super().__init__(max_or_width)
         self.k = k
+        super().__init__(max_or_width)
 
     def join(self, a: Grammar, b: Grammar) -> Grammar:
         from ..typegraph.depthbound import depth_bound_join

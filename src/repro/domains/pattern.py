@@ -118,7 +118,11 @@ class PatBottom:
 PAT_BOTTOM = PatBottom()
 
 #: Pattern-level operation memo tables (bounded LRUs shared with the
-#: type-graph op caches' configuration and counters).
+#: type-graph op caches' configuration and counters).  Keys are
+#: ``(domain did, sid, sid[, strict])``; each entry stores
+#: ``(result, operand, operand)`` so it keeps its operands interned —
+#: a later analysis that rebuilds an equal operand then gets the same
+#: sid, and the same key, instead of a fresh one.
 _JOIN_CACHE = opcache.cache_for("subst_join")
 _WIDEN_CACHE = opcache.cache_for("subst_widen")
 _LE_CACHE = opcache.cache_for("subst_le")
@@ -180,10 +184,10 @@ class AbstractSubst:
         self.sv = sv
         self.nodes = nodes
         self._hash: Optional[int] = None
-        #: per-instance :func:`value_of` memo, keyed (domain, index) —
-        #: the engine collapses the same cached clause outputs on
-        #: every join/compare, so the memo pays across calls, not just
-        #: within one merge walk.
+        #: per-instance :func:`value_of` memo, keyed (domain did,
+        #: index) — the engine collapses the same cached clause
+        #: outputs on every join/compare, so the memo pays across
+        #: calls (and analyses), not just within one merge walk.
         self._collapse: Optional[Dict] = None
         #: interning marker + dense per-process id (see
         #: :func:`intern_subst`); -1 until interned, never reused.
@@ -516,9 +520,10 @@ def value_of(subst: AbstractSubst, index: int, domain: LeafDomain,
     """Collapse the subtree at ``index`` into a single R-value.
 
     Memoized on the substitution instance (nodes are immutable), keyed
-    by domain, so repeated joins/compares against the same frozen
-    substitution collapse each subtree once per process instead of
-    once per call.  The ``memo`` parameter is kept for API
+    by the domain's configuration id, so repeated joins/compares
+    against the same frozen substitution collapse each subtree once
+    per process instead of once per call — and the memo never pins
+    the domain object itself.  The ``memo`` parameter is kept for API
     compatibility; the instance cache subsumes it."""
     if subst.interned:
         native = _native_for(domain)
@@ -529,7 +534,7 @@ def value_of(subst: AbstractSubst, index: int, domain: LeafDomain,
     if cache is None:
         cache = {}
         subst._collapse = cache
-    key = (domain, index)
+    key = (domain.did, index)
     value = cache.get(key)
     if value is not None:
         return value
@@ -607,8 +612,10 @@ def _merge_widen(old: AbstractSubst, new: AbstractSubst,
 def subst_join(s1, s2, domain: LeafDomain):
     """Upper bound (operation UNION of GAIA).
 
-    Memoized on interned identities (the differential engine re-joins
-    the same cached clause outputs on every re-analysis)."""
+    Memoized on the domain's configuration id and the operands'
+    interned identities (the differential engine re-joins the same
+    cached clause outputs on every re-analysis, and a warm server
+    re-joins them across requests)."""
     if s1 is PAT_BOTTOM:
         return s2
     if s2 is PAT_BOTTOM:
@@ -620,11 +627,12 @@ def subst_join(s1, s2, domain: LeafDomain):
         # hottest call sites, so skip the closure per call
         cache = _JOIN_CACHE
         key = (domain.did, s1.sid, s2.sid)
-        value = cache.get(key)
-        if value is None:
+        entry = cache.get(key)
+        if entry is None:
             value = _merge_join(s1, s2, domain)
-            cache.put(key, value)
-        return value
+            cache.put(key, (value, s1, s2))
+            return value
+        return entry[0]
     return _merge_join(s1, s2, domain)
 
 
@@ -642,11 +650,12 @@ def subst_widen(old, new, domain: LeafDomain, strict: bool = True):
     if old.interned and new.interned and opcache.enabled():
         cache = _WIDEN_CACHE
         key = (domain.did, old.sid, new.sid, strict)
-        value = cache.get(key)
-        if value is None:
+        entry = cache.get(key)
+        if entry is None:
             value = _merge_widen(old, new, domain, strict)
-            cache.put(key, value)
-        return value
+            cache.put(key, (value, old, new))
+            return value
+        return entry[0]
     return _merge_widen(old, new, domain, strict)
 
 
@@ -668,11 +677,12 @@ def subst_le(s1, s2, domain: LeafDomain) -> bool:
     if s1.interned and s2.interned and opcache.enabled():
         cache = _LE_CACHE
         key = (domain.did, s1.sid, s2.sid)
-        value = cache.get(key)
-        if value is None:
+        entry = cache.get(key)
+        if entry is None:
             value = _subst_le_impl(s1, s2, domain)
-            cache.put(key, value)
-        return value
+            cache.put(key, (value, s1, s2))
+            return value
+        return entry[0]
     return _subst_le_impl(s1, s2, domain)
 
 

@@ -12,13 +12,15 @@ serialization layer the on-disk cache uses.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.analyzer import analyze
 from ..fixpoint.engine import AnalysisConfig
-from ..prolog.program import PredId
+from ..prolog.program import PredId, Program
 from ..typegraph.grammar import Grammar
 from .cache import CacheKey, ResultCache, make_key
 from .serialize import (decode_config, decode_input_types, decode_result,
@@ -84,11 +86,16 @@ def _job_spec(job: Job) -> dict:
     }
 
 
-def _execute_spec(spec: dict) -> Tuple[str, dict, float]:
+def _execute_spec(spec: dict, program: Optional[Program] = None
+                  ) -> Tuple[str, dict, float]:
     """Worker entry point: run one analysis, return the serialized
     result.  Top-level so the process pool can pickle it; also the
     unit of work the :mod:`repro.service.server` daemon dispatches, so
     server and batch exercise the identical execution path.
+
+    ``program``, when given, is ``spec["source"]`` already parsed (the
+    server parses it once to key the request); otherwise the source is
+    parsed here.
 
     A spec with ``"check": True`` is a verification workload: the
     config carries the assertion set (and ``keep_deps``), and the
@@ -98,7 +105,7 @@ def _execute_spec(spec: dict) -> Tuple[str, dict, float]:
     config = (None if spec["config"] is None
               else decode_config(spec["config"]))
     start = time.perf_counter()
-    analysis = analyze(spec["source"],
+    analysis = analyze(spec["source"] if program is None else program,
                        (spec["query"][0], int(spec["query"][1])),
                        input_types=decode_input_types(spec["input_types"]),
                        config=config,
@@ -113,6 +120,25 @@ def _execute_spec(spec: dict) -> Tuple[str, dict, float]:
         payload["check"] = encode_check(report, slices)
     seconds = time.perf_counter() - start
     return spec["name"], payload, seconds
+
+
+def _settled(execute, *args):
+    """Run one fresh analysis, ``execute(*args)``, then settle the
+    executor's heap: collect the cyclic garbage the analysis left and
+    move every survivor out of the cyclic collector's scan set
+    (``gc.freeze``).  Later full collections then walk only what the
+    next analysis allocates, not the warm heap of interned grammars,
+    substitutions and memo tables.  Frozen objects still die by
+    refcount, so evicting a cached result still frees its memory.
+
+    The heap is settled only after a successful return: while an
+    analysis error propagates, its traceback still reaches the
+    analysis frames, and freezing them would keep them for good.  The
+    next successful call's collection reclaims them instead."""
+    result = execute(*args)
+    gc.collect()
+    gc.freeze()
+    return result
 
 
 def _warm_worker() -> None:
@@ -180,11 +206,12 @@ class WorkerPool:
     def submit_spec(self, spec: dict):
         """Dispatch one spec; returns a ``concurrent.futures.Future``
         resolving to ``(name, payload, seconds)``."""
-        return self.executor.submit(_execute_spec, spec)
+        return self.executor.submit(_settled, _execute_spec, spec)
 
     def map_specs(self, specs: Sequence[dict]):
         """Execute ``specs`` across the pool, results in order."""
-        return list(self.executor.map(_execute_spec, specs))
+        return list(self.executor.map(partial(_settled, _execute_spec),
+                                       specs))
 
     def shutdown(self, wait: bool = True) -> None:
         if self._executor is not None:

@@ -27,7 +27,7 @@ Protocol (one JSON object per line, over TCP)::
                               # program's own assert_* directives
     -> {"op": "slice", "source": "..."}     # verdicts + blame slices
     -> {"op": "stats"}        # cache hit rate, opcache/arena counters,
-                              # queue depth, p50/p95 latency
+                              # queue depth, p50/p95 latency, heap
     -> {"op": "cache-info"}
     -> {"op": "invalidate", "source": "..."}   # or "program_hash"
     -> {"op": "digest"}       # memory-tier (digest, program) inventory
@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import gc
 import json
 import os
 import sys
@@ -80,7 +81,8 @@ from typing import Dict, Optional, Tuple, Union
 from dataclasses import replace as _replace
 
 from ..fixpoint.engine import AnalysisConfig
-from .batch import WorkerPool, _execute_spec
+from ..prolog.program import Program, parse_program
+from .batch import WorkerPool, _execute_spec, _settled
 from .cache import CacheKey, ResultCache, make_key
 from .serialize import (canonical_json, check_fingerprint, decode_config,
                         decode_input_types, encode_config,
@@ -141,6 +143,20 @@ class ServerStats:
             "p95": round(pct(0.95), 6),
             "max": round(samples[-1], 6),
         }
+
+
+def _heap_stats() -> dict:
+    """The ``heap`` section of ``stats``: what the cyclic collector
+    scans and has run, and how large the warm memo tables are."""
+    from ..typegraph import arena, opcache
+    return {
+        "frozen": gc.get_freeze_count(),
+        "collections": [gen["collections"] for gen in gc.get_stats()],
+        "opcache": {name: table["size"]
+                    for name, table in sorted(opcache.stats().items())},
+        "native": (arena.NATIVE.memo_stats()
+                   if arena.NATIVE is not None else None),
+    }
 
 
 class AnalysisServer:
@@ -307,13 +323,17 @@ class AnalysisServer:
         except (TypeError, ValueError, KeyError, IndexError):
             return None
 
-    def _spec_of(self, request: dict) -> Tuple[dict, CacheKey]:
-        """Validated ``_execute_spec`` form plus cache key, memoized.
+    def _spec_of(self, request: dict
+                 ) -> Tuple[dict, CacheKey, Optional[Program]]:
+        """Validated ``_execute_spec`` form plus cache key, memoized,
+        and the parsed program when this call had to parse it.
 
-        ``make_key`` re-parses the program to canonically hash it —
-        ~1ms even for small sources, which used to dominate the warm
-        hit path.  Repeat workloads (the entire point of a server) hit
-        the memo instead.  Single-threaded: only the event loop calls
+        Keying parses the program to canonically hash it — ~1ms even
+        for small sources, which used to dominate the warm hit path.
+        Repeat workloads (the entire point of a server) hit the memo
+        instead, and get no program back: the memo keeps none.  A
+        miss hands its program on so the analysis does not parse the
+        source again.  Single-threaded: only the event loop calls
         this."""
         signature = self._spec_signature(request)
         if signature is not None:
@@ -321,17 +341,18 @@ class AnalysisServer:
             hit = memo.get(signature)
             if hit is not None:
                 memo.move_to_end(signature)
-                return hit
-        spec, key = self._spec_of_uncached(request)
+                return hit + (None,)
+        spec, key, program = self._spec_of_uncached(request)
         if signature is not None:
             memo[signature] = (spec, key)
             if len(memo) > 4096:
                 memo.popitem(last=False)
-        return spec, key
+        return spec, key, program
 
-    def _spec_of_uncached(self, request: dict) -> Tuple[dict, CacheKey]:
+    def _spec_of_uncached(self, request: dict
+                          ) -> Tuple[dict, CacheKey, Program]:
         """Validate an analyze request into the ``_execute_spec`` form
-        plus its cache key."""
+        plus its cache key and parsed program."""
         if request.get("benchmark") is not None:
             from ..benchprogs import benchmark
             try:
@@ -386,10 +407,12 @@ class AnalysisServer:
             "config": None if config is None else encode_config(config),
             "baseline": baseline,
         }
-        key = make_key(source, query, input_types, config, baseline)
-        return spec, key
+        program = parse_program(source)
+        key = make_key(program, query, input_types, config, baseline)
+        return spec, key, program
 
-    def _check_spec_of(self, request: dict) -> Tuple[dict, CacheKey]:
+    def _check_spec_of(self, request: dict
+                       ) -> Tuple[dict, CacheKey, Optional[Program]]:
         """The verification form of an analyze request: the program's
         own assertion directives are harvested and folded into the
         config (with ``keep_deps`` so blame slicing has its dependency
@@ -404,20 +427,20 @@ class AnalysisServer:
             hit = memo.get(signature)
             if hit is not None:
                 memo.move_to_end(signature)
-                return hit
-        spec, _ = self._spec_of(request)
+                return hit + (None,)
+        spec, _, program = self._spec_of(request)
+        if program is None:
+            program = parse_program(spec["source"])
         from ..assertions import AssertionSyntaxError, harvest_assertions
-        from ..prolog.program import parse_program
         try:
-            assertions = tuple(harvest_assertions(
-                parse_program(spec["source"])))
+            assertions = tuple(harvest_assertions(program))
         except AssertionSyntaxError as error:
             raise RequestError("bad assertion directive: %s" % error)
         base = (decode_config(spec["config"])
                 if spec["config"] is not None else AnalysisConfig())
         config = _replace(base, assertions=assertions, keep_deps=True)
         query = (spec["query"][0], int(spec["query"][1]))
-        key = make_key(spec["source"], query,
+        key = make_key(program, query,
                        decode_input_types(spec["input_types"]), config,
                        bool(spec["baseline"]))
         spec = dict(spec)
@@ -427,16 +450,16 @@ class AnalysisServer:
             memo[signature] = (spec, key)
             if len(memo) > 4096:
                 memo.popitem(last=False)
-        return spec, key
+        return spec, key, program
 
     async def _check(self, request: dict, want_slices: bool) -> dict:
         """Shared body of the ``check`` and ``slice`` ops: one cached
         payload (the encoded table plus its ``check`` section) serves
         both; they differ only in whether the blame slices travel back
         to the client."""
-        spec, key = self._check_spec_of(request)
-        outcome, payload = await self._analyze(spec, key,
-                                               self._timeout_of(request))
+        spec, key, program = self._check_spec_of(request)
+        outcome, payload = await self._analyze(
+            spec, key, self._timeout_of(request), program)
         check = payload.get("check") or {"verdicts": [], "slices": []}
         verdicts = check.get("verdicts", [])
         counts: Dict[str, int] = {}
@@ -465,11 +488,14 @@ class AnalysisServer:
         return fingerprint
 
     async def _analyze(self, spec: dict, key: CacheKey,
-                       timeout: Optional[float]) -> Tuple[dict, dict]:
+                       timeout: Optional[float],
+                       program: Optional[Program] = None
+                       ) -> Tuple[dict, dict]:
         """Serve one workload from the cache, a computation already in
         flight, or a new one; returns the result fields and the
         payload separately, since each op ships the payload its own
-        way."""
+        way.  ``program`` is the parsed source, when the caller has
+        it, for a new computation to reuse."""
         start = time.perf_counter()
         self.stats.requests += 1
         digest = key.digest
@@ -515,7 +541,8 @@ class AnalysisServer:
                     else None)
                 self._inflight[digest] = future
                 self._pending += 1
-                asyncio.ensure_future(self._run_spec(spec, key, future))
+                asyncio.ensure_future(self._run_spec(spec, key, future,
+                                                     program))
             try:
                 payload = await asyncio.wait_for(asyncio.shield(future),
                                                  timeout)
@@ -539,13 +566,17 @@ class AnalysisServer:
         return result, payload
 
     async def _run_spec(self, spec: dict, key: CacheKey,
-                        future: "asyncio.Future") -> None:
+                        future: "asyncio.Future",
+                        program: Optional[Program]) -> None:
         loop = asyncio.get_running_loop()
         try:
-            executor = (self._pool.executor if self._pool is not None
-                        else self._executor)
-            _, payload, _ = await loop.run_in_executor(
-                executor, _execute_spec, spec)
+            if self._pool is not None:
+                # pickling a Program costs more than the worker's parse
+                _, payload, _ = await asyncio.wrap_future(
+                    self._pool.submit_spec(spec))
+            else:
+                _, payload, _ = await loop.run_in_executor(
+                    self._executor, _settled, _execute_spec, spec, program)
             # disk write off the event loop (ResultCache is locked)
             await loop.run_in_executor(None, self.cache.put, key,
                                        payload)
@@ -577,9 +608,9 @@ class AnalysisServer:
         """Answered as a framed line: the payload travels as the bytes
         its cache entry keeps, and a fresh result is marked for the
         router's replicate gate (``transport.frame_analyze``)."""
-        spec, key = self._spec_of(request)
-        result, payload = await self._analyze(spec, key,
-                                              self._timeout_of(request))
+        spec, key, program = self._spec_of(request)
+        result, payload = await self._analyze(
+            spec, key, self._timeout_of(request), program)
         digest = key.digest
         fresh = not (result["cached"] or result["coalesced"])
         return frame_analyze(
@@ -612,9 +643,11 @@ class AnalysisServer:
         timeout = self._timeout_of(request)
         prepared = [self._spec_of(job) for job in raw_jobs]
 
-        async def one(spec: dict, key: CacheKey) -> dict:
+        async def one(spec: dict, key: CacheKey,
+                      program: Optional[Program]) -> dict:
             try:
-                result, payload = await self._analyze(spec, key, timeout)
+                result, payload = await self._analyze(spec, key, timeout,
+                                                      program)
             except RequestError as error:
                 return {"name": spec["name"], "ok": False,
                         "error": str(error), "code": error.code}
@@ -624,8 +657,7 @@ class AnalysisServer:
             result["ok"] = True
             return result
 
-        jobs = await asyncio.gather(*(one(spec, key)
-                                      for spec, key in prepared))
+        jobs = await asyncio.gather(*(one(*job) for job in prepared))
         return {"jobs": list(jobs)}
 
     async def _op_seed(self, request: dict) -> dict:
@@ -655,7 +687,7 @@ class AnalysisServer:
             name = str(request.get("name")
                        or "%s/%d" % tuple(key.query))
         else:
-            spec, key = self._spec_of(request)
+            spec, key, _ = self._spec_of(request)
             name = spec["name"]
         self.cache.seed(key, payload)
         self.stats.seeds += 1
@@ -729,6 +761,7 @@ class AnalysisServer:
                         "hits": opcache_hits,
                         "misses": opcache_misses},
             "arena": arena.stats(),
+            "heap": _heap_stats(),
             "latency": self.stats.latency_summary(),
         }
 
@@ -785,8 +818,8 @@ async def _warm(server: AnalysisServer, names) -> None:
     if [name.lower() for name in names] == ["all"]:
         names = benchmark_names()
     for name in names:
-        spec, key = server._spec_of({"benchmark": name})
-        await server._analyze(spec, key, timeout=server.request_timeout)
+        spec, key, program = server._spec_of({"benchmark": name})
+        await server._analyze(spec, key, server.request_timeout, program)
         print("warmed %s" % name, file=sys.stderr)
 
 

@@ -248,9 +248,9 @@ def test_l2_promotion_hits_on_second_shard(tmp_path):
 def test_drain_completes_inflight_and_reroutes(monkeypatch):
     real = server_module._execute_spec
 
-    def slow_execute(spec):
+    def slow_execute(spec, program=None):
         time.sleep(0.4)
-        return real(spec)
+        return real(spec, program)
 
     monkeypatch.setattr(server_module, "_execute_spec", slow_execute)
     source = "drainme(a). drainme(b)."
@@ -589,9 +589,9 @@ def test_add_shard_probes_health_and_moves_only_its_slice():
 def test_remove_shard_drains_inflight_then_departs(monkeypatch):
     real = server_module._execute_spec
 
-    def slow_execute(spec):
+    def slow_execute(spec, program=None):
         time.sleep(0.4)
-        return real(spec)
+        return real(spec, program)
 
     monkeypatch.setattr(server_module, "_execute_spec", slow_execute)
     source = "leaving(a). leaving(b)."

@@ -224,9 +224,9 @@ FRESH = b'{"fresh": "'
 def slow_execute(delay):
     real = server_module._execute_spec
 
-    def execute(spec):
+    def execute(spec, program=None):
         time.sleep(delay)
-        return real(spec)
+        return real(spec, program)
 
     return execute
 
@@ -457,8 +457,8 @@ def test_recompute_after_invalidate_serves_new_payload_bytes(monkeypatch):
     real = server_module._execute_spec
     runs = []
 
-    def numbered(spec):
-        name, payload, extra = real(spec)
+    def numbered(spec, program=None):
+        name, payload, extra = real(spec, program)
         runs.append(spec)
         return name, dict(payload, stats=dict(payload["stats"],
                                               run=len(runs))), extra
