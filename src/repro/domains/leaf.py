@@ -94,6 +94,9 @@ class LeafDomain:
                 if key is not None:
                     _DIDS[key] = did
         self.did = did
+        #: True when ``did`` names the configuration, so per-instance
+        #: memos may key on it; a fresh id dies with this instance.
+        self.shared_did = key is not None
 
     def _configuration(self):
         """Registry key of everything this domain's results depend on,

@@ -176,7 +176,7 @@ class AbstractSubst:
     makes the engine's hash-indexed table lookups cheap."""
 
     __slots__ = ("nvars", "sv", "nodes", "_hash", "_collapse",
-                 "interned", "sid", "__weakref__")
+                 "text_memo", "interned", "sid", "__weakref__")
 
     def __init__(self, nvars: int, sv: Tuple[int, ...],
                  nodes: Tuple[PatNode, ...]) -> None:
@@ -189,6 +189,10 @@ class AbstractSubst:
         #: outputs on every join/compare, so the memo pays across
         #: calls (and analyses), not just within one merge walk.
         self._collapse: Optional[Dict] = None
+        #: per-instance JSON text memo of interned substitutions, keyed
+        #: by domain did (filled by :mod:`repro.service.wire`); it dies
+        #: with the substitution, like ``Grammar.to_obj``'s memo.
+        self.text_memo: Optional[Dict] = None
         #: interning marker + dense per-process id (see
         #: :func:`intern_subst`); -1 until interned, never reused.
         self.interned = False

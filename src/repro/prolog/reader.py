@@ -20,6 +20,7 @@ __all__ = ["Token", "TokenizeError", "tokenize"]
 SYMBOL_CHARS = set("+-*/\\^<>=~:.?@#&$")
 SOLO_CHARS = set("!,;|")
 PUNCT_CHARS = set("()[]{}")
+DIGITS = set("0123456789")
 
 
 class TokenizeError(SyntaxError):
@@ -178,8 +179,10 @@ def _scan_token(s: _Scanner, layout_before: bool) -> Token:
             chars.append(s.advance())
         return tok("atom", "".join(chars))
 
-    # Numbers, including 0'c character codes.
-    if ch.isdigit():
+    # Numbers, including 0'c character codes.  Digits are ASCII only:
+    # other Unicode digits ('²', '٣') are not letters or symbols either,
+    # so they fall through to the unexpected-character error.
+    if ch in DIGITS:
         if ch == "0" and s.peek(1) == "'":
             s.advance()
             s.advance()
@@ -198,7 +201,7 @@ def _scan_token(s: _Scanner, layout_before: bool) -> Token:
                 s.advance()  # 0''' is the quote character itself
             return tok("int", "0'" + code_char)
         chars = [s.advance()]
-        while s.peek().isdigit():
+        while s.peek() in DIGITS:
             chars.append(s.advance())
         return tok("int", "".join(chars))
 

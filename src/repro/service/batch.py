@@ -26,6 +26,7 @@ from .cache import CacheKey, ResultCache, make_key
 from .serialize import (decode_config, decode_input_types, decode_result,
                         encode_check, encode_config, encode_input_types,
                         encode_result)
+from .wire import encode_payload
 
 __all__ = ["Job", "JobResult", "BatchReport", "WorkerPool", "run_batch",
            "jobs_from_benchmarks"]
@@ -101,7 +102,11 @@ def _execute_spec(spec: dict, program: Optional[Program] = None
     config carries the assertion set (and ``keep_deps``), and the
     payload gains a ``check`` section — verdicts plus blame slices —
     next to the encoded table, so cached hits serve bit-identical
-    verdicts."""
+    verdicts.
+
+    The payload comes back as a :class:`~repro.service.wire.EncodedPayload`:
+    its JSON bytes and fingerprint are assembled here, in the executor,
+    so the caller never re-encodes it."""
     config = (None if spec["config"] is None
               else decode_config(spec["config"]))
     start = time.perf_counter()
@@ -118,6 +123,7 @@ def _execute_spec(spec: dict, program: Optional[Program] = None
                       else None)
         report, slices = check_analysis(analysis, assertions)
         payload["check"] = encode_check(report, slices)
+    payload = encode_payload(analysis.result, payload)
     seconds = time.perf_counter() - start
     return spec["name"], payload, seconds
 

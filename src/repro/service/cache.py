@@ -18,7 +18,9 @@ the cache never decodes them — it is a plain content-addressed blob
 store with an index by program hash.  A memory-tier entry may also
 hold its payload's JSON bytes (:meth:`ResultCache.payload_bytes`),
 encoded on first demand so a served hit is not re-encoded; they live
-and die with the entry.
+and die with the entry.  A fresh result arrives as an
+:class:`~repro.service.wire.EncodedPayload` that carries its bytes
+already: hits and its disk record splice those instead.
 
 Concurrency model (PR 5's server hangs many readers and writers off
 one instance and many *processes* off one ``cache_dir``):
@@ -51,6 +53,7 @@ from ..prolog.program import PredId, Program
 from ..typegraph.grammar import Grammar
 from .serialize import (FORMAT_VERSION, canonical_json, config_hash,
                         content_hash, grammar_content_hash, program_hash)
+from .wire import EncodedPayload
 
 __all__ = ["CacheKey", "CacheStats", "ResultCache", "make_key"]
 
@@ -151,6 +154,17 @@ class _Entry:
         self.key = key
         self.payload = payload
         self.encoded: Optional[bytes] = None
+
+
+def _record_bytes(key: CacheKey, payload: dict) -> bytes:
+    """The on-disk record ``{"key": ..., "payload": ...}`` as
+    ``json.dumps`` writes it, splicing in an :class:`EncodedPayload`'s
+    bytes instead of encoding the payload again."""
+    if not isinstance(payload, EncodedPayload):
+        record = {"key": key.to_obj(), "payload": payload}
+        return json.dumps(record).encode("utf-8")
+    return b"".join((b'{"key": ', json.dumps(key.to_obj()).encode("utf-8"),
+                     b', "payload": ', payload.wire, b"}"))
 
 
 class ResultCache:
@@ -289,7 +303,9 @@ class ResultCache:
         ``clear`` and replacement each drop the entry, and its bytes
         with it, so a recomputed result never comes back with the
         bytes of the computation it replaced.  The encode runs outside
-        the lock."""
+        the lock, and an :class:`EncodedPayload` is never re-encoded."""
+        if isinstance(payload, EncodedPayload):
+            return payload.wire
         with self._lock:
             entry = self._memory.get(digest)
             if (entry is not None and entry.payload is payload
@@ -303,8 +319,7 @@ class ResultCache:
         return encoded
 
     def _write_disk(self, key: CacheKey, payload: dict) -> None:
-        record = {"key": key.to_obj(), "payload": payload}
-        text = json.dumps(record)
+        data = _record_bytes(key, payload)
         directory = self._program_dir(key.program_hash)
         # Two rounds: a concurrent invalidate_program/clear may remove
         # the program directory between makedirs and the rename.
@@ -314,8 +329,8 @@ class ResultCache:
             try:
                 fd, tmp_path = tempfile.mkstemp(dir=directory,
                                                 suffix=".tmp")
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(text)
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(data)
                     if self.fsync:
                         handle.flush()
                         os.fsync(handle.fileno())

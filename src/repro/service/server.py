@@ -91,6 +91,7 @@ from .serialize import (canonical_json, check_fingerprint, decode_config,
 from .transport import (LINE_LIMIT as _LINE_LIMIT, LineServer,
                         ProtocolError, decode_message, error_envelope,
                         frame_analyze, ok_envelope)
+from .wire import EncodedPayload
 
 __all__ = ["AnalysisServer", "ServerStats", "RequestError",
            "DEFAULT_PORT", "serve_main"]
@@ -481,7 +482,10 @@ class AnalysisServer:
         memo = self._fingerprints
         fingerprint = memo.get(digest)
         if fingerprint is None:
-            fingerprint = payload_fingerprint(payload)
+            # a fresh result brings the fingerprint its executor took
+            fingerprint = (payload.fingerprint
+                           if isinstance(payload, EncodedPayload)
+                           else payload_fingerprint(payload))
             memo[digest] = fingerprint
             if len(memo) > 4096:
                 memo.popitem(last=False)

@@ -1,11 +1,12 @@
 """Native execution tier: a lazily-compiled C extension.
 
 The kernels in ``_arenakernels.c`` are compiled on first use with the
-system C compiler (``cc`` or ``$REPRO_KERNEL_CC``) into a per-source-
-hash cache directory, so the repo needs no build step and no toolchain:
-when compilation is impossible the loader reports a reason and the
-tier machinery in :mod:`repro.typegraph.arena` silently falls back to
-the numpy/python tiers.  The C module holds only integers — every
+system C compiler (``cc`` or ``$REPRO_KERNEL_CC``) into a cache
+directory, one file per source and compile command, so the repo needs
+no build step and no toolchain: when compilation is impossible the
+loader reports a reason and the tier machinery in
+:mod:`repro.typegraph.arena` silently falls back to the numpy/python
+tiers.  The C module holds only integers — every
 Grammar/AbstractSubst it returns is produced through the same intern
 tables as the pure-Python tier (see ``arena._grammar_from_intkey`` and
 ``pattern._freeze_build``), so results are *identical objects* across
@@ -46,10 +47,19 @@ def _cache_dir() -> str:
 
 
 def _build(source: str) -> str:
-    """Compile (once per source hash) and return the .so path."""
+    """Compile (once per source and compile command) and return the
+    .so path.  The cache name hashes the source together with the
+    compiler, flags and include path, so switching compilers never
+    loads another compiler's build."""
     import hashlib
+    cc = os.environ.get("REPRO_KERNEL_CC") or "cc"
+    include = sysconfig.get_paths()["include"]
+    compile_cmd = [cc, "-O2", "-fPIC", "-shared", "-I", include]
+    hasher = hashlib.sha256()
     with open(source, "rb") as handle:
-        digest = hashlib.sha256(handle.read()).hexdigest()[:16]
+        hasher.update(handle.read())
+    hasher.update(b"\0" + "\0".join(compile_cmd).encode("utf-8"))
+    digest = hasher.hexdigest()[:16]
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
     cache_dir = _cache_dir()
     os.makedirs(cache_dir, exist_ok=True)
@@ -58,11 +68,8 @@ def _build(source: str) -> str:
     if os.path.exists(target):
         return target
     import subprocess
-    cc = os.environ.get("REPRO_KERNEL_CC") or "cc"
-    include = sysconfig.get_paths()["include"]
     scratch = target + ".build-%d" % os.getpid()
-    cmd = [cc, "-O2", "-fPIC", "-shared", "-I", include,
-           "-o", scratch, source]
+    cmd = compile_cmd + ["-o", scratch, source]
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True,
                               timeout=180)

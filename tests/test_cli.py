@@ -116,3 +116,15 @@ def test_disjunction_fallback_warning(tmp_path, capsys):
     assert main([str(source), "p/8"]) == 0
     out = capsys.readouterr().out
     assert "oversized disjunction" in out
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
+@pytest.mark.parametrize("command", [[], ["check"]])
+def test_non_ascii_digit_is_a_clean_syntax_error(tmp_path, capsys,
+                                                 digit, command):
+    source = tmp_path / "prog.pl"
+    source.write_text("p(%s).\n" % digit, encoding="utf-8")
+    assert main(command + [str(source), "p/1"]) == 2
+    err = capsys.readouterr().err
+    assert "error: unexpected character" in err
+    assert "at line 1, column 3" in err

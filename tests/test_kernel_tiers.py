@@ -298,6 +298,32 @@ def test_native_falls_back_without_toolchain(tmp_path, monkeypatch):
         _native._reset_for_tests()
 
 
+def test_kernel_cache_name_covers_the_compiler(tmp_path, monkeypatch):
+    """The built .so is named by the source *and* the compile command:
+    a second compiler gets its own build, the same one reuses its."""
+    from repro.typegraph import _native
+
+    commands = []
+
+    def fake_run(cmd, **kwargs):
+        commands.append(cmd)
+        with open(cmd[cmd.index("-o") + 1], "wb"):
+            pass
+        return subprocess.CompletedProcess(cmd, 0, "", "")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+    source = _native._source_path()
+    monkeypatch.setenv("REPRO_KERNEL_CC", "cc")
+    first = _native._build(source)
+    again = _native._build(source)
+    monkeypatch.setenv("REPRO_KERNEL_CC", "clang")
+    other = _native._build(source)
+    assert first == again != other
+    assert os.path.exists(first) and os.path.exists(other)
+    assert [cmd[0] for cmd in commands] == ["cc", "clang"]
+
+
 def test_fallback_process_produces_identical_results(tmp_path):
     """A full analysis in a subprocess with no toolchain matches this
     process's fingerprint bit-for-bit."""

@@ -27,6 +27,21 @@ class TestBasicTokens:
         assert texts("42") == [("int", "42")]
         assert tokenize("42")[0].value == 42
 
+    @pytest.mark.parametrize("text,column", [
+        ("p(\u00b2).", 3),      # superscript two: isdigit() but not 0-9
+        ("p(\u0663).", 3),      # Arabic-Indic three: was read as 3
+        ("p(1\u00b2).", 4),     # a number ends at its last ASCII digit
+    ])
+    def test_integers_are_ascii_digits_only(self, text, column):
+        with pytest.raises(TokenizeError) as info:
+            tokenize(text)
+        assert (info.value.line, info.value.column) == (1, column)
+        assert "unexpected character" in str(info.value)
+
+    def test_non_ascii_digits_continue_a_name(self):
+        assert texts("a\u00b2 X\u0663") == [("atom", "a\u00b2"),
+                                            ("var", "X\u0663")]
+
     def test_char_code(self):
         token = tokenize("0'a")[0]
         assert token.kind == "int"

@@ -162,6 +162,18 @@ def test_errors_keep_connection_usable(served):
         assert client.ping()["pong"]
 
 
+def test_non_ascii_digit_is_a_syntax_error_with_position(served):
+    host, port = served
+    with ServeClient(host, port) as client:
+        for digit in ("\u00b2", "\u0663"):
+            with pytest.raises(ServeError) as exc_info:
+                client.analyze(source="p(%s)." % digit, query=("p", 1))
+            message = str(exc_info.value)
+            assert "TokenizeError: unexpected character" in message
+            assert "at line 1, column 3" in message
+        assert client.ping()["pong"]
+
+
 def test_malformed_json_line(served):
     import socket
     host, port = served
