@@ -34,9 +34,6 @@ Typical uses::
     PYTHONPATH=src python scripts/bench_report.py \
         --write-bench BENCH_pr2.json --as-baseline --label "pre-PR2"
 
-    # measure the uncached path
-    REPRO_OPCACHE=0 PYTHONPATH=src python scripts/bench_report.py
-
 Speed is advisory — a slow run only draws a WARNING (CI hardware
 varies).  Result integrity is not: a table-fingerprint divergence from
 any compared baseline exits non-zero (PR 4; previously that required
@@ -60,8 +57,8 @@ from repro.service.serialize import result_fingerprint
 #: (result_fingerprint — β values only); per-program rows gained the
 #: differential-engine counters and scheduler provenance.
 #: v3: runs record the execution-tier provenance — the active arena
-#: kernel (python/numpy/native) plus interpreter and numpy versions —
-#: so a trajectory file says *what* produced its numbers.
+#: kernel (python/native) plus the interpreter version — so a
+#: trajectory file says *what* produced its numbers.
 SCHEMA = 3
 
 #: A run slower than the reference by more than this factor draws a
@@ -106,14 +103,10 @@ def run_suite(programs) -> dict:
         arena_enabled = arena.enabled()
     except ImportError:  # pre-PR4 checkouts measured as baselines
         arena_enabled = False
-    try:
-        from repro.fixpoint.engine import AnalysisConfig, \
-            _env_differential
-        env = _env_differential()
-        differential = (AnalysisConfig().differential if env is None
-                        else env)
-    except ImportError:  # pre-PR3 checkouts measured as baselines
-        differential = False
+    from repro.fixpoint.engine import AnalysisConfig
+    # baselines measured from checkouts older than the differential
+    # engine have no such field
+    differential = getattr(AnalysisConfig(), "differential", False)
     results = {}
     for name in programs:
         results[name] = measure_program(name)
@@ -143,7 +136,6 @@ def run_suite(programs) -> dict:
         "arena_kernel": _active_kernel(),
         "python": platform.python_version(),
         "python_version": platform.python_version(),
-        "numpy_version": _numpy_version(),
     }
 
 
@@ -152,14 +144,6 @@ def _active_kernel():
         from repro.typegraph import arena
         return arena.kernel()
     except ImportError:  # pre-PR8 checkouts measured as baselines
-        return None
-
-
-def _numpy_version():
-    try:
-        import numpy
-        return numpy.__version__
-    except ImportError:
         return None
 
 
@@ -392,7 +376,7 @@ def main(argv=None) -> int:
                         help="accepted for compatibility; fingerprint "
                              "divergence always exits non-zero now")
     parser.add_argument("--expect-kernel", metavar="TIER",
-                        choices=("python", "numpy", "native"),
+                        choices=("python", "native"),
                         help="fail unless the active arena kernel tier "
                              "is TIER (CI guards that a matrix job "
                              "measured what it claims)")

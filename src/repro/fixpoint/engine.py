@@ -15,8 +15,8 @@ A worklist algorithm over a table of *entries* ``(pred, β_in) → β_out``:
   (operation WIDEN) — delaying the widening "until the structure of the
   type appears clearly", as §2 requires for the AR1 example.
 
-**Differential re-evaluation** (default, ``AnalysisConfig.differential``
-/ ``REPRO_DIFFERENTIAL``): the worklist is clause-granular underneath.
+**Differential re-evaluation** (default, ``AnalysisConfig.differential``):
+the worklist is clause-granular underneath.
 Dependencies are recorded per *call site* — ``(entry, clause index,
 call-site index)`` — and each entry caches every clause's last output,
 so re-analyzing an entry only re-executes clauses with a *dirty* call
@@ -51,7 +51,6 @@ would have executed over the same procedure iterations).
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -78,14 +77,6 @@ class AnalysisBudgetExceeded(RuntimeError):
     happen — widening guarantees termination)."""
 
 
-def _env_differential() -> Optional[bool]:
-    """Tri-state ``REPRO_DIFFERENTIAL`` override: None when unset."""
-    value = os.environ.get("REPRO_DIFFERENTIAL")
-    if value is None:
-        return None
-    return value.strip().lower() not in ("0", "off", "false", "no")
-
-
 @dataclass
 class AnalysisConfig:
     """Tunables of the analysis.
@@ -95,17 +86,17 @@ class AnalysisConfig:
     ``widening_delay`` counts output updates joined before widening
     kicks in.
     ``differential`` toggles clause-granular differential re-evaluation
-    (results are bit-identical either way; the ``REPRO_DIFFERENTIAL``
-    environment variable, when set, overrides this for A/B runs).
+    (results are bit-identical either way; ``False`` is the full
+    re-evaluation reference the differential tests compare against).
     ``scheduler`` picks the worklist policy: ``"lifo"`` (default, the
     paper's descent order) or ``"scc"`` (callee SCCs first).
     ``keep_deps`` retains the differential engine's per-(entry, clause,
     call-site) dependency edges on the :class:`AnalysisResult` after
     the fixpoint — the provenance graph assertion blame slicing walks.
-    It forces differential mode on (overriding both ``differential``
-    and ``REPRO_DIFFERENTIAL``: without the clause-granular bookkeeping
-    there are no edges to keep) and, like ``differential``, never
-    changes the computed table.
+    It forces differential mode on (overriding ``differential``:
+    without the clause-granular bookkeeping there are no edges to
+    keep) and, like ``differential``, never changes the computed
+    table.
     ``assertions`` carries the program's assertion directives (see
     :mod:`repro.assertions`) so they participate in the config hash:
     a cached payload with verdicts folded in can only be keyed by a
@@ -152,8 +143,8 @@ class AnalysisStats:
     scheduler: str = "lifo"
     #: arena compilations attributed to this run (grammar arenas plus
     #: widening step indexes — the delta of
-    #: :func:`repro.typegraph.arena.snapshot`); 0 with ``REPRO_ARENA``
-    #: off.
+    #: :func:`repro.typegraph.arena.snapshot`); 0 with the arena
+    #: kernels configured off.
     arena_compiles: int = 0
     #: oversized disjunctions the normalizer compiled to auxiliary
     #: predicates instead of cartesian expansion
@@ -328,9 +319,7 @@ class Engine:
         self.domain = domain
         self.keep_deps: bool = bool(getattr(self.config, "keep_deps",
                                             False))
-        env = _env_differential()
-        self.differential: bool = (self.config.differential if env is None
-                                   else env)
+        self.differential: bool = self.config.differential
         if self.keep_deps:
             # No clause-granular bookkeeping means no edges to keep;
             # differential mode never changes the table, so forcing it

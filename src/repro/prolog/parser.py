@@ -4,10 +4,14 @@ Turns token streams from :mod:`repro.prolog.reader` into
 :class:`repro.prolog.terms.Term` values, honouring the operator table.
 The top-level entry points are :func:`parse_term`, :func:`parse_clauses`
 and :func:`parse_program_text`.
+
+Nesting is bounded: a term nested deeper than :data:`MAX_DEPTH` levels
+is a :class:`ParseError` with a position, never a ``RecursionError``.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Optional, Tuple
 
 from .operators import MAX_PRIORITY, OperatorTable, default_operators
@@ -15,9 +19,20 @@ from .reader import Token, tokenize
 from .terms import Atom, Int, Struct, Term, Var, make_list
 
 __all__ = ["ParseError", "Parser", "parse_term", "parse_clauses",
-           "parse_clauses_located"]
+           "parse_clauses_located", "MAX_DEPTH"]
 
 _ARG_PRIORITY = 999  # max priority inside argument lists / list elements
+
+#: Deepest term nesting the parser accepts.  The top-level term is
+#: level 1; every argument, list element, parenthesised or braced term,
+#: and prefix or right-hand operator operand opens one more, so a
+#: clause body of N goals nests about N levels deep.
+MAX_DEPTH = 500
+
+#: Recursion limit the parser ensures: each level costs it up to three
+#: Python frames, and the term walks after it (normalization, the
+#: analysis) need headroom of their own for a term at ``MAX_DEPTH``.
+_RECURSION_LIMIT = 6 * MAX_DEPTH
 
 
 class ParseError(SyntaxError):
@@ -40,6 +55,10 @@ class Parser:
         self._anon_counter = 0
         #: source line of the most recently started clause
         self.clause_line = 0
+        #: nesting depth of the term being parsed (see MAX_DEPTH)
+        self.depth = 0
+        if sys.getrecursionlimit() < _RECURSION_LIMIT:
+            sys.setrecursionlimit(_RECURSION_LIMIT)
 
     # -- token plumbing ---------------------------------------------------
 
@@ -77,8 +96,14 @@ class Parser:
     # -- term parsing -----------------------------------------------------
 
     def parse_term(self, max_priority: int = MAX_PRIORITY) -> Term:
+        if self.depth >= MAX_DEPTH:
+            raise ParseError("term nested deeper than %d levels"
+                             % MAX_DEPTH, self.peek())
+        self.depth += 1
         left, left_priority = self._parse_primary(max_priority)
-        return self._parse_operators(left, left_priority, max_priority)
+        term = self._parse_operators(left, left_priority, max_priority)
+        self.depth -= 1
+        return term
 
     def _parse_operators(self, left: Term, left_priority: int,
                          max_priority: int) -> Term:

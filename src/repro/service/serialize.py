@@ -370,10 +370,9 @@ def config_hash(config: Optional[AnalysisConfig]) -> str:
     ``differential`` is deliberately excluded: differential and full
     re-evaluation produce bit-identical tables (enforced by
     ``tests/test_differential_properties.py``), so it must not split
-    the result cache — and the ``REPRO_DIFFERENTIAL`` override could
-    not be reflected here anyway.  ``keep_deps`` is excluded for the
-    same reason: retaining the dependency graph never changes the
-    table.  ``scheduler`` *is* included: the iteration order feeds the
+    the result cache.  ``keep_deps`` is excluded for the same reason:
+    retaining the dependency graph never changes the table.
+    ``scheduler`` *is* included: the iteration order feeds the
     widening sequence, so different schedulers may legitimately reach
     different (equally sound) tables.  ``assertions`` is included
     because check payloads fold verdicts in — a cached verdict must

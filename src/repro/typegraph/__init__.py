@@ -1,7 +1,8 @@
 """The type graph domain (paper §6–§7): grammars, graphs, operations,
 the widening operator, and alternative views (tree automata, monadic
 logic programs).  The hot kernels run on the flat-int arena
-(:mod:`repro.typegraph.arena`) unless ``REPRO_ARENA`` disables it."""
+(:mod:`repro.typegraph.arena`) unless ``arena.configure(enabled=False)``
+routes them back through the reference paths."""
 
 from .._lazy import lazy_exports
 

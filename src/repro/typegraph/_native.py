@@ -5,8 +5,8 @@ system C compiler (``cc`` or ``$REPRO_KERNEL_CC``) into a cache
 directory, one file per source and compile command, so the repo needs
 no build step and no toolchain: when compilation is impossible the
 loader reports a reason and the tier machinery in
-:mod:`repro.typegraph.arena` silently falls back to the numpy/python
-tiers.  The C module holds only integers — every
+:mod:`repro.typegraph.arena` falls back to the python tier and
+records the reason in ``arena.kernel_status()``.  The C module holds only integers — every
 Grammar/AbstractSubst it returns is produced through the same intern
 tables as the pure-Python tier (see ``arena._grammar_from_intkey`` and
 ``pattern._freeze_build``), so results are *identical objects* across

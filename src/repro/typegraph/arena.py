@@ -31,37 +31,31 @@ worklist loops over plain ints:
 Results are **bit-identical** to the reference implementations kept in
 :mod:`repro.typegraph.grammar` / :mod:`repro.typegraph.ops`
 (``tests/test_arena_properties.py`` proves it with hypothesis; the
-benchmark trajectory compares full-engine fingerprints).  The
-``REPRO_ARENA`` environment variable (``0``/``off``/``false``) or
-:func:`configure` routes every operation back through the reference
-paths for A/B runs.
+benchmark trajectory compares full-engine fingerprints).
+:func:`configure` (``enabled=False``) routes every operation back
+through the reference paths, which is how those tests reach them.
 
 Execution tiers
 ---------------
 
-The arena kernels themselves run in one of three tiers, selected by
+The arena kernels themselves run in one of two tiers, selected by
 ``REPRO_ARENA_KERNEL`` (or ``configure(kernel=...)``):
 
 * ``python`` — the iterative worklist loops below, over Python-int
-  bitsets.  Always available; the portable baseline.
-* ``numpy`` — the same algorithms with the dense passes (reachability
-  closure, nonemptiness, partition refinement, the inclusion pair
-  walk) restated as fixed-width word-array operations in
-  :mod:`repro.typegraph._kernels_numpy` (bulk ``|=``/``&``,
-  ``nonzero``, sorted-signature grouping).  Falls back to ``python``
-  when numpy is not importable.
+  bitsets.  Always available; the no-compiler fallback and the
+  cross-tier oracle.
 * ``native`` — a small C extension (:mod:`repro.typegraph._native`)
   compiled lazily with the system C compiler, which additionally
   serves the memoized grammar *operations* (``g_le``/``g_union``/
   ``g_intersect``/``g_functor``/``subgrammar``) and the Pat(Type)
-  pattern walks from C-side tables.  Falls back straight to
-  ``python`` when no toolchain is available: ``numpy`` measures
-  slower than ``python`` on the Table-3 suite, so it runs only when
-  requested by name.
+  pattern walks from C-side tables.  Falls back to ``python`` when
+  no toolchain is available.
 
-``auto`` (the default) resolves like ``native``.  Every
-tier returns the *identical interned* ``Grammar`` objects — the three
-implementations share the canonical renumbering and the process-wide
+``auto`` (the default) resolves like ``native``.  An unrecognised
+``REPRO_ARENA_KERNEL`` value also resolves like ``auto``, and
+:func:`kernel_status` records the rejected value under its
+fallbacks.  Both tiers return the *identical interned* ``Grammar``
+objects — they share the canonical renumbering and the process-wide
 intern tables, so ``gid``s, fingerprints, and serialized forms are
 tier-oblivious (``tests/test_kernel_tiers.py`` sweeps them).
 """
@@ -84,12 +78,9 @@ __all__ = [
 ]
 
 
-def _env_enabled() -> bool:
-    value = os.environ.get("REPRO_ARENA", "1").strip().lower()
-    return value not in ("0", "off", "false", "no")
-
-
-_ENABLED = _env_enabled()
+#: Whether the arena kernels serve the type-graph operations; the
+#: oracle tests switch it off through :func:`configure`.
+_ENABLED = True
 
 #: Process-wide counters (the engine diffs :func:`snapshot` across a
 #: run to attribute compilation work to it).
@@ -98,36 +89,33 @@ _INDEX_BUILDS = 0
 
 # -- kernel tier selection ---------------------------------------------------
 
-_KERNEL_TIERS = ("python", "numpy", "native")
+_KERNEL_TIERS = ("python", "native")
+
+#: Per-tier fallback reasons for :func:`kernel_status` (an unknown
+#: ``REPRO_ARENA_KERNEL`` value is recorded under its own name).
+_KERNEL_REASONS: Dict[str, str] = {}
 
 
 def _env_kernel() -> str:
-    value = os.environ.get("REPRO_ARENA_KERNEL", "auto").strip().lower()
-    if value in _KERNEL_TIERS or value == "auto":
-        return value
+    value = os.environ.get("REPRO_ARENA_KERNEL", "").strip().lower()
+    if value in _KERNEL_TIERS or value in ("auto", ""):
+        return value or "auto"
+    _KERNEL_REASONS[value] = (
+        "unknown REPRO_ARENA_KERNEL value %r (expected python, native "
+        "or auto); resolved as 'auto'" % (value,))
     return "auto"
 
 
-#: Requested tier ("auto" resolves on first use), the resolved active
-#: tier, and per-tier fallback reasons for :func:`kernel_status`.
+#: Requested tier ("auto" resolves on first use) and the resolved
+#: active tier.
 _KERNEL_REQUESTED = _env_kernel()
 _KERNEL_ACTIVE: Optional[str] = None
-_KERNEL_REASONS: Dict[str, str] = {}
 
-#: Loaded helper modules for the non-python tiers (None = inactive).
-#: ``NATIVE`` is read directly by the dispatch sites in ``ops.py`` /
-#: ``grammar.py`` / ``pattern.py`` — a plain module-global read, reset
-#: whenever the tier is re-resolved.
-_NUMPY_MOD = None
+#: The loaded native helper module (None = python tier).  Read
+#: directly by the dispatch sites in ``ops.py`` / ``grammar.py`` /
+#: ``pattern.py`` — a plain module-global read, reset whenever the
+#: tier is re-resolved.
 NATIVE = None
-
-
-def _try_numpy():
-    try:
-        from . import _kernels_numpy
-        return _kernels_numpy, None
-    except Exception as exc:  # numpy absent or too old
-        return None, "numpy tier unavailable: %s" % (exc,)
 
 
 def _try_native():
@@ -143,47 +131,32 @@ def _try_native():
 
 def _resolve_kernel() -> str:
     """Resolve the requested tier to an available one (recording why
-    any better tier was skipped), load its helper module, and publish
-    the module globals the dispatch sites read."""
-    global _KERNEL_ACTIVE, _NUMPY_MOD, NATIVE
+    the native tier was skipped), load its helper module, and publish
+    the module global the dispatch sites read."""
+    global _KERNEL_ACTIVE, NATIVE
     if _KERNEL_ACTIVE is not None:
         return _KERNEL_ACTIVE
-    chain = {
-        "python": ("python",),
-        "numpy": ("numpy", "python"),
-        "native": ("native", "python"),
-        "auto": ("native", "python"),
-    }[_KERNEL_REQUESTED]
-    _NUMPY_MOD = None
     NATIVE = None
-    for tier in chain:
-        if tier == "python":
-            _KERNEL_ACTIVE = "python"
-            break
-        mod, reason = _try_native() if tier == "native" else _try_numpy()
+    _KERNEL_ACTIVE = "python"
+    if _KERNEL_REQUESTED != "python":
+        mod, reason = _try_native()
         if mod is None:
-            _KERNEL_REASONS[tier] = reason
-            continue
-        if tier == "native":
-            NATIVE = mod
+            _KERNEL_REASONS["native"] = reason
         else:
-            _NUMPY_MOD = mod
-        _KERNEL_ACTIVE = tier
-        break
+            NATIVE = mod
+            _KERNEL_ACTIVE = "native"
     return _KERNEL_ACTIVE
 
 
 def kernel() -> str:
-    """The active kernel tier ("python", "numpy", or "native"),
-    resolving the requested tier on first use."""
+    """The active kernel tier ("python" or "native"), resolving the
+    requested tier on first use."""
     return _KERNEL_ACTIVE or _resolve_kernel()
 
 
 def available_kernels() -> List[str]:
     """Tiers that can actually run in this process/environment."""
     tiers = ["python"]
-    if _try_numpy()[0] is not None:
-        tiers.append("numpy")
     if _KERNEL_ACTIVE == "native" or _try_native()[0] is not None:
         tiers.append("native")
     return tiers
@@ -202,7 +175,7 @@ def kernel_status() -> Dict[str, object]:
 
 # -- per-kernel profiling ----------------------------------------------------
 
-#: ``op -> [calls, seconds]`` for the python/numpy tiers; the native
+#: ``op -> [calls, seconds]`` for the python tier; the native
 #: tier keeps equivalent counters in C.  Timing is gated behind
 #: :func:`profile_kernels` so the hot path pays nothing by default.
 _KCOUNTS: Dict[str, list] = {}
@@ -257,9 +230,9 @@ def configure(enabled: Optional[bool] = None,
               kernel: Optional[str] = None) -> None:
     """Toggle the arena kernels at runtime (reference paths remain
     available and bit-identical, so flipping mid-process is safe), and
-    select the execution tier (``python``/``numpy``/``native``/
-    ``auto``) with the same fallback semantics as the
-    ``REPRO_ARENA_KERNEL`` environment variable."""
+    select the execution tier (``python``/``native``/``auto``) with
+    the same fallback semantics as the ``REPRO_ARENA_KERNEL``
+    environment variable."""
     global _ENABLED, _KERNEL_REQUESTED, _KERNEL_ACTIVE
     if enabled is not None:
         _ENABLED = bool(enabled)
@@ -378,7 +351,7 @@ class GrammarArena:
     """
 
     __slots__ = ("n", "any_mask", "int_mask", "syms", "args", "by_sym",
-                 "nt_index", "_reach", "_np")
+                 "nt_index", "_reach")
 
     def __init__(self, n: int, any_mask: int, int_mask: int,
                  syms: tuple, args: tuple, by_sym: tuple,
@@ -393,9 +366,6 @@ class GrammarArena:
         #: (normalized grammars are already dense with root 0).
         self.nt_index = nt_index
         self._reach: Optional[Tuple[int, ...]] = None
-        #: lazily built word-array view (numpy tier), see
-        #: :func:`repro.typegraph._kernels_numpy.np_view`.
-        self._np = None
 
     def index_of(self, nt: int) -> int:
         if self.nt_index is None:
@@ -404,12 +374,8 @@ class GrammarArena:
 
     def reach(self) -> Tuple[int, ...]:
         """``reach()[nt]`` is the bitset of nonterminals reachable from
-        ``nt`` (including itself) — fixpoint of bitset unions (the
-        numpy tier computes the same closure with word-array ors)."""
+        ``nt`` (including itself) — fixpoint of bitset unions."""
         if self._reach is None:
-            if _NUMPY_MOD is not None:
-                self._reach = _NUMPY_MOD.reach(self)
-                return self._reach
             n = self.n
             succ = [0] * n
             for i in range(n):
@@ -594,12 +560,8 @@ def _normalize_dense(any_f: List[bool], int_f: List[bool],
     is_literal = SYMBOLS.is_literal
 
     if prune:
-        # 1. nonempty pass (the numpy tier iterates the same least
-        #    fixpoint with word-array ors instead of a worklist)
-        if _NUMPY_MOD is not None:
-            nonempty = _NUMPY_MOD.nonempty_bits(any_f, int_f, funcs, n)
-        else:
-            nonempty = _nonempty_bits(any_f, int_f, funcs, n)
+        # 1. nonempty pass
+        nonempty = _nonempty_bits(any_f, int_f, funcs, n)
     all_mask = (1 << n) - 1
 
     # 2+3. prune empty references, absorb, cap or-width
@@ -644,14 +606,7 @@ def _normalize_dense(any_f: List[bool], int_f: List[bool],
     #    the symbol hence the arity, so the pair is injective — and
     #    far cheaper to hash than variable-length nested tuples.
     #    (ANY -> code 0, INT -> 1, functor sym -> s + 2.)
-    #    The numpy tier reaches the same (unique) partition by global
-    #    sorted-signature grouping rounds; only the class *labels* can
-    #    differ, and the representative/renumber steps below depend
-    #    only on the partition itself.
-    if _NUMPY_MOD is not None and n > 1:
-        classes = _NUMPY_MOD.refine_classes(any_f, int_f, funcs, n)
-    else:
-        classes = _refine_classes(any_f, int_f, funcs, n)
+    classes = _refine_classes(any_f, int_f, funcs, n)
     representative: Dict[int, int] = {}
     for i in range(n):
         representative.setdefault(classes[i], i)
@@ -718,9 +673,8 @@ def _refine_classes(any_f: List[bool], int_f: List[bool],
 def _renumber_and_intern(any_f: List[bool], int_f: List[bool],
                          funcs: List[list], cmap: List[int],
                          root_i: int) -> Grammar:
-    """Steps 5–6 of :func:`_normalize_dense` — shared across the
-    python and numpy tiers so the canonical numbering, intern probe,
-    and fused arena build are literally the same code."""
+    """Steps 5–6 of :func:`_normalize_dense`: canonical BFS
+    renumbering, the intern probe, and the fused arena build."""
     # 5. BFS renumbering from the root's class, alternatives visited in
     #    canonical fkey order (ANY/INT have no children, so only the
     #    functor alternatives drive the numbering)
@@ -823,7 +777,7 @@ def _renumber_and_intern(any_f: List[bool], int_f: List[bool],
 # door back into the Python object layer.  ``_grammar_from_intkey``
 # funnels every C-side construction through the same flat-int intern
 # probe as :func:`_renumber_and_intern`, so the native tier returns
-# the identical interned instances as the python/numpy tiers.
+# the identical interned instances as the python tier.
 
 def _grammar_from_intkey(int_key: tuple) -> Grammar:
     """Decode a canonical flat int key (``_renumber_and_intern``'s
@@ -961,10 +915,9 @@ def arena_le(g1: Grammar, g2: Grammar) -> bool:
     the local condition complete)."""
     if NATIVE is not None:
         return NATIVE.arena_le(g1, g2)
-    impl = _arena_le_py if _NUMPY_MOD is None else _NUMPY_MOD.arena_le
     if _KPROF:
-        return _timed("le", impl, g1, g2)
-    return impl(g1, g2)
+        return _timed("le", _arena_le_py, g1, g2)
+    return _arena_le_py(g1, g2)
 
 
 def _arena_le_py(g1: Grammar, g2: Grammar) -> bool:
@@ -1010,10 +963,8 @@ def arena_union(g1: Grammar, g2: Grammar,
     """Pointwise-merged union (principal functor restriction) as an
     iterative product construction over int keys, emitting the dense
     arrays normalization consumes directly.  The product discovery is
-    inherently sequential hash-consing; its dense back half (the
-    nonemptiness and refinement passes inside ``_normalize_dense``)
-    is where the numpy tier applies, and the native tier runs the
-    whole construction in C."""
+    inherently sequential hash-consing; the native tier runs the whole
+    construction in C."""
     if NATIVE is not None:
         return NATIVE.arena_union(g1, g2, max_or_width)
     if _KPROF:
@@ -1514,7 +1465,7 @@ class RulesIndex:
 
 # Resolve the requested tier eagerly so the dispatch sites (here and in
 # ``ops.py`` / ``grammar.py`` / ``pattern.py``) can read the module
-# globals ``NATIVE`` / ``_NUMPY_MOD`` without a per-call probe.  The
-# helper modules import nothing from this module at import time, so
-# this cannot recurse.
+# global ``NATIVE`` without a per-call probe.  The helper module
+# imports nothing from this module at import time, so this cannot
+# recurse.
 _resolve_kernel()

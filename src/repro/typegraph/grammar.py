@@ -462,8 +462,8 @@ def normalize(grammar: Grammar,
 def normalize_reference(grammar: Grammar,
                         max_or_width: Optional[int] = None) -> Grammar:
     """The original object-walking normalization, kept as the
-    reference path (``REPRO_ARENA=0``) and as the oracle the arena
-    property tests compare against."""
+    reference path (``arena.configure(enabled=False)``) and as the
+    oracle the arena property tests compare against."""
     if grammar.interned and (max_or_width is None
                              or _within_width(grammar, max_or_width)):
         return grammar

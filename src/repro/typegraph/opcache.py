@@ -25,10 +25,8 @@ Design notes:
   :func:`stats` and :func:`snapshot`; the engine records the delta of
   a run in ``AnalysisStats.opcache_hits``/``opcache_misses``.
 
-Knobs: ``configure(enabled=..., maxsize=...)`` at runtime, or the
-``REPRO_OPCACHE`` environment variable (``0``/``off``/``false``
-disables caching before the process starts — used by the benchmark
-comparison and the equivalence tests).
+Knobs: ``configure(enabled=..., maxsize=...)`` at runtime (the
+equivalence and kernel-tier tests switch caching off through it).
 
 Threading model — **single analysis thread per process**.  The memo
 tables (and the open-coded probes into them on the hottest sites) are
@@ -57,11 +55,6 @@ __all__ = ["OpCache", "cached", "configure", "enabled", "clear",
 DEFAULT_MAXSIZE = 65536
 
 _MISSING = object()
-
-
-def _env_enabled() -> bool:
-    value = os.environ.get("REPRO_OPCACHE", "1").strip().lower()
-    return value not in ("0", "off", "false", "no")
 
 
 def _env_guard() -> bool:
@@ -144,7 +137,7 @@ class OpCache:
 
 # -- registry ----------------------------------------------------------------
 
-_ENABLED = _env_enabled()
+_ENABLED = True
 _CACHES: Dict[str, OpCache] = {}
 
 

@@ -234,14 +234,6 @@ def test_arena_stats_counters_move():
     assert arena.stats()["symbols"] >= 2
 
 
-def test_arena_knob_env(monkeypatch):
-    assert arena._env_enabled() in (True, False)
-    monkeypatch.setenv("REPRO_ARENA", "off")
-    assert arena._env_enabled() is False
-    monkeypatch.setenv("REPRO_ARENA", "1")
-    assert arena._env_enabled() is True
-
-
 @settings(max_examples=100, deadline=None)
 @given(grammars, grammars)
 def test_full_normalize_dispatch_identical(g1, g2):

@@ -5,8 +5,7 @@ import pytest
 
 from repro import analyze
 from repro.benchprogs import benchmark
-from repro.fixpoint.engine import (AnalysisConfig, Engine,
-                                   _env_differential)
+from repro.fixpoint.engine import AnalysisConfig, Engine
 from repro.prolog.normalize import normalize_program
 from repro.prolog.program import parse_program
 from repro.service.serialize import result_fingerprint
@@ -37,26 +36,6 @@ def test_differential_config_off():
                        config=AnalysisConfig(differential=False))
     assert analysis.stats.clause_iterations_skipped == 0
     assert analysis.stats.callsite_resumptions == 0
-
-
-def test_env_override_disables(monkeypatch):
-    monkeypatch.setenv("REPRO_DIFFERENTIAL", "0")
-    assert _env_differential() is False
-    engine = _engine(NREV)  # config default says on; env wins
-    assert engine.differential is False
-    result = engine.analyze(("nreverse", 2))
-    assert result.stats.clause_iterations_skipped == 0
-
-
-def test_env_override_enables(monkeypatch):
-    monkeypatch.setenv("REPRO_DIFFERENTIAL", "1")
-    engine = _engine(NREV, differential=False)
-    assert engine.differential is True
-
-
-def test_env_unset_is_none(monkeypatch):
-    monkeypatch.delenv("REPRO_DIFFERENTIAL", raising=False)
-    assert _env_differential() is None
 
 
 def test_unknown_scheduler_rejected():

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 from repro.__main__ import BENCHMARK_NAMES, main
+from repro.prolog.parser import MAX_DEPTH
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
@@ -99,6 +100,39 @@ def test_missing_and_unparsable_files_are_usage_errors(tmp_path):
         assert proc.stderr.startswith(b"error: "), proc.stderr
         assert b"Traceback" not in proc.stderr
         assert main(argv) == 2
+
+
+def nested_fact(depth, open_="f(", close=")"):
+    """``p(...)`` whose innermost atom sits ``depth`` levels deep (the
+    clause term itself is level 1)."""
+    return "p(%sa%s).\n" % (open_ * (depth - 2), close * (depth - 2))
+
+
+@pytest.mark.parametrize("open_, close", [("f(", ")"), ("[", "]")],
+                         ids=["args", "list"])
+def test_nesting_at_the_limit_analyzes(tmp_path, open_, close):
+    path = tmp_path / "deep.pl"
+    path.write_text(nested_fact(MAX_DEPTH, open_, close))
+    proc = run_repro(str(path), "p/1", "--json")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout)["query"] == ["p", 1]
+    proc = run_repro("check", str(path), "p/1")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("open_, close", [("f(", ")"), ("[", "]")],
+                         ids=["args", "list"])
+def test_nesting_ten_times_the_limit_exits_two(tmp_path, open_, close):
+    path = tmp_path / "deeper.pl"
+    path.write_text(nested_fact(10 * MAX_DEPTH, open_, close))
+    column = len(open_) * (MAX_DEPTH - 1) + 3
+    for argv in ([str(path), "p/1"], ["check", str(path), "p/1"]):
+        proc = run_repro(*argv)
+        assert proc.returncode == 2, argv
+        assert b"Traceback" not in proc.stderr
+        assert proc.stderr.startswith(
+            b"error: term nested deeper than %d levels at line 1, "
+            b"column %d" % (MAX_DEPTH, column)), proc.stderr
 
 
 def test_closed_pipe_ends_quietly():

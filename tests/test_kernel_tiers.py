@@ -1,9 +1,9 @@
 """Cross-tier equivalence suite for the arena execution tiers (PR 8).
 
-The arena kernels run at one of three tiers — ``python`` (reference),
-``numpy`` (word-parallel portable tier), ``native`` (lazily compiled C
-extension) — selected by ``REPRO_ARENA_KERNEL`` or
-``arena.configure(kernel=...)``.  The contract under test:
+The arena kernels run at one of two tiers — ``python`` (reference and
+no-compiler fallback) or ``native`` (lazily compiled C extension) —
+selected by ``REPRO_ARENA_KERNEL`` or ``arena.configure(kernel=...)``.
+The contract under test:
 
 * **Same interned objects** — every grammar- and substitution-valued
   operation returns the *identical* canonical instance no matter which
@@ -13,11 +13,12 @@ extension) — selected by ``REPRO_ARENA_KERNEL`` or
 * **Round-trips** — compile → decompile reproduces the rules verbatim
   on every tier, and pickled grammars re-intern identically after a
   mid-process tier switch.
-* **Graceful fallback** — when the toolchain (or numpy) is missing the
-  tier machinery records a reason and silently degrades; analysis
-  results do not change.
+* **Graceful fallback** — when the toolchain is missing, or the
+  environment names an unknown tier, the tier machinery records a
+  reason and degrades; analysis results do not change.
 """
 
+import json
 import os
 import pickle
 import subprocess
@@ -255,8 +256,29 @@ def test_analysis_fingerprint_identical_across_tiers():
 # -- tier selection / status --------------------------------------------------
 
 def test_configure_rejects_unknown_tier():
-    with pytest.raises(ValueError):
-        arena.configure(kernel="fortran")
+    for name in ("fortran", "numpy"):
+        with pytest.raises(ValueError):
+            arena.configure(kernel=name)
+
+
+@pytest.mark.parametrize("name", ["fortran", "numpy"])
+def test_unknown_env_tier_is_recorded(name):
+    """An unknown ``REPRO_ARENA_KERNEL`` value resolves as ``auto``,
+    and ``kernel_status`` names the rejected value and why."""
+    env = dict(os.environ, REPRO_ARENA_KERNEL=name)
+    code = (
+        "import json\n"
+        "from repro.typegraph import arena\n"
+        "print(json.dumps(arena.kernel_status()))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=180)
+    assert proc.returncode == 0, proc.stderr
+    status = json.loads(proc.stdout)
+    assert status["requested"] == "auto"
+    assert status["active"] in ("native", "python")
+    reason = status["fallbacks"][name]
+    assert "unknown REPRO_ARENA_KERNEL value %r" % name in reason
+    assert "auto" in reason
 
 
 def test_kernel_status_reports_active_tier():
@@ -276,7 +298,7 @@ def test_python_tier_always_available():
 
 def test_native_falls_back_without_toolchain(tmp_path, monkeypatch):
     """Requesting the native tier with no working compiler (and an
-    empty build cache) degrades to the next tier and records why."""
+    empty build cache) degrades to the python tier and records why."""
     from repro.typegraph import _native
 
     monkeypatch.setenv("REPRO_KERNEL_CC", "/nonexistent-compiler")
@@ -286,7 +308,7 @@ def test_native_falls_back_without_toolchain(tmp_path, monkeypatch):
         arena.configure(kernel="native")
         status = arena.kernel_status()
         assert status["requested"] == "native"
-        assert status["active"] in ("numpy", "python")
+        assert status["active"] == "python"
         assert "native" in status["fallbacks"]
         assert "native tier unavailable" in status["fallbacks"]["native"]
         # the degraded tier still computes (and interns) correctly
@@ -342,7 +364,7 @@ def test_fallback_process_produces_identical_results(tmp_path):
     code = (
         "from repro.typegraph import arena\n"
         "status = arena.kernel_status()\n"
-        "assert status['active'] in ('numpy', 'python'), status\n"
+        "assert status['active'] == 'python', status\n"
         "assert 'native' in status['fallbacks'], status\n"
         "from repro import analyze\n"
         "from repro.benchprogs import benchmark\n"

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.prolog.parser import ParseError, parse_clauses, parse_term
+from repro.prolog.parser import (MAX_DEPTH, ParseError, parse_clauses,
+                                 parse_term)
 from repro.prolog.terms import (Atom, Int, Struct, Var, format_term,
                                 make_list)
 
@@ -131,6 +132,34 @@ class TestClauses:
 
     def test_comment_only_source(self):
         assert parse_clauses("% nothing here\n") == []
+
+
+class TestNestingDepth:
+    """The top-level term is level 1; each argument, list element,
+    parenthesised term and right-hand operand opens one more."""
+
+    @pytest.mark.parametrize("open_, close", [("f(", ")"), ("[", "]"),
+                                              ("(", ")"), ("- ", "")],
+                             ids=["args", "list", "parens", "prefix"])
+    def test_limit_is_accepted_and_beyond_is_an_error(self, open_, close):
+        def nested(levels):
+            return open_ * levels + "a" + close * levels
+
+        parse_term(nested(MAX_DEPTH - 1))  # "a" sits at level MAX_DEPTH
+        with pytest.raises(ParseError, match="nested deeper than %d"
+                           % MAX_DEPTH) as info:
+            parse_term(nested(MAX_DEPTH))
+        assert "at line 1, column %d" % (len(open_) * MAX_DEPTH + 1) \
+            in str(info.value)
+
+    def test_long_conjunction_is_nesting_too(self):
+        body = ", ".join(["q"] * (MAX_DEPTH - 1))
+        assert len(parse_clauses("p :- %s." % body)) == 1
+        with pytest.raises(ParseError):
+            parse_clauses("p :- %s, q." % body)
+
+    def test_left_associative_chain_is_flat(self):
+        parse_term("+".join(["1"] * (2 * MAX_DEPTH)))
 
 
 class TestRealisticClauses:

@@ -20,6 +20,7 @@ import pytest
 
 from repro import analyze
 from repro.benchprogs import benchmark
+from repro.prolog.parser import MAX_DEPTH
 from repro.service.cache import ResultCache
 from repro.service.client import ServeClient, ServeError, spawn_server
 from repro.service.serialize import payload_fingerprint, result_fingerprint
@@ -172,6 +173,25 @@ def test_non_ascii_digit_is_a_syntax_error_with_position(served):
             assert "TokenizeError: unexpected character" in message
             assert "at line 1, column 3" in message
         assert client.ping()["pong"]
+
+
+def test_nesting_beyond_the_limit_is_a_served_parse_error(served):
+    host, port = served
+
+    def nested(depth):
+        return "p(%sa%s)." % ("f(" * (depth - 2), ")" * (depth - 2))
+
+    with ServeClient(host, port) as client:
+        with pytest.raises(ServeError) as exc_info:
+            client.analyze(source=nested(10 * MAX_DEPTH), query=("p", 1))
+        message = str(exc_info.value)
+        assert "ParseError: term nested deeper than %d levels" \
+            % MAX_DEPTH in message
+        assert "at line 1, column" in message
+        # the shard survives and still analyzes a term at the limit
+        assert client.ping()["pong"]
+        result = client.analyze(source=nested(MAX_DEPTH), query=("p", 1))
+        assert result["payload"]["entries"]
 
 
 def test_malformed_json_line(served):
