@@ -44,27 +44,55 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+# Kernel goals are slotted values like the terms they come from (see
+# ``terms.py``): a plain ``__init__``, equality only within one class,
+# and the hash of the tuple of their fields.
+
 class NUnify:
     """Kernel goal ``X<a> = X<b>``."""
-    a: int
-    b: int
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int) -> None:
+        self.a = a
+        self.b = b
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not NUnify:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
 
     def __repr__(self) -> str:
         return "X%d = X%d" % (self.a, self.b)
 
 
-@dataclass(frozen=True)
 class NBuild:
     """Kernel goal ``X<v> = name(X<args[0]>, ...)``.
 
     ``is_int`` marks integer literals (arity is then 0 and ``name`` is
     the decimal text of the value).
     """
-    v: int
-    name: str
-    args: Tuple[int, ...]
-    is_int: bool = False
+
+    __slots__ = ("v", "name", "args", "is_int")
+
+    def __init__(self, v: int, name: str, args: Tuple[int, ...],
+                 is_int: bool = False) -> None:
+        self.v = v
+        self.name = name
+        self.args = args
+        self.is_int = is_int
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not NBuild:
+            return NotImplemented
+        return (self.v == other.v and self.name == other.name
+                and self.args == other.args and self.is_int == other.is_int)
+
+    def __hash__(self) -> int:
+        return hash((self.v, self.name, self.args, self.is_int))
 
     @property
     def arity(self) -> int:
@@ -77,11 +105,22 @@ class NBuild:
         return "X%d = %s(%s)" % (self.v, self.name, inner)
 
 
-@dataclass(frozen=True)
 class NCall:
     """Kernel goal ``pred(X<args[0]>, ...)``."""
-    pred: PredId
-    args: Tuple[int, ...]
+
+    __slots__ = ("pred", "args")
+
+    def __init__(self, pred: PredId, args: Tuple[int, ...]) -> None:
+        self.pred = pred
+        self.args = args
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not NCall:
+            return NotImplemented
+        return self.pred == other.pred and self.args == other.args
+
+    def __hash__(self) -> int:
+        return hash((self.pred, self.args))
 
     def __repr__(self) -> str:
         if not self.args:

@@ -53,8 +53,8 @@ class Parser:
         self.ops = operators if operators is not None else default_operators()
         self.varmap: Dict[str, Var] = {}
         self._anon_counter = 0
-        #: source line of the most recently started clause
-        self.clause_line = 0
+        #: first token of the most recently started clause
+        self.clause_start: Optional[Token] = None
         #: nesting depth of the term being parsed (see MAX_DEPTH)
         self.depth = 0
         if sys.getrecursionlimit() < _RECURSION_LIMIT:
@@ -62,9 +62,10 @@ class Parser:
 
     # -- token plumbing ---------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+    def peek(self) -> Token:
+        # ``tokenize`` ends every stream with an eof token and
+        # ``advance`` never steps past it, so ``pos`` is always in range.
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         token = self.tokens[self.pos]
@@ -192,12 +193,13 @@ class Parser:
             return Struct(name, (operand,)), prefix.priority
 
         # Plain atom.  If it is an operator used as an atom, it carries
-        # its priority (relevant for things like (:-)).
+        # its highest priority as infix, postfix or prefix operator
+        # (relevant for things like (:-)).
         priority = 0
         if self.ops.is_operator(name):
-            infix = self.ops.infix(name)
-            pre = self.ops.prefix(name)
-            priority = max(op.priority for op in (infix, pre) if op)
+            priority = max(op.priority for op in (
+                self.ops.infix(name), self.ops.postfix(name),
+                self.ops.prefix(name)) if op)
         return Atom(name), priority
 
     def _starts_term(self, token: Token) -> bool:
@@ -234,13 +236,13 @@ class Parser:
 
     def parse_clause(self) -> Optional[Term]:
         """Parse one clause term (up to the end dot); None at eof.
-        The variable map is reset per clause; the source line of the
-        clause's first token lands in :attr:`clause_line` (the anchor
-        assertion blame reports point at)."""
+        The variable map is reset per clause; the clause's first token
+        lands in :attr:`clause_start` (its line is the anchor assertion
+        blame reports point at)."""
         if self.at_eof():
             return None
         self.varmap = {}
-        self.clause_line = self.peek().line
+        self.clause_start = self.peek()
         term = self.parse_term(MAX_PRIORITY)
         self.expect("end")
         return term
@@ -270,7 +272,10 @@ def parse_clauses_located(text: str,
                           ) -> List[Tuple[Term, int]]:
     """Like :func:`parse_clauses`, but each clause term comes with the
     1-based source line of its first token — the anchor the assertion
-    checker's blame reports render."""
+    checker's blame reports render.  A clause whose head is a variable
+    or a number, and an ``op/3`` directive with a priority or type
+    ``op/3`` rejects, are a :class:`ParseError` at the clause's first
+    token."""
     ops = operators if operators is not None else default_operators()
     parser = Parser(tokenize(text), ops)
     clauses: List[Tuple[Term, int]] = []
@@ -278,6 +283,12 @@ def parse_clauses_located(text: str,
         clause = parser.parse_clause()
         if clause is None:
             return clauses
+        head = clause.args[0] if (isinstance(clause, Struct)
+                                  and clause.name == ":-"
+                                  and clause.arity == 2) else clause
+        if not isinstance(head, (Atom, Struct)):
+            raise ParseError("clause head is not callable: %r" % (head,),
+                             parser.clause_start)
         if (isinstance(clause, Struct) and clause.name == ":-"
                 and clause.arity == 1):
             directive = clause.args[0]
@@ -291,5 +302,9 @@ def parse_clauses_located(text: str,
                         name_terms = [names]
                     for nt in name_terms:
                         if isinstance(nt, Atom):
-                            ops.add(nt.name, pri.value, typ.name)
-        clauses.append((clause, parser.clause_line))
+                            try:
+                                ops.add(nt.name, pri.value, typ.name)
+                            except ValueError as error:  # bad priority or type
+                                raise ParseError(str(error),
+                                                 parser.clause_start) from None
+        clauses.append((clause, parser.clause_start.line))

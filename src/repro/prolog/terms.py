@@ -15,7 +15,6 @@ analyser displays the ``'.'/2`` functor as ``cons`` to match the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Tuple, Union
 
 __all__ = [
@@ -37,13 +36,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+# The four term classes are slotted values: a plain ``__init__`` (no
+# per-field ``object.__setattr__``), equality only between instances of
+# the same class (``Atom("x") != Var("x")``), and the hash of the tuple
+# of their fields.  Nothing assigns to a term's fields after
+# construction.
+
 class Var:
     """A logic variable.  ``name`` is the printed name, ``stamp`` makes
     renamed-apart copies distinct (-1 for source-level variables)."""
 
-    name: str
-    stamp: int = -1
+    __slots__ = ("name", "stamp")
+
+    def __init__(self, name: str, stamp: int = -1) -> None:
+        self.name = name
+        self.stamp = stamp
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.name == other.name and self.stamp == other.stamp
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.stamp))
 
     def __repr__(self) -> str:
         if self.stamp < 0:
@@ -51,36 +66,64 @@ class Var:
         return "_%s%d" % (self.name, self.stamp)
 
 
-@dataclass(frozen=True)
 class Atom:
     """A nullary constant."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Atom:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
     def __repr__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class Int:
     """An integer constant."""
 
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Int:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
 
     def __repr__(self) -> str:
         return str(self.value)
 
 
-@dataclass(frozen=True)
 class Struct:
     """A compound term ``name(args...)`` with at least one argument."""
 
-    name: str
-    args: Tuple["Term", ...]
+    __slots__ = ("name", "args")
 
-    def __post_init__(self) -> None:
-        if not self.args:
+    def __init__(self, name: str, args: Tuple["Term", ...]) -> None:
+        if not args:
             raise ValueError("Struct requires at least one argument; use Atom")
+        self.name = name
+        self.args = args
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Struct:
+            return NotImplemented
+        return self.name == other.name and self.args == other.args
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.args))
 
     @property
     def arity(self) -> int:

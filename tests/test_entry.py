@@ -92,14 +92,28 @@ def test_missing_and_unparsable_files_are_usage_errors(tmp_path):
     bad.write_text("p(a.\n")
     unterminated = tmp_path / "quote.pl"
     unterminated.write_text('p(a) :- "\n')
+    cut_code = tmp_path / "code.pl"
+    cut_code.write_text("p(0'\\")   # input ends after the backslash
     for argv in ([str(tmp_path / "missing.pl"), "p/1"],
                  [str(bad), "p/1"], [str(unterminated), "p/1"],
-                 ["check", str(unterminated), "p/1"]):
+                 ["check", str(unterminated), "p/1"],
+                 [str(cut_code), "p/1"], ["check", str(cut_code), "p/1"]):
         proc = run_repro(*argv)
         assert proc.returncode == 2, argv
         assert proc.stderr.startswith(b"error: "), proc.stderr
         assert b"Traceback" not in proc.stderr
         assert main(argv) == 2
+
+
+def test_postfix_operator_used_as_an_atom_analyzes(tmp_path, capsys):
+    path = tmp_path / "postfix.pl"
+    path.write_text(":- op(200, xf, ++).\np(++).\n")
+    for argv in ([str(path), "p/1", "--json"], ["check", str(path), "p/1"]):
+        proc = run_repro(*argv)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert b"Traceback" not in proc.stderr
+    assert main([str(path), "p/1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["query"] == ["p", 1]
 
 
 def nested_fact(depth, open_="f(", close=")"):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.prolog.operators import default_operators
 from repro.prolog.parser import (MAX_DEPTH, ParseError, parse_clauses,
                                  parse_term)
 from repro.prolog.terms import (Atom, Int, Struct, Var, format_term,
@@ -125,6 +126,45 @@ class TestClauses:
         """)
         rule = clauses[1]
         assert rule.args[0] == Struct("===", (Var("X"), Var("Y")))
+
+    @pytest.mark.parametrize("text,column", [
+        ("p. X.", 4), ("p.\n  1 :- q.", 3), ("-1.", 1)])
+    def test_clause_head_must_be_callable(self, text, column):
+        with pytest.raises(ParseError) as info:
+            parse_clauses(text)
+        assert str(info.value).startswith("clause head is not callable")
+        assert info.value.token.column == column
+
+    @pytest.mark.parametrize("text,message", [
+        ("p.\n:- op(0, xfx, foo).", "operator priority out of range: 0"),
+        ("p.\n:- op(700, xxx, foo).", "bad operator type: xxx")])
+    def test_rejected_op_directive_is_a_parse_error(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_clauses(text)
+        assert str(info.value) == \
+            "%s at line 2, column 1 (near ':-')" % message
+
+    def test_postfix_only_operator_as_an_atom(self):
+        clauses = parse_clauses("""
+            :- op(200, xf, ++).
+            p(++).
+            p(a ++).
+            q(++, b).
+        """)
+        assert clauses[1:] == [
+            Struct("p", (Atom("++"),)),
+            Struct("p", (Struct("++", (Atom("a"),)),)),
+            Struct("q", (Atom("++"), Atom("b")))]
+
+    def test_postfix_operator_atom_carries_its_priority(self):
+        ops = default_operators()
+        ops.add("++", 200, "xf")
+        ops.add("$$", 1100, "xf")
+        assert parse_term("++ = a", ops) == \
+            Struct("=", (Atom("++"), Atom("a")))
+        # a 1100 atom is too heavy for the left operand of = (699)
+        with pytest.raises(ParseError):
+            parse_term("$$ = a", ops)
 
     def test_missing_end_dot(self):
         with pytest.raises(ParseError):

@@ -175,6 +175,17 @@ def test_non_ascii_digit_is_a_syntax_error_with_position(served):
         assert client.ping()["pong"]
 
 
+def test_character_code_escape_at_end_is_a_served_syntax_error(served):
+    host, port = served
+    with ServeClient(host, port) as client:
+        with pytest.raises(ServeError) as exc_info:
+            client.analyze(source="p(0'\\", query=("p", 1))
+        message = str(exc_info.value)
+        assert "TokenizeError: unterminated character code" in message
+        assert "at line 1, column 6" in message
+        assert client.ping()["pong"]
+
+
 def test_nesting_beyond_the_limit_is_a_served_parse_error(served):
     host, port = served
 

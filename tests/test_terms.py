@@ -1,7 +1,12 @@
 """Unit tests for the term representation."""
 
+import dataclasses
+import pickle
+
 import pytest
 
+from repro.prolog.normalize import NBuild, NCall, NUnify
+from repro.prolog.reader import Token
 from repro.prolog.terms import (Atom, Int, NIL, Struct, Var, format_term,
                                 functor_of, is_list_term, list_elements,
                                 make_list, term_depth, term_size,
@@ -33,6 +38,42 @@ class TestConstruction:
         seen = {Atom("a"), Int(1), Var("X"),
                 Struct("f", (Atom("a"),))}
         assert len(seen) == 4
+
+
+
+#: One instance of each slotted value class of the front end, with the
+#: tuple of its fields in declaration order.
+VALUES = [
+    (Var("X", 3), ("X", 3)), (Atom("x"), ("x",)), (Int(7), (7,)),
+    (Struct("f", (Atom("a"), Var("X"))), ("f", (Atom("a"), Var("X")))),
+    (Token("atom", "x", 2, 5, True), ("atom", "x", 2, 5, True)),
+    (NUnify(0, 1), (0, 1)), (NBuild(2, "f", (0, 1)), (2, "f", (0, 1), False)),
+    (NCall(("p", 1), (0,)), (("p", 1), (0,))),
+]
+
+
+class TestValueSemantics:
+    """The term, token and kernel-goal classes are slotted values with
+    the equality and hash their frozen-dataclass versions had."""
+
+    @pytest.mark.parametrize("value,fields", VALUES,
+                             ids=[type(v).__name__ for v, _ in VALUES])
+    def test_equality_and_hash_follow_the_fields(self, value, fields):
+        cls = type(value)
+        assert not dataclasses.is_dataclass(cls)
+        assert not hasattr(value, "__dict__")
+        twin = cls(*fields)
+        assert twin == value and not twin != value
+        assert hash(twin) == hash(value) == hash(fields)
+        assert pickle.loads(pickle.dumps(value)) == value
+
+    def test_equality_is_type_strict(self):
+        assert Atom("x") != Var("x")
+        assert Var("x") != Atom("x")
+        assert Int(1) != Atom("1")
+        assert NUnify(0, 1) != NCall(("p", 0), (0, 1))
+        assert Atom("x") != "x"
+        assert len({Atom("x"), Var("x"), Atom("x")}) == 2
 
 
 class TestLists:
