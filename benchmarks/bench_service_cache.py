@@ -5,16 +5,13 @@ over the built-in benchmark corpus with a *warm* content-addressed
 cache must be at least 10x faster than the cold run that populated it
 — the warm pass is pure key computation plus store reads, no fixpoint
 iteration.  Also measures the third regime, a warm *in-memory* LRU on
-top of the same store, and the incremental path (seeded re-analysis
-after an edit) for reference.
+top of the same store.
 """
 
 import time
 
 from repro.analysis import format_table
-from repro.benchprogs import benchmark
-from repro.service import (ResultCache, jobs_from_benchmarks, reanalyze,
-                           run_batch)
+from repro.service import ResultCache, jobs_from_benchmarks, run_batch
 
 from .conftest import report
 
@@ -58,20 +55,3 @@ def test_warm_cache_is_10x_faster_than_cold(tmp_path):
         "warm disk cache only %.1fx faster than cold" % (cold / disk)
     assert cold / memory >= 10
 
-
-def test_incremental_reanalysis_beats_cold(tmp_path):
-    """Editing one predicate and re-analyzing with SCC-seeded entries
-    does measurably less fixpoint work than a cold run."""
-    qu = benchmark("QU")
-    edited = qu.source.replace("N1 is N + 1", "N1 is N + 2")
-    cache = ResultCache(tmp_path)
-    cold_result, _ = reanalyze(qu.source, qu.query, cache)
-    warm_result, info = reanalyze(edited, qu.query, cache,
-                                  old_source=qu.source)
-    assert info.seeded > 0
-    assert warm_result.stats.procedure_iterations < \
-        cold_result.stats.procedure_iterations
-    report("Incremental QU edit: %d seeded entries, %d -> %d procedure "
-           "iterations" % (info.seeded,
-                           cold_result.stats.procedure_iterations,
-                           warm_result.stats.procedure_iterations))

@@ -16,8 +16,8 @@ PLDI'94 system ``GAIA(Pat(Type))``:
   tag extraction;
 * :mod:`repro.benchprogs` — the benchmark suite of §9;
 * :mod:`repro.service` — the serving layer: canonical serialization,
-  a content-addressed result cache, a batch/parallel driver, and
-  SCC-scoped incremental re-analysis.
+  a content-addressed result cache, a batch/parallel driver, and the
+  ``repro serve`` / ``repro router`` daemons.
 
 Quickstart::
 

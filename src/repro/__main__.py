@@ -11,7 +11,6 @@ Examples::
     repro check --benchmark CHK --json
     repro batch --all --cache-dir .repro-cache --workers 4
     repro cache info --cache-dir .repro-cache
-    repro cache promote old.pl new.pl --cache-dir .repro-cache
     repro profile --benchmark RE --top 20
     repro serve --port 7871 --cache-dir .repro-cache
     repro router --spawn 4 --cache-dir .repro-cache --replicate 2
@@ -557,7 +556,7 @@ def batch_main(argv) -> int:
 
 def cache_main(argv) -> int:
     """Inspect and maintain the on-disk result cache."""
-    from .service import ResultCache, program_hash, promote
+    from .service import ResultCache
 
     parser = argparse.ArgumentParser(
         prog="repro cache",
@@ -571,39 +570,15 @@ def cache_main(argv) -> int:
     clear = sub.add_parser("clear", help="drop every stored entry")
     clear.add_argument("--cache-dir", required=True)
 
-    prom = sub.add_parser(
-        "promote",
-        help="carry results of OLD forward to the edited NEW: entries "
-             "whose query cone is unchanged are re-keyed, SCC-affected "
-             "ones invalidated")
-    prom.add_argument("old", help="Prolog source before the edit")
-    prom.add_argument("new", help="Prolog source after the edit")
-    prom.add_argument("--cache-dir", required=True)
-
     args = parser.parse_args(argv)
     cache = ResultCache(args.cache_dir)
 
     if args.command == "info":
         print("%d entries under %s" % (len(cache), args.cache_dir))
         return 0
-    if args.command == "clear":
-        count = len(cache)
-        cache.clear()
-        print("cleared %d entries" % count)
-        return 0
-    assert args.command == "promote"
-    with open(args.old) as handle:
-        old_source = handle.read()
-    with open(args.new) as handle:
-        new_source = handle.read()
-    report = promote(cache, old_source, new_source)
-    print("program %s -> %s" % (report.old_program_hash[:12],
-                                report.new_program_hash[:12]))
-    if report.dirty:
-        print("dirty predicates: %s"
-              % ", ".join(sorted("%s/%d" % p for p in report.dirty)))
-    print("%d promoted, %d invalidated"
-          % (len(report.promoted), len(report.invalidated)))
+    count = len(cache)
+    cache.clear()
+    print("cleared %d entries" % count)
     return 0
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..domains.leaf import LeafDomain, TrivialLeafDomain, TypeLeafDomain
 from ..domains.pattern import (AbstractSubst, PAT_BOTTOM, SubstBuilder,
@@ -153,9 +153,7 @@ def analyze(source: Union[str, Program], query: PredId,
             input_types: Optional[Sequence[Union[str, Grammar]]] = None,
             config: Optional[AnalysisConfig] = None,
             baseline: bool = False,
-            domain: Optional[LeafDomain] = None,
-            seeds: Optional[Sequence[Tuple[PredId, AbstractSubst,
-                                           object]]] = None) -> TypeAnalysis:
+            domain: Optional[LeafDomain] = None) -> TypeAnalysis:
     """Parse (if needed), normalize, and analyze ``source`` for
     ``query``.
 
@@ -163,9 +161,6 @@ def analyze(source: Union[str, Program], query: PredId,
     the paper's ``p(Any, ..., Any)`` patterns; the L-prefixed runs of
     §9 pass ``"list"`` for the relevant arguments).
     ``baseline=True`` switches to the principal-functor domain.
-    ``seeds``: known-valid (pred, β_in, β_out) tuples pre-loaded into
-    the engine table (incremental re-analysis); seeds for predicates
-    the program does not define are skipped.
     """
     program = parse_program(source) if isinstance(source, str) else source
     norm = normalize_program(program)
@@ -178,10 +173,6 @@ def analyze(source: Union[str, Program], query: PredId,
             domain = TypeLeafDomain(config.max_or_width,
                                     config.type_database)
     engine = Engine(norm, domain, config)
-    if seeds:
-        for seed_pred, seed_in, seed_out in seeds:
-            if norm.defined(seed_pred):
-                engine.seed_entry(seed_pred, seed_in, seed_out)
     beta_in = None
     if input_types is not None:
         if len(input_types) != query[1]:

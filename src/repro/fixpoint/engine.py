@@ -122,7 +122,6 @@ class AnalysisStats:
     procedure_iterations: int = 0
     clause_iterations: int = 0
     entries_created: int = 0
-    entries_seeded: int = 0
     input_widenings: int = 0
     cpu_time: float = 0.0
     #: type-graph operation cache traffic attributed to this run (the
@@ -157,12 +156,10 @@ class AnalysisStats:
 @dataclass
 class Entry:
     """One tabulated (input pattern, predicate, output pattern) tuple —
-    the (β_in, p, β_out) triples of §2.  ``seeded`` marks entries
-    imported from a previous run's table rather than iterated here.
-    ``dependents`` holds caller *entry ids*; the differential engine
-    additionally keeps per-call-site edges in
-    ``Engine._callsite_deps`` and prunes both when a call site
-    re-resolves elsewhere."""
+    the (β_in, p, β_out) triples of §2.  ``dependents`` holds caller
+    *entry ids*; the differential engine additionally keeps
+    per-call-site edges in ``Engine._callsite_deps`` and prunes both
+    when a call site re-resolves elsewhere."""
 
     id: int
     pred: PredId
@@ -171,7 +168,6 @@ class Entry:
     dependents: Set[int] = field(default_factory=set)
     updates: int = 0
     iterations: int = 0
-    seeded: bool = False
 
 
 class _ClauseState:
@@ -386,23 +382,6 @@ class Engine:
         self.stats.arena_compiles += arena.snapshot() - arena_compiles
         return AnalysisResult.from_engine(self, root)
 
-    def seed_entry(self, pred: PredId, beta_in: AbstractSubst,
-                   beta_out) -> Entry:
-        """Pre-populate the table with a known-valid (β_in, p, β_out)
-        tuple — incremental re-analysis seeds surviving entries of
-        unchanged SCCs this way.  The entry is *not* scheduled: its
-        output is already a fixpoint, so callers hitting it through
-        :meth:`_solve` (exact input match only, see there) get the
-        answer without any iteration."""
-        if not self.program.defined(pred):
-            raise KeyError("cannot seed undefined predicate: %s/%d" % pred)
-        entry = Entry(len(self.entries_by_id), pred, beta_in, beta_out,
-                      seeded=True)
-        self.entries_by_id[entry.id] = entry
-        self._append_entry(pred, entry)
-        self.stats.entries_seeded += 1
-        return entry
-
     def _append_entry(self, pred: PredId, entry: Entry) -> None:
         """Append to the predicate's entry list, invalidating the
         lookup memo (scan results may change once the list grows)."""
@@ -430,13 +409,6 @@ class Engine:
                 memo[beta_in] = entry
                 return entry
         for entry in entries:
-            # Seeded entries are reused only on exact input matches:
-            # covering a *smaller* input with an imported coarse output
-            # would be sound but strictly less precise than analyzing
-            # the small input fresh — and the caller may cache the
-            # degraded result under the same key a cold run would use.
-            if entry.seeded:
-                continue
             if subst_le(beta_in, entry.beta_in, self.domain):
                 memo[beta_in] = entry
                 return entry

@@ -117,19 +117,26 @@ def rename(term: Term, stamp: int, cache: Dict[Var, Var]) -> Term:
     return term
 
 
+_ARITH2 = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+           "*": lambda a, b: a * b, "//": lambda a, b: a // b,
+           "/": lambda a, b: a // b, "mod": lambda a, b: a % b,
+           "min": min, "max": max}
+
+
 def eval_arith(term: Term, bindings: Bindings) -> int:
-    """Evaluate an arithmetic expression to an integer."""
+    """Evaluate an arithmetic expression to an integer.  A term that
+    does not evaluate — unbound, non-arithmetic, or a division by
+    zero — raises ``ValueError``, so ``is/2`` and comparisons fail."""
     term = walk(term, bindings)
     if isinstance(term, Int):
         return term.value
     if isinstance(term, Struct):
         args = [eval_arith(a, bindings) for a in term.args]
-        ops2 = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
-                "*": lambda a, b: a * b, "//": lambda a, b: a // b,
-                "/": lambda a, b: a // b, "mod": lambda a, b: a % b,
-                "min": min, "max": max}
-        if term.arity == 2 and term.name in ops2:
-            return ops2[term.name](args[0], args[1])
+        if term.arity == 2 and term.name in _ARITH2:
+            try:
+                return _ARITH2[term.name](args[0], args[1])
+            except ZeroDivisionError:
+                raise ValueError("division by zero: %r" % (term,)) from None
         if term.arity == 1 and term.name == "-":
             return -args[0]
         if term.arity == 1 and term.name == "+":

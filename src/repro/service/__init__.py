@@ -1,6 +1,6 @@
 """The analysis service layer: durable, reusable analysis artifacts.
 
-Four pieces turn the one-shot analyzer into a serving substrate:
+These modules turn the one-shot analyzer into a serving substrate:
 
 * :mod:`repro.service.serialize` — canonical JSON encodings and
   content hashes for everything the analyzer consumes and produces;
@@ -8,8 +8,6 @@ Four pieces turn the one-shot analyzer into a serving substrate:
   (in-memory LRU over an optional on-disk object store);
 * :mod:`repro.service.batch` — a cache-first batch driver with an
   optional process pool;
-* :mod:`repro.service.incremental` — SCC-scoped cache invalidation,
-  promotion across program edits, and table-seeded re-analysis;
 * :mod:`repro.service.transport` — the shared newline-delimited JSON
   wire protocol (framing, envelopes, connection lifecycle);
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
@@ -48,6 +46,4 @@ __all__, __getattr__ = lazy_exports(__name__, {
     "client": ("ServeClient", "ServeError", "spawn_server",
                "spawn_router", "wait_for_server"),
     "cluster": ("ClusterRouter", "HashRing", "router_main"),
-    "incremental": ("dirty_predicates", "promote", "PromotionReport",
-                    "reanalyze", "ReanalysisInfo"),
 })

@@ -10,8 +10,8 @@ Two layers:
 * an optional **on-disk store** under ``cache_dir`` that persists
   across processes, laid out as
   ``objects/<program_hash>/<key_digest>.json`` so all results for one
-  program version can be listed (promotion) or dropped (invalidation)
-  without touching the rest of the store.
+  program version can be listed or dropped (invalidation) without
+  touching the rest of the store.
 
 Payloads are the JSON-ready objects of :mod:`repro.service.serialize`;
 the cache never decodes them — it is a plain content-addressed blob
@@ -80,13 +80,6 @@ class CacheKey:
             "domain": self.domain,
             "version": self.version,
         })
-
-    def with_program(self, new_program_hash: str) -> "CacheKey":
-        """The same workload against another program version — the
-        re-keying primitive behind incremental promotion."""
-        return CacheKey(new_program_hash, self.query,
-                        self.input_types_key, self.config_hash,
-                        self.domain, self.version)
 
     def to_obj(self) -> dict:
         return {
@@ -388,11 +381,12 @@ class ResultCache:
         for digest, entry in memory_items:
             if entry.key.program_hash == prog_hash:
                 keys[digest] = entry.key
-        for key, _ in self._iter_disk(prog_hash):
+        for key in self._disk_keys(prog_hash):
             keys.setdefault(key.digest, key)
         return list(keys.values())
 
-    def _iter_disk(self, prog_hash: str) -> Iterator[Tuple[CacheKey, dict]]:
+    def _disk_keys(self, prog_hash: str) -> Iterator[CacheKey]:
+        """Keys of one program's well-formed on-disk records."""
         if self.cache_dir is None:
             return
         directory = self._program_dir(prog_hash)
@@ -407,22 +401,10 @@ class ResultCache:
                 with open(os.path.join(directory, name), "r",
                           encoding="utf-8") as handle:
                     record = json.load(handle)
-                yield CacheKey.from_obj(record["key"]), record["payload"]
-            except (OSError, ValueError, KeyError):
+                if "payload" in record:
+                    yield CacheKey.from_obj(record["key"])
+            except (OSError, ValueError, KeyError, TypeError):
                 continue
-
-    def entries_for_program(self,
-                            prog_hash: str) -> List[Tuple[CacheKey, dict]]:
-        """(key, payload) pairs stored for one program version."""
-        seen: Dict[str, Tuple[CacheKey, dict]] = {}
-        with self._lock:
-            memory_items = list(self._memory.items())
-        for digest, entry in memory_items:
-            if entry.key.program_hash == prog_hash:
-                seen[digest] = (entry.key, entry.payload)
-        for key, payload in self._iter_disk(prog_hash):
-            seen.setdefault(key.digest, (key, payload))
-        return list(seen.values())
 
     # -- invalidation --------------------------------------------------------
 

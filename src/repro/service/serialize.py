@@ -11,9 +11,11 @@ to identical objects, so ``content_hash(encode(x))`` is a usable
 content address (the substrate of :mod:`repro.service.cache`).
 
 Program hashing works on the parsed form (``format_term`` of each
-clause), so whitespace and comment edits do not change any hash;
-per-predicate hashes (:func:`predicate_hashes`) are what the
-incremental layer diffs to find edited predicates.
+clause), so whitespace and comment edits do not change any hash.
+
+Every entry encoding, and each tuple a fingerprint hashes, carries a
+constant ``"seeded": false``: a member of the format since its first
+version, kept so that table fingerprints stay byte-identical.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ __all__ = [
 #: v6: AnalysisConfig gained ``keep_deps``/``assertions`` and check
 #: payloads embed a ``check`` section (assertion verdicts + blame
 #: slices).
-FORMAT_VERSION = 6
+#: v7: AnalysisStats lost its seeded-entry counter (table seeding removed).
+FORMAT_VERSION = 7
 
 
 # -- canonical JSON and hashing ----------------------------------------------
@@ -140,8 +143,7 @@ def decode_subst(data, domain: LeafDomain):
         else:
             raise ValueError("unknown node kind: %r" % kind)
     # Interned on arrival: decoded substitutions join the process-wide
-    # canonical instances (seeded re-analysis and cache promotion feed
-    # them straight back into the engine's tables).
+    # canonical instances.
     from ..domains.pattern import intern_subst
     return intern_subst(AbstractSubst(int(data["nvars"]),
                                       tuple(data["sv"]), tuple(nodes)))
@@ -158,7 +160,7 @@ def encode_entry(entry: Entry, domain: LeafDomain) -> dict:
         "dependents": sorted(entry.dependents),
         "updates": entry.updates,
         "iterations": entry.iterations,
-        "seeded": entry.seeded,
+        "seeded": False,
     }
 
 
@@ -171,7 +173,6 @@ def decode_entry(data: dict, domain: LeafDomain) -> Entry:
         dependents=set(data.get("dependents", ())),
         updates=int(data.get("updates", 0)),
         iterations=int(data.get("iterations", 0)),
-        seeded=bool(data.get("seeded", False)),
     )
 
 
@@ -180,7 +181,6 @@ def _encode_stats(stats: AnalysisStats) -> dict:
         "procedure_iterations": stats.procedure_iterations,
         "clause_iterations": stats.clause_iterations,
         "entries_created": stats.entries_created,
-        "entries_seeded": stats.entries_seeded,
         "input_widenings": stats.input_widenings,
         "cpu_time": stats.cpu_time,
         "opcache_hits": stats.opcache_hits,
@@ -196,7 +196,7 @@ def _encode_stats(stats: AnalysisStats) -> dict:
 def _decode_stats(data: dict) -> AnalysisStats:
     stats = AnalysisStats()
     for name in ("procedure_iterations", "clause_iterations",
-                 "entries_created", "entries_seeded", "input_widenings",
+                 "entries_created", "input_widenings",
                  "cpu_time", "opcache_hits", "opcache_misses",
                  "clause_iterations_skipped", "callsite_resumptions",
                  "scheduler", "arena_compiles", "disjunction_fallbacks"):
@@ -222,7 +222,7 @@ def encode_result(result: AnalysisResult) -> dict:
 
 def result_fingerprint(result: AnalysisResult) -> str:
     """Content hash of the *semantic* table: the multiset of
-    (predicate, β_in, β_out, seeded) tuples, the root tuple by value,
+    (predicate, β_in, β_out) tuples, the root tuple by value,
     the leaf domain, and the unknown predicates.  Scheduling
     provenance — dependency edges, update/iteration counts, timing,
     and entry *ids* (creation order) — is deliberately excluded: two
@@ -238,7 +238,7 @@ def result_fingerprint(result: AnalysisResult) -> str:
             "pred": list(entry.pred),
             "beta_in": encode_subst(entry.beta_in, domain),
             "beta_out": encode_subst(entry.beta_out, domain),
-            "seeded": entry.seeded,
+            "seeded": False,
         }
 
     return content_hash({
@@ -267,7 +267,7 @@ def payload_fingerprint(payload: dict) -> str:
             "pred": entry["pred"],
             "beta_in": entry["beta_in"],
             "beta_out": entry["beta_out"],
-            "seeded": entry["seeded"],
+            "seeded": False,
         }
 
     return content_hash({

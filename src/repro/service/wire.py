@@ -86,16 +86,15 @@ def encode_payload(result: AnalysisResult, payload: dict) -> EncodedPayload:
                                         json.dumps(obj))
         canon_in, wire_in = subst_texts(entry.beta_in, domain)
         canon_out, wire_out = subst_texts(entry.beta_out, domain)
-        seeded = "true" if entry.seeded else "false"
         wire_entries.append(
             '{"id": %d, "pred": %s, "beta_in": %s, "beta_out": %s, '
             '"dependents": %s, "updates": %d, "iterations": %d, '
-            '"seeded": %s}'
+            '"seeded": false}'
             % (entry.id, pred[1], wire_in, wire_out,
                json.dumps(sorted(entry.dependents)), entry.updates,
-               entry.iterations, seeded))
-        text = ('{"beta_in":%s,"beta_out":%s,"pred":%s,"seeded":%s}'
-                % (canon_in, canon_out, pred[0], seeded))
+               entry.iterations))
+        text = ('{"beta_in":%s,"beta_out":%s,"pred":%s,"seeded":false}'
+                % (canon_in, canon_out, pred[0]))
         tuples.append(text)
         if entry.id == root_id:
             root_tuple = text

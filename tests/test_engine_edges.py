@@ -1,14 +1,11 @@
-"""Engine edge paths: budget exhaustion, unknown-predicate identity
-transfer, and table seeding."""
+"""Engine edge paths: budget exhaustion and unknown-predicate identity
+transfer."""
 
 import pytest
 
 from repro import AnalysisConfig, analyze
-from repro.domains.leaf import TypeLeafDomain
-from repro.domains.pattern import PAT_BOTTOM, subst_top
-from repro.fixpoint.engine import AnalysisBudgetExceeded, Engine
-from repro.prolog.normalize import normalize_program
-from repro.prolog.program import parse_program
+from repro.domains.pattern import PAT_BOTTOM
+from repro.fixpoint.engine import AnalysisBudgetExceeded
 from repro.typegraph.grammar import g_any, g_atom
 
 
@@ -60,41 +57,3 @@ def test_failing_builtin_yields_bottom():
     analysis = analyze("p(X) :- fail.", ("p", 1))
     assert analysis.output is PAT_BOTTOM
 
-
-# -- table seeding -----------------------------------------------------------
-
-def _norm(source):
-    return normalize_program(parse_program(source))
-
-
-def test_seeded_fixpoint_needs_no_iteration(nreverse_source):
-    first = analyze(nreverse_source, ("nreverse", 2))
-    domain = TypeLeafDomain()
-    engine = Engine(_norm(nreverse_source), domain)
-    for entry in first.result.entries:
-        engine.seed_entry(entry.pred, entry.beta_in, entry.beta_out)
-    result = engine.analyze(("nreverse", 2))
-    assert result.stats.procedure_iterations == 0
-    assert result.stats.entries_seeded == len(first.result.entries)
-    assert result.output == first.result.output
-
-
-def test_seed_entry_rejects_undefined_predicate(append_source):
-    engine = Engine(_norm(append_source), TypeLeafDomain())
-    beta = subst_top(1, engine.domain)
-    with pytest.raises(KeyError):
-        engine.seed_entry(("nope", 1), beta, beta)
-
-
-def test_seeds_do_not_block_new_input_patterns(append_source):
-    """A query whose input is not covered by any seed is analyzed
-    normally alongside the seeded entries."""
-    first = analyze(append_source, ("append", 3),
-                    input_types=["list", "any", "any"])
-    engine = Engine(_norm(append_source), TypeLeafDomain())
-    for entry in first.result.entries:
-        engine.seed_entry(entry.pred, entry.beta_in, entry.beta_out)
-    result = engine.analyze(("append", 3))  # all-Any input: not seeded
-    assert result.stats.procedure_iterations > 0
-    cold = analyze(append_source, ("append", 3))
-    assert result.output == cold.result.output

@@ -201,7 +201,7 @@ def test_one_shot_analysis_loads_only_what_it_uses(append_file):
     assert "repro.fixpoint.engine" in loaded
     forbidden = {
         "repro.service.batch", "repro.service.cache",
-        "repro.service.incremental", "repro.prolog.interpreter",
+        "repro.prolog.interpreter",
         "repro.assertions", "repro.benchprogs",
         "repro.analysis.callgraph", "repro.analysis.report",
         "repro.analysis.tags", "repro.typegraph.display",

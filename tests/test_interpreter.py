@@ -82,6 +82,11 @@ class TestBuiltins:
     def test_comparison_unbound_fails(self):
         assert answers("p.", "Y < 1, X = yes") == []
 
+    @pytest.mark.parametrize("goal", ["X is 1 mod 0", "X is 1 // 0",
+                                      "1 / 0 < 2, X = yes"])
+    def test_zero_divisor_fails(self, goal):
+        assert answers("p.", goal) == []
+
     def test_equality_tests(self):
         assert answers("p.", "a == a, X = yes") == ["yes"]
         assert answers("p.", "a == b, X = yes") == []
@@ -144,3 +149,15 @@ class TestBenchmarkPrograms:
         assert results
         out = resolve(Var("X"), results[0])
         assert format_term(out) == "[proceed]"
+
+    def test_open_br_query_raises_nothing(self):
+        """BR's query with every argument unbound reaches ``mod`` by
+        zero; the interpreter must fail that branch, not raise."""
+        from repro.benchprogs import benchmark
+        from repro.prolog.terms import Struct
+        bench = benchmark("BR")
+        name, arity = bench.query
+        goal = Struct(name, tuple(Var("A%d" % i) for i in range(arity)))
+        solver = Solver(parse_program(bench.source),
+                        SolveLimits(max_solutions=5, max_steps=20000))
+        assert len(list(solver.solve(goal))) <= 5

@@ -1,5 +1,7 @@
 """Tests for the content-addressed result cache."""
 
+import json
+
 import pytest
 
 from repro import AnalysisConfig, analyze
@@ -90,8 +92,8 @@ def test_entries_for_program(tmp_path, append_source, payload):
     for key in (key1, key2, other):
         cache.put(key, payload)
     prog_hash = program_hash(append_source)
-    entries = cache.entries_for_program(prog_hash)
-    assert sorted(k.digest for k, _ in entries) == \
+    keys = cache.keys_for_program(prog_hash)
+    assert sorted(k.digest for k in keys) == \
         sorted([key1.digest, key2.digest])
     assert len(cache.keys_for_program(other.program_hash)) == 1
 
@@ -131,15 +133,23 @@ def test_clear_and_len(tmp_path, append_source, payload):
     assert len(ResultCache(tmp_path)) == 0
 
 
-def test_corrupt_disk_entry_is_a_miss(tmp_path, append_source, payload):
+@pytest.mark.parametrize("record", ["not-json", "no-payload", "not-object"])
+def test_corrupt_disk_entry_is_a_miss(tmp_path, append_source, payload,
+                                      record):
     cache = ResultCache(tmp_path)
     key = make_key(append_source, ("append", 3))
     cache.put(key, payload)
     path = cache._entry_path(key)
     with open(path, "w") as handle:
-        handle.write("{not json")
+        if record == "not-json":
+            handle.write("{not json")
+        elif record == "no-payload":  # valid JSON, no payload
+            json.dump({"key": key.to_obj()}, handle)
+        else:
+            handle.write("5")
     fresh = ResultCache(tmp_path)
     assert fresh.get(key) is None
+    assert fresh.keys_for_program(key.program_hash) == []
 
 
 def test_rejects_zero_capacity():
@@ -153,7 +163,6 @@ def test_rejects_zero_capacity():
 # *processes* off one cache_dir; these tests hammer both axes and
 # assert no torn records, no crashes, and only complete payloads.
 
-import json
 import multiprocessing
 import os
 import threading
@@ -343,7 +352,7 @@ def test_leftover_tempfile_is_not_a_record(tmp_path, append_source,
     fresh = ResultCache(tmp_path)
     assert fresh.get(key) == payload
     assert len(fresh) == 1
-    assert len(fresh.entries_for_program(key.program_hash)) == 1
+    assert len(fresh.keys_for_program(key.program_hash)) == 1
 
 
 def test_fsync_knob(tmp_path, append_source, payload, monkeypatch):

@@ -75,26 +75,14 @@ def test_cache_info_and_clear(tmp_path, capsys):
     assert "0 entries" in capsys.readouterr().out
 
 
-def test_cache_promote_cli(tmp_path, capsys):
-    from repro.benchprogs import benchmark
-    cache_dir = str(tmp_path / "cache")
-    old = tmp_path / "old.pl"
-    new = tmp_path / "new.pl"
-    qu = benchmark("QU")
-    old.write_text(qu.source)
-    new.write_text(qu.source.replace("N1 is N + 1", "N1 is N + 2"))
-    main(["batch", "--file", "%s:perm/2" % old,
-          "--file", "%s:queens/2" % old, "--cache-dir", cache_dir])
-    capsys.readouterr()
-    assert main(["cache", "promote", str(old), str(new),
-                 "--cache-dir", cache_dir]) == 0
-    out = capsys.readouterr().out
-    assert "1 promoted, 1 invalidated" in out
-    assert "noattack/3" in out
-    # the promoted perm entry is a hit for the edited program
-    main(["batch", "--file", "%s:perm/2" % new,
-          "--cache-dir", cache_dir])
-    assert "1 cache hits" in capsys.readouterr().out
+def test_cache_promote_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cache", "promote", "a.pl", "b.pl",
+              "--cache-dir", str(tmp_path / "cache")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err
+    assert "Traceback" not in err
 
 
 def test_legacy_interface_still_works(capsys):
