@@ -39,13 +39,14 @@ Typical uses::
 
     PYTHONPATH=src python benchmarks/bench_server.py
     PYTHONPATH=src python benchmarks/bench_server.py \
-        --clients 32 --rounds 4 --write-bench BENCH_pr5.json --label PR5
+        --clients 32 --rounds 4 --write-bench server.json
     PYTHONPATH=src python benchmarks/bench_server.py --mode router \
-        --write-bench BENCH_pr6.json --label PR6
+        --write-bench router.json
 
 Exit status is non-zero on any fingerprint mismatch, a coalescing or
-failover failure, or a missed throughput bar — the same
-result-integrity stance as ``scripts/bench_report.py``.
+failover failure, or a missed throughput bar.  The committed reports
+it once wrote (``BENCH_pr5/6/7/9.json``) are frozen history, checked
+by ``python scripts/ci_check.py history``.
 """
 
 from __future__ import annotations
@@ -1242,8 +1243,7 @@ def main(argv=None) -> int:
                              "over the one-shot CLI (default 5)")
     parser.add_argument("--label", default=None)
     parser.add_argument("--write-bench", metavar="FILE",
-                        help="write the report as JSON "
-                             "(BENCH_pr5.json / BENCH_pr6.json)")
+                        help="write the report as JSON")
     # router-mode knobs
     parser.add_argument("--shard-counts", default="1,2,4",
                         help="comma-separated shard counts for the "

@@ -14,12 +14,12 @@ principal-functor comparison analysis of §9.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..domains.leaf import LeafDomain, TrivialLeafDomain, TypeLeafDomain
-from ..domains.pattern import (AbstractSubst, PAT_BOTTOM, SubstBuilder,
-                               display_subst, make_builder, value_of)
+from ..domains.pattern import (AbstractSubst, PAT_BOTTOM, display_subst,
+                               make_builder, value_of)
 from ..fixpoint.engine import AnalysisConfig, AnalysisResult, Engine
 from ..prolog.normalize import NormProgram, normalize_program
 from ..prolog.program import PredId, Program, parse_program

@@ -20,10 +20,10 @@ analyser as well, so the soundness comparison stays meaningful):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from .program import PredId, Program
-from .terms import Atom, Int, Struct, Term, Var, make_list
+from .terms import Atom, Int, Struct, Term, Var
 
 __all__ = ["Solver", "SolveLimits", "solve", "Bindings"]
 

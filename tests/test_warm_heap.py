@@ -40,8 +40,8 @@ from repro.typegraph import arena, g_any, g_list_of, opcache
 TABLE1 = ("KA", "QU", "PR", "PE", "CS", "DS", "PG", "RE", "BR", "PL")
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-with open(os.path.join(_ROOT, "BENCH_pr4.json")) as _handle:
-    ORACLE = json.load(_handle)["current"]["programs"]
+with open(os.path.join(_ROOT, "perfbench", "oracle.json")) as _handle:
+    ORACLE = json.load(_handle)["programs"]
 
 
 # -- domain identity -----------------------------------------------------------
@@ -150,7 +150,7 @@ def test_second_pass_reuses_every_pattern_memo(kernel_tier, tier):
             _, payload, _ = _execute_spec(spec)
             want = ORACLE[spec["name"]]
             assert payload_fingerprint(payload) == \
-                want["table_fingerprint"], spec["name"]
+                want["fingerprint"], spec["name"]
             for field in ("procedure_iterations", "clause_iterations"):
                 assert payload["stats"][field] == want[field], \
                     (spec["name"], field)
@@ -307,5 +307,5 @@ def test_pool_workers_settle_their_heap():
         frozen = pool.executor.submit(gc.get_freeze_count).result(
             timeout=60)
     assert name == "QU"
-    assert payload_fingerprint(payload) == ORACLE["QU"]["table_fingerprint"]
+    assert payload_fingerprint(payload) == ORACLE["QU"]["fingerprint"]
     assert frozen > 0
