@@ -775,16 +775,14 @@ def run_router_kill(hotset, expected, processes, threads,
             "--spawn", "2", "--cache-dir", cache_dir,
             "--max-memory-entries", "64", "--pool-size", "4",
             "--health-interval", "0.25", "--backoff", "0.02",
-            "--down-after", "2", "--replicate", "2",
-            "--anti-entropy-interval", "1.0")
+            "--down-after", "2", "--replicate", "2")
         standby = None
         try:
             standby, standby_host, standby_port = spawn_router(
                 "--cache-dir", cache_dir,
                 "--sync-from", "%s:%d" % (host, port),
                 "--health-interval", "0.25", "--backoff", "0.02",
-                "--down-after", "2", "--replicate", "2",
-                "--anti-entropy-interval", "1.0")
+                "--down-after", "2", "--replicate", "2")
             with ServeClient(host, port, timeout=600) as client:
                 for job in hotset:
                     result = client.analyze(
@@ -863,135 +861,8 @@ def run_router_kill(hotset, expected, processes, threads,
                            for shard_id, shard
                            in info["shards"].items()},
         "standby_failovers": info["failovers"],
-        "read_repairs": info["read_repairs"],
-        "anti_entropy_passes": info["anti_entropy_passes"],
-        "anti_entropy_repairs": info["anti_entropy_repairs"],
         "mismatches": mismatches,
     }
-
-
-def run_anti_entropy_ab(hotset, expected) -> dict:
-    """Repair-latency A/B: SIGKILL a shard, let supervision restart it
-    (empty memory tier), then time the *first touch* of every key it
-    homes.  With ``--anti-entropy-interval`` on, the repair pass
-    re-seeds the restarted shard from its replicas before clients
-    arrive — first touches are memory hits.  With it off, every first
-    touch pays the disk-L2 promotion."""
-    out: dict = {"mismatches": []}
-    for variant, interval in (("off", 0.0), ("on", 0.4)):
-        with tempfile.TemporaryDirectory(prefix="repro-ae-",
-                                         ignore_cleanup_errors=True) \
-                as cache_dir:
-            process, host, port = spawn_router(
-                "--spawn", "2", "--cache-dir", cache_dir,
-                "--max-memory-entries", "128", "--pool-size", "4",
-                "--health-interval", "0.2", "--backoff", "0.02",
-                "--down-after", "2", "--replicate", "2",
-                "--restart-backoff", "0.2",
-                "--anti-entropy-interval", str(interval))
-            try:
-                with ServeClient(host, port, timeout=600) as client:
-                    homes: dict = {}
-                    for job in hotset:
-                        result = client.analyze(
-                            source=job["source"],
-                            query=tuple(job["query"]),
-                            input_types=job.get("input_types"),
-                            payload=False)
-                        if result["fingerprint"] != \
-                                expected[job["base"]]:
-                            out["mismatches"].append(
-                                job["name"] + ":ae-warm")
-                        homes[job["name"]] = client.request(
-                            "route", source=job["source"])["target"]
-                    deadline = time.time() + 20.0
-                    while time.time() < deadline:
-                        info = client.router_info()
-                        if info["replications"] >= len(hotset):
-                            break
-                        time.sleep(0.1)
-                    stats = client.stats()
-                    shard_pids = {
-                        shard_id: shard["pid"]
-                        for shard_id, shard in stats["shards"].items()}
-                    by_owner: dict = {}
-                    for name, owner in homes.items():
-                        by_owner[owner] = by_owner.get(owner, 0) + 1
-                    victim = max(by_owner, key=by_owner.get)
-                    victim_jobs = [job for job in hotset
-                                   if homes[job["name"]] == victim]
-                    killed_at = time.perf_counter()
-                    os.kill(shard_pids[victim], signal.SIGKILL)
-                    deadline = time.time() + 20.0
-                    while time.time() < deadline:
-                        info = client.router_info()
-                        if (info["restarts"] >= 1 and
-                                info["shards"][victim]["status"]
-                                == "up"):
-                            break
-                        time.sleep(0.05)
-                    restart_seconds = time.perf_counter() - killed_at
-                    repair_seconds = None
-                    if interval:
-                        # wait until the repair pass has re-seeded the
-                        # restarted shard's keys
-                        deadline = time.time() + 25.0
-                        while time.time() < deadline:
-                            info = client.router_info()
-                            if (info["anti_entropy_repairs"]
-                                    >= len(victim_jobs)):
-                                break
-                            time.sleep(0.05)
-                        repair_seconds = round(
-                            time.perf_counter() - killed_at, 3)
-                    latencies = []
-                    for job in victim_jobs:
-                        begin = time.perf_counter()
-                        result = client.analyze(
-                            source=job["source"],
-                            query=tuple(job["query"]),
-                            input_types=job.get("input_types"),
-                            payload=False)
-                        latencies.append(time.perf_counter() - begin)
-                        if result["fingerprint"] != \
-                                expected[job["base"]]:
-                            out["mismatches"].append(
-                                job["name"] + ":ae-first-touch")
-                        if not result["cached"]:
-                            out["mismatches"].append(
-                                job["name"] + ":ae-recomputed")
-                    info = client.router_info()
-                    client.shutdown()
-                process.wait(timeout=60)
-            except BaseException:
-                process.terminate()
-                raise
-        latencies.sort()
-        p95 = latencies[min(len(latencies) - 1,
-                            int(0.95 * len(latencies)))]
-        out["anti_entropy_%s" % variant] = {
-            "interval": interval,
-            "victim": victim,
-            "victim_keys": len(victim_jobs),
-            "restart_seconds": round(restart_seconds, 3),
-            "repair_seconds": repair_seconds,
-            "anti_entropy_passes": info["anti_entropy_passes"],
-            "anti_entropy_repairs": info["anti_entropy_repairs"],
-            "first_touch_p50": round(
-                latencies[len(latencies) // 2], 5),
-            "first_touch_p95": round(p95, 5),
-            "first_touch_mean": round(
-                sum(latencies) / len(latencies), 5),
-        }
-        print("  anti-entropy %s: first-touch p95 %.2fms over %d "
-              "restarted keys (%d repair(s))"
-              % (variant, p95 * 1000.0, len(victim_jobs),
-                 info["anti_entropy_repairs"]), file=sys.stderr)
-    with_ae = out["anti_entropy_on"]["first_touch_p95"]
-    without_ae = out["anti_entropy_off"]["first_touch_p95"]
-    out["p95_improvement"] = round(without_ae / with_ae, 2) \
-        if with_ae else None
-    return out
 
 
 def chaos_bench_main(args) -> int:
@@ -1019,9 +890,6 @@ def chaos_bench_main(args) -> int:
     router_kill = run_router_kill(hotset, expected, processes, threads,
                                   seconds)
 
-    print("anti-entropy A/B: repair latency with the pass on vs off...",
-          file=sys.stderr)
-    anti_entropy = run_anti_entropy_ab(hotset[:24], expected)
 
     report = {
         "schema": SCHEMA,
@@ -1036,11 +904,9 @@ def chaos_bench_main(args) -> int:
         "chaos": chaos,
         "failover_ab": ab,
         "router_kill": router_kill,
-        "anti_entropy_ab": anti_entropy,
         "fingerprint_mismatches": sorted(set(
             chaos["mismatches"] + ab["mismatches"]
-            + router_kill["mismatches"]
-            + anti_entropy["mismatches"])),
+            + router_kill["mismatches"])),
     }
 
     print("\nchaos run    : %d requests, %d errors, %7.1f req/s "
@@ -1061,19 +927,10 @@ def chaos_bench_main(args) -> int:
              ab["replicate_2"]["first_touch_p95"] * 1000.0,
              ab["p95_improvement"]))
     print("router kill  : %d requests, %d errors, standby promoted=%s, "
-          "%d sync pull(s), %d anti-entropy repair(s)"
+          "%d sync pull(s)"
           % (router_kill["requests"], len(router_kill["errors"]),
              router_kill["standby_promoted"],
-             router_kill["standby_sync_pulls"],
-             router_kill["anti_entropy_repairs"]))
-    print("anti-entropy : first-touch p95 %.2fms off, %.2fms on "
-          "(x%.2f better; repair pass %ss after the kill)"
-          % (anti_entropy["anti_entropy_off"]["first_touch_p95"]
-             * 1000.0,
-             anti_entropy["anti_entropy_on"]["first_touch_p95"]
-             * 1000.0,
-             anti_entropy["p95_improvement"],
-             anti_entropy["anti_entropy_on"]["repair_seconds"]))
+             router_kill["standby_sync_pulls"]))
 
     if args.write_bench:
         path = Path(args.write_bench)
@@ -1105,18 +962,6 @@ def chaos_bench_main(args) -> int:
     if not router_kill["standby_promoted"]:
         problems.append("standby never promoted itself after the "
                         "primary died")
-    if anti_entropy["anti_entropy_on"]["anti_entropy_repairs"] < 1:
-        problems.append("anti-entropy pass repaired nothing after the "
-                        "shard restart")
-    if anti_entropy["anti_entropy_on"]["first_touch_p95"] >= \
-            anti_entropy["anti_entropy_off"]["first_touch_p95"]:
-        problems.append(
-            "anti-entropy did not improve restart first-touch p95 "
-            "(%.2fms on vs %.2fms off)"
-            % (anti_entropy["anti_entropy_on"]["first_touch_p95"]
-               * 1000.0,
-               anti_entropy["anti_entropy_off"]["first_touch_p95"]
-               * 1000.0))
     for problem in problems:
         print("ERROR: %s" % problem, file=sys.stderr)
     return 1 if problems else 0
@@ -1230,8 +1075,7 @@ def main(argv=None) -> int:
                              "'chaos': the PR 7/9 self-healing phases "
                              "(seeded faults, kill/restart, membership "
                              "churn, replication failover A/B, "
-                             "primary-router kill with a standby, "
-                             "anti-entropy repair-latency A/B)")
+                             "primary-router kill with a standby)")
     parser.add_argument("--clients", type=int, default=32,
                         help="concurrent clients in the warm/coalescing "
                              "and scaling phases (default 32)")

@@ -369,8 +369,7 @@ def router_kill() -> str:
               "--backoff", "0.02")
     with Fleet(".ci-ha-cache") as fleet:
         primary, host, port = fleet.spawn(
-            spawn_router, "--spawn", "2", "--anti-entropy-interval", "1.0",
-            *common)
+            spawn_router, "--spawn", "2", *common)
         standby, sb_host, sb_port = fleet.spawn(
             spawn_router, "--sync-from", "%s:%d" % (host, port), *common)
         with ServeClient(endpoints=[(host, port), (sb_host, sb_port)],

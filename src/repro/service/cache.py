@@ -46,7 +46,7 @@ import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from ..fixpoint.engine import AnalysisConfig
 from ..prolog.program import PredId, Program
@@ -268,24 +268,6 @@ class ResultCache:
         with self._lock:
             self._remember(key, payload)
             self.stats.seeds += 1
-
-    def memory_digests(self) -> List[Tuple[str, str]]:
-        """``(digest, program_hash)`` for every memory-tier entry —
-        the cheap inventory behind the server's ``digest`` op, which
-        the router's anti-entropy pass compares across replicas.  A
-        lock and a list copy; never touches disk."""
-        with self._lock:
-            return [(digest, entry.key.program_hash)
-                    for digest, entry in self._memory.items()]
-
-    def get_by_digest(self, digest: str) -> Optional[Tuple[CacheKey, dict]]:
-        """Memory-tier lookup by key digest (no :class:`CacheKey` in
-        hand) — the fetch half of anti-entropy repair.  Does not count
-        as a hit or bump LRU recency: repair reads are bookkeeping,
-        not traffic."""
-        with self._lock:
-            entry = self._memory.get(digest)
-            return None if entry is None else (entry.key, entry.payload)
 
     def payload_bytes(self, digest: str, payload: dict) -> bytes:
         """``payload`` as JSON bytes (what ``encode_message`` writes

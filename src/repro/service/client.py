@@ -72,8 +72,7 @@ class ServeClient:
     #: — mirrors the router's own failover set).
     _FAILOVER_OPS = frozenset({"analyze", "check", "slice", "batch",
                                "ping", "stats", "cache-info", "route",
-                               "router-info", "sync-membership",
-                               "digest", "fetch"})
+                               "router-info", "sync-membership"})
 
     def __init__(self, host: str = "127.0.0.1",
                  port: int = DEFAULT_PORT,
@@ -297,11 +296,6 @@ class ServeClient:
         """The router's current ring membership + journal sequence —
         what a standby router polls to keep its ring consistent."""
         return self.request("sync-membership")
-
-    def anti_entropy(self) -> dict:
-        """Force one anti-entropy repair pass on the router now
-        (normally periodic); returns the pass's repair counters."""
-        return self.request("anti-entropy")
 
 
 def fleet_endpoints(path: Union[str, "os.PathLike"]

@@ -47,10 +47,15 @@ path).  Service guarantees on top of routing:
 * **live membership** — ``add-shard`` joins a running shard to the
   ring after a health probe passes (only its consistent-hash slice
   moves), ``remove-shard`` drains then deletes; both are journaled;
-* **replicated writes** — a fresh analyze result computed on its home
-  shard is asynchronously ``seed``-ed into the next ``replicate - 1``
-  replicas' *memory* tiers, so failover lands on warm memory instead
-  of disk-L2 (the shared store already covers durability);
+* **replicated writes** — every fresh analyze result (one the
+  answering shard just computed: a first read, a re-analysis after
+  ``invalidate``, or a failover recompute) is asynchronously
+  ``seed``-ed into the next ``replicate - 1`` replicas' *memory*
+  tiers, so failover lands on warm memory instead of disk-L2 (the
+  shared store already covers durability).  This is the fleet's one
+  replica-repair path: a replica that lost its copy gets it back the
+  next time the result is computed fresh, and a restarted shard
+  serves its first reads from the shared disk store;
 * **durable membership** — every membership/supervision event is
   journaled to an append-only JSON-lines file (``--journal``); on
   startup the journal replays its ``add-shard``/``remove-shard`` ops,
@@ -62,14 +67,6 @@ path).  Service guarantees on top of routing:
   once the primary has been unreachable for ``down_after``
   consecutive sync polls.  Clients reach the pair through
   ``ServeClient(endpoints=[...])`` failover;
-* **anti-entropy replica repair** — a periodic pass compares each
-  live shard's memory-tier digests (the cheap ``digest`` op) across
-  the replication window and re-seeds entries lost to restarts,
-  evictions, or the seed-vs-invalidate race, with read-repair when a
-  failover has to recompute a result the dedupe LRU thought was
-  already replicated.  An entry the home shard no longer holds is
-  only re-spread when the shared disk store still has it — a missed
-  ``invalidate`` is never resurrected;
 * **fleet observability** — ``stats`` fans out to every live shard
   and merges hit rates, queue depths, and latency summaries next to
   the router's own end-to-end percentiles.
@@ -95,7 +92,7 @@ import sys
 import time
 from bisect import bisect_right
 from collections import OrderedDict, deque
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .cache import ResultCache
 from .serialize import program_hash
@@ -341,9 +338,7 @@ class RouterStats:
                  "failovers", "errors", "latencies", "restarts",
                  "restart_failures", "breaker_trips", "shards_added",
                  "shards_removed", "replications",
-                 "replication_failures", "anti_entropy_passes",
-                 "anti_entropy_repairs", "anti_entropy_failures",
-                 "read_repairs", "sync_pulls", "sync_failures")
+                 "replication_failures", "sync_pulls", "sync_failures")
 
     def __init__(self) -> None:
         self.started = time.time()
@@ -361,10 +356,6 @@ class RouterStats:
         self.shards_removed = 0
         self.replications = 0
         self.replication_failures = 0
-        self.anti_entropy_passes = 0
-        self.anti_entropy_repairs = 0
-        self.anti_entropy_failures = 0
-        self.read_repairs = 0
         self.sync_pulls = 0
         self.sync_failures = 0
 
@@ -521,7 +512,6 @@ class ClusterRouter:
                  journal_path: Optional[str] = None,
                  journal_compact_bytes: Optional[int] = None,
                  sync_from: Optional[Union[str, Tuple[str, int]]] = None,
-                 anti_entropy_interval: float = 0.0,
                  shard_log_max_bytes: Optional[int] = None) -> None:
         if not shards and sync_from is None and journal_path is None:
             raise ValueError("a router needs at least one shard")
@@ -541,7 +531,6 @@ class ClusterRouter:
         self.breaker_deaths = breaker_deaths
         self.breaker_window = breaker_window
         self.faults = faults
-        self.anti_entropy_interval = anti_entropy_interval
         self.shard_log_max_bytes = shard_log_max_bytes
         self.sync_from: Optional[Tuple[str, int]] = (
             None if sync_from is None
@@ -568,7 +557,6 @@ class ClusterRouter:
         self._server: Optional[LineServer] = None
         self._health_task: Optional[asyncio.Task] = None
         self._sync_task: Optional[asyncio.Task] = None
-        self._anti_entropy_task: Optional[asyncio.Task] = None
         self._shutdown_event: Optional[asyncio.Event] = None
         self._draining = False
         self._inflight_requests = 0
@@ -594,10 +582,8 @@ class ClusterRouter:
         #: jitter source for the health loop — process-local on
         #: purpose, so N routers probing one fleet desynchronize.
         self._jitter = random.Random(os.getpid() ^ int(time.time()))
-        #: replication bookkeeping: result digests already seeded (an
-        #: LRU — reseeding is harmless, just wasted bytes) and the
-        #: in-flight background pushes a drain must wait out.
-        self._seeded: "OrderedDict[str, bool]" = OrderedDict()
+        #: in-flight background replication pushes a drain must wait
+        #: out.
         self._replication_tasks: set = set()
         #: source text -> program_hash memo (hashing parses the
         #: program; the router pays that once per distinct program).
@@ -679,9 +665,6 @@ class ClusterRouter:
         self._health_task = asyncio.ensure_future(self._health_loop())
         if self.sync_from is not None:
             self._sync_task = asyncio.ensure_future(self._sync_loop())
-        if self.anti_entropy_interval and self.replicate > 1:
-            self._anti_entropy_task = asyncio.ensure_future(
-                self._anti_entropy_loop())
 
     def _journal(self, event: str, shard_id: str, **detail) -> None:
         entry = dict(detail, event=event, shard=shard_id,
@@ -717,8 +700,7 @@ class ClusterRouter:
                 or self._replication_tasks)
                and time.monotonic() < deadline):
             await asyncio.sleep(0.02)
-        for task in (self._health_task, self._sync_task,
-                     self._anti_entropy_task):
+        for task in (self._health_task, self._sync_task):
             if task is None:
                 continue
             task.cancel()
@@ -1013,150 +995,6 @@ class ClusterRouter:
                 "%s:%d — apply membership changes there"
                 % self.sync_from, "standby")
 
-    # -- anti-entropy replica repair -----------------------------------------
-
-    async def _anti_entropy_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.anti_entropy_interval
-                                * self._jitter.uniform(0.75, 1.25))
-            try:
-                await self._anti_entropy_pass()
-            except asyncio.CancelledError:
-                raise
-            except Exception as error:
-                self.stats.anti_entropy_failures += 1
-                print("repro router: anti-entropy pass failed: %s"
-                      % error, file=sys.stderr)
-
-    async def _shard_digests(self, shard: ShardState
-                             ) -> Tuple[str, Optional[list]]:
-        try:
-            envelope = await shard.request({"op": "digest"},
-                                           timeout=10.0)
-        except (asyncio.TimeoutError, ProtocolError, *_FORWARD_ERRORS):
-            return shard.id, None
-        if not envelope.get("ok"):
-            return shard.id, None
-        return shard.id, envelope["result"].get("entries") or []
-
-    def _l2_has(self, program: str, digest: str) -> Optional[bool]:
-        """Does the shared disk store still hold this entry?  ``None``
-        when there is no shared store to ask (memory-only fleet)."""
-        if self.l2 is None:
-            return None
-        path = os.path.join(self.l2.cache_dir, "objects", program,
-                            digest + ".json")
-        return os.path.exists(path)
-
-    async def _anti_entropy_pass(self) -> dict:
-        """One replica-repair sweep: collect every live shard's
-        memory-tier digests (cheap — no payloads), compute each
-        entry's replication window on the ring, and re-seed window
-        members that lack a copy some other shard still holds.
-
-        This is what heals the two divergence modes replication alone
-        leaves behind: a restarted shard that lost its memory tier,
-        and the seed-vs-invalidate race (``invalidate`` drops every
-        copy; re-analysis on the home reproduces the same
-        content-addressed digest, which the ``_seeded`` dedupe LRU
-        then refuses to push again).  One deliberate asymmetry: when
-        the *home* shard no longer holds an entry, it is re-spread
-        only if the shared disk store still has it — an entry that was
-        invalidated everywhere but survives in one straggler's memory
-        must not be resurrected.  Repairs the LRU later re-evicts are
-        wasted bytes, not wrongness.
-        """
-        live = [shard for shard in self.shards.values()
-                if shard.status == "up"]
-        inventories = await asyncio.gather(
-            *(self._shard_digests(shard) for shard in live))
-        holders: Dict[str, Set[str]] = {}
-        programs: Dict[str, str] = {}
-        unreachable = 0
-        for shard_id, entries in inventories:
-            if entries is None:
-                unreachable += 1
-                continue
-            for entry in entries:
-                digest = entry.get("digest")
-                program = entry.get("program")
-                if not digest or not program:
-                    continue
-                holders.setdefault(digest, set()).add(shard_id)
-                programs[digest] = program
-        repairs = failures = skipped_invalidated = 0
-        for digest, holding in holders.items():
-            preference = self.ring.preference(programs[digest])
-            window = []
-            for node in preference:
-                shard = self.shards.get(node)
-                if shard is not None and shard.status == "up":
-                    window.append(node)
-                    if len(window) == self.replicate:
-                        break
-            missing = [node for node in window if node not in holding]
-            if not missing:
-                continue
-            if window and window[0] not in holding:
-                # The home itself lacks it: restart/eviction (disk
-                # still has it — repair) or a missed invalidate (disk
-                # record is gone — let the straggler copy die by LRU).
-                if self._l2_has(programs[digest], digest) is False:
-                    skipped_invalidated += 1
-                    continue
-            source = next((node for node in preference
-                           if node in holding), None)
-            if source is None:
-                continue
-            outcome = await self._repair_entry(source, digest, missing)
-            repairs += outcome[0]
-            failures += outcome[1]
-        self.stats.anti_entropy_passes += 1
-        self.stats.anti_entropy_repairs += repairs
-        self.stats.anti_entropy_failures += failures
-        return {"entries": len(holders), "shards": len(live),
-                "shards_unreachable": unreachable, "repairs": repairs,
-                "failures": failures,
-                "skipped_invalidated": skipped_invalidated}
-
-    async def _repair_entry(self, source: str, digest: str,
-                            missing: Sequence[str]) -> Tuple[int, int]:
-        """Fetch one entry (key + payload) from ``source`` and seed it
-        into every shard in ``missing``; returns (repairs, failures)."""
-        source_shard = self.shards.get(source)
-        if source_shard is None:
-            return 0, 0
-        try:
-            envelope = await source_shard.request(
-                {"op": "fetch", "digest": digest}, timeout=30.0)
-        except (asyncio.TimeoutError, ProtocolError, *_FORWARD_ERRORS):
-            return 0, 1
-        if not envelope.get("ok"):
-            # Raced an eviction/invalidate between digest and fetch:
-            # nothing to repair from, not a failure.
-            return 0, 0 if envelope.get("code") == "not-found" else 1
-        result = envelope["result"]
-        seed_line = encode_message({"id": None, "op": "seed",
-                                    "key": result.get("key"),
-                                    "payload": result.get("payload")})
-        repairs = failures = 0
-        for node in missing:
-            shard = self.shards.get(node)
-            if shard is None or shard.status != "up":
-                continue
-            try:
-                seeded = decode_message(
-                    await shard.request_raw(seed_line, 30.0))
-            except (asyncio.TimeoutError, ProtocolError,
-                    *_FORWARD_ERRORS):
-                failures += 1
-                continue
-            if seeded.get("ok"):
-                repairs += 1
-            else:
-                failures += 1
-        return repairs, failures
-
     # -- dispatch ------------------------------------------------------------
 
     async def _serve_line(self, line: bytes):
@@ -1311,14 +1149,12 @@ class ClusterRouter:
                             "shard-unavailable")
                     continue
                 shard.note_success()
-                failed_over = node != preference[0]
-                if failed_over:
+                if node != preference[0]:
                     self.stats.failovers += 1
                 if (self.replicate > 1 and len(preference) > 1
                         and request.get("op") == "analyze"):
                     self._maybe_replicate(node, preference, request,
-                                          response,
-                                          read_repair=failed_over)
+                                          response)
                 return response
         if attempts == 0:
             raise RequestError(
@@ -1337,8 +1173,7 @@ class ClusterRouter:
                     "config", "or_width", "baseline")
 
     def _maybe_replicate(self, home: str, preference: Tuple[str, ...],
-                         request: dict, response: bytes,
-                         read_repair: bool = False) -> None:
+                         request: dict, response: bytes) -> None:
         """After a successful analyze on ``home``: push the result into
         the next ``replicate - 1`` replicas' memory tiers, in the
         background.  Only *fresh* computations replicate — cache hits
@@ -1347,21 +1182,12 @@ class ClusterRouter:
         (``transport.frame_analyze``), so every other response — errors
         included — passes through without being decoded here.
 
-        ``read_repair`` is set when this response came from a failover:
-        a replica that had to *recompute* a digest the ``_seeded`` LRU
-        considers already-pushed is proof the seeded copies did not
-        survive, so the dedupe entry is dropped and the push redone."""
-        digest = fresh_digest(response)
-        if digest is None:
+        A fresh result always replicates, even when the same digest
+        was pushed before: the shard recomputed it, so some copy is
+        gone (``invalidate`` dropped them all, or a failover replica
+        never held one), and the push puts the replicas back."""
+        if fresh_digest(response) is None:
             return
-        if digest in self._seeded:
-            if not read_repair:
-                return
-            self._seeded.pop(digest, None)
-            self.stats.read_repairs += 1
-        self._seeded[digest] = True
-        if len(self._seeded) > 4096:
-            self._seeded.popitem(last=False)
         task = asyncio.ensure_future(
             self._replicate(home, preference, request, response))
         self._replication_tasks.add(task)
@@ -1566,11 +1392,6 @@ class ClusterRouter:
             "shards_removed": self.stats.shards_removed,
             "replications": self.stats.replications,
             "replication_failures": self.stats.replication_failures,
-            "anti_entropy_interval": self.anti_entropy_interval,
-            "anti_entropy_passes": self.stats.anti_entropy_passes,
-            "anti_entropy_repairs": self.stats.anti_entropy_repairs,
-            "anti_entropy_failures": self.stats.anti_entropy_failures,
-            "read_repairs": self.stats.read_repairs,
             "role": ("standby" if self.sync_from is not None
                      and self.primary_reachable else "primary"),
             "sync_from": (None if self.sync_from is None
@@ -1676,11 +1497,6 @@ class ClusterRouter:
                 "shards_removed": self.stats.shards_removed,
                 "replications": self.stats.replications,
                 "replication_failures": self.stats.replication_failures,
-                "anti_entropy_passes": self.stats.anti_entropy_passes,
-                "anti_entropy_repairs": self.stats.anti_entropy_repairs,
-                "anti_entropy_failures":
-                    self.stats.anti_entropy_failures,
-                "read_repairs": self.stats.read_repairs,
                 "sync_pulls": self.stats.sync_pulls,
                 "sync_failures": self.stats.sync_failures,
                 "latency": self.stats.latency_summary(),
@@ -1827,16 +1643,6 @@ class ClusterRouter:
                        for shard in self.shards.values()],
         }
 
-    async def _op_anti_entropy(self, request: dict) -> dict:
-        """Force one replica-repair pass now (tests, runbooks) instead
-        of waiting for the periodic loop."""
-        if self.replicate < 2:
-            raise RequestError(
-                "anti-entropy compares copies across the replication "
-                "window — it needs --replicate >= 2 (this router has "
-                "replicate=%d)" % self.replicate)
-        return await self._anti_entropy_pass()
-
     async def _op_shutdown(self, request: dict) -> dict:
         inflight = self._inflight_requests - 1  # minus this request
         self._draining = True
@@ -1855,7 +1661,6 @@ class ClusterRouter:
         "add-shard": _op_add_shard,
         "remove-shard": _op_remove_shard,
         "sync-membership": _op_sync_membership,
-        "anti-entropy": _op_anti_entropy,
         "shutdown": _op_shutdown,
     }
 
@@ -2004,12 +1809,6 @@ def router_main(argv) -> int:
                              "sync-membership op, refusing membership "
                              "writes here until the primary has missed "
                              "--down-after consecutive sync polls")
-    parser.add_argument("--anti-entropy-interval", type=float,
-                        default=5.0, metavar="SECONDS",
-                        help="seconds between replica-repair passes "
-                             "that re-seed memory-tier entries lost to "
-                             "restarts or invalidation races (needs "
-                             "--replicate >= 2; 0 disables; default 5)")
     parser.add_argument("--fleet", default=None, metavar="FILE",
                         help="fleet.json deployment spec supplying "
                              "shards and defaults for replicate/"
@@ -2038,8 +1837,7 @@ def router_main(argv) -> int:
         # Fleet values are defaults; anything given explicitly on the
         # command line (i.e. differing from the parser default) wins.
         for field in ("replicate", "cache_dir", "vnodes", "journal",
-                      "pool_size", "shard_log_dir",
-                      "anti_entropy_interval"):
+                      "pool_size", "shard_log_dir"):
             value = fleet.get(field)
             if (value is not None
                     and getattr(args, field) == parser.get_default(field)):
@@ -2123,7 +1921,6 @@ def router_main(argv) -> int:
             faults=faults,
             journal_path=journal_path,
             sync_from=args.sync_from,
-            anti_entropy_interval=args.anti_entropy_interval,
             shard_log_max_bytes=args.shard_log_max_bytes)
     except ValueError as error:
         for process, _, _, _ in spawned:

@@ -30,8 +30,8 @@ Protocol (one JSON object per line, over TCP)::
                               # queue depth, p50/p95 latency, heap
     -> {"op": "cache-info"}
     -> {"op": "invalidate", "source": "..."}   # or "program_hash"
-    -> {"op": "digest"}       # memory-tier (digest, program) inventory
-    -> {"op": "fetch", "digest": "..."}    # memory entry by digest
+    -> {"op": "seed", "benchmark": "QU", "payload": {...}}
+                              # replication push into the memory tier
     -> {"op": "ping"}
     -> {"op": "shutdown"}     # graceful: drain, flush cache, exit
 
@@ -288,9 +288,9 @@ class AnalysisServer:
                 return result
             return ok_envelope(request_id, result)
         except RequestError as error:
-            # Load shedding, slow analyses and a fetch racing an
-            # eviction are the fleet working as designed, not faults.
-            if error.code not in ("overloaded", "timeout", "not-found"):
+            # Load shedding and slow analyses are the fleet working as
+            # designed, not faults.
+            if error.code not in ("overloaded", "timeout"):
                 self.stats.errors += 1
             return error_envelope(request_id, str(error), error.code)
         except Exception as error:  # analysis/internal failure
@@ -669,59 +669,17 @@ class AnalysisServer:
         this workload's key in the *memory* tier.  Cheap by design —
         no analysis, no disk write — so a home shard's fresh result
         can be fanned out to its replicas' warm memory (the router
-        does this when started with ``--replicate R``).
-
-        Two request forms: the original spec form (``source``/
-        ``benchmark`` + friends, re-deriving the key here proves the
-        pushed payload matches the workload) and a raw ``key`` object
-        (``CacheKey.to_obj`` shape) — the anti-entropy repair path,
-        where the router re-seeds an entry it fetched from a healthy
-        replica and has no spec to rebuild the key from."""
+        does this when started with ``--replicate R``, for every fresh
+        result).  The request carries the analyze spec (``source``/
+        ``benchmark`` + friends); re-deriving the key here proves the
+        pushed payload matches the workload."""
         payload = request.get("payload")
         if not isinstance(payload, dict):
             raise RequestError("'seed' needs a 'payload' object")
-        raw_key = request.get("key")
-        if raw_key is not None:
-            if not isinstance(raw_key, dict):
-                raise RequestError("'key' must be a CacheKey object")
-            try:
-                key = CacheKey.from_obj(raw_key)
-            except (TypeError, ValueError, KeyError, IndexError):
-                raise RequestError("malformed 'key' object")
-            name = str(request.get("name")
-                       or "%s/%d" % tuple(key.query))
-        else:
-            spec, key, _ = self._spec_of(request)
-            name = spec["name"]
+        spec, key, _ = self._spec_of(request)
         self.cache.seed(key, payload)
         self.stats.seeds += 1
-        return {"seeded": True, "key": key.digest, "name": name}
-
-    async def _op_digest(self, request: dict) -> dict:
-        """Memory-tier inventory: every resident ``(digest,
-        program_hash)`` pair.  Deliberately cheap (a lock and a list
-        copy) — the router's anti-entropy pass calls this on every
-        live shard each cycle to find replicas that lost seeded
-        entries to restarts, evictions, or ``invalidate``."""
-        entries = self.cache.memory_digests()
-        return {"entries": [{"digest": digest, "program": program}
-                            for digest, program in entries],
-                "count": len(entries)}
-
-    async def _op_fetch(self, request: dict) -> dict:
-        """Memory-tier lookup by digest: the payload *and* its full
-        key object, so the router can ``seed`` the entry into another
-        shard without knowing the originating request."""
-        digest = request.get("digest")
-        if not isinstance(digest, str):
-            raise RequestError("'fetch' needs a 'digest' string")
-        entry = self.cache.get_by_digest(digest)
-        if entry is None:
-            raise RequestError("digest %s is not in the memory tier"
-                               % digest, "not-found")
-        key, payload = entry
-        return {"digest": digest, "key": key.to_obj(),
-                "payload": payload}
+        return {"seeded": True, "key": key.digest, "name": spec["name"]}
 
     async def _op_stats(self, request: dict) -> dict:
         from ..typegraph import arena, opcache
@@ -804,8 +762,6 @@ class AnalysisServer:
         "slice": _op_slice,
         "batch": _op_batch,
         "seed": _op_seed,
-        "digest": _op_digest,
-        "fetch": _op_fetch,
         "stats": _op_stats,
         "cache-info": _op_cache_info,
         "invalidate": _op_invalidate,

@@ -359,18 +359,30 @@ def test_all_shards_down_is_a_clear_error():
 
 def test_router_rejects_unknown_ops_and_benchmarks():
     async def scenario(router, servers):
-        unknown_op = await send(router.port, {"id": 1, "op": "nope"})
+        unknown_ops = [await send(router.port, {"id": 1, "op": op})
+                       for op in ("nope", "anti-entropy")]
+        unknown_shard_ops = [await send(servers[0].port,
+                                        {"id": 1, "op": op})
+                             for op in ("digest", "fetch")]
         unknown_benchmark = await send(router.port, {
             "id": 2, "op": "analyze", "benchmark": "NO-SUCH"})
         unroutable = await send(router.port, {"id": 3, "op": "analyze"})
         ping = await send(router.port, {"id": 4, "op": "ping"})
         info = await send(router.port, {"id": 5, "op": "router-info"})
-        return unknown_op, unknown_benchmark, unroutable, ping, info
+        shard_ping = await send(servers[0].port, {"id": 6, "op": "ping"})
+        return (unknown_ops, unknown_shard_ops, unknown_benchmark,
+                unroutable, ping, info, shard_ping)
 
-    unknown_op, unknown_benchmark, unroutable, ping, info = \
-        run_cluster(scenario)
-    assert not unknown_op["ok"] and unknown_op["code"] == "bad-request"
-    assert "router ops" in unknown_op["error"]
+    (unknown_ops, unknown_shard_ops, unknown_benchmark, unroutable, ping,
+     info, shard_ping) = run_cluster(scenario)
+    for unknown_op in unknown_ops:
+        assert not unknown_op["ok"] and unknown_op["code"] == "bad-request"
+        assert "unknown op" in unknown_op["error"]
+        assert "router ops" in unknown_op["error"]
+    for unknown_op in unknown_shard_ops:
+        assert not unknown_op["ok"] and unknown_op["code"] == "bad-request"
+        assert "unknown op" in unknown_op["error"]
+    assert shard_ping["ok"]
     assert not unknown_benchmark["ok"]
     assert "NO-SUCH" in unknown_benchmark["error"]
     assert not unroutable["ok"]
@@ -729,53 +741,14 @@ def test_router_forwards_cached_reads_undecoded(monkeypatch):
     assert replications == executed == 2
 
 
-# -- anti-entropy replica repair ---------------------------------------------
+# -- replica repair through replication ----------------------------------------
 
-def test_digest_fetch_seed_round_trip_between_shards():
-    """The three server ops anti-entropy is built from: ``digest``
-    inventories the memory tier, ``fetch`` returns key + payload, and
-    ``seed`` with a raw key object installs it on another shard."""
-
-    async def scenario(router, servers):
-        a, b = servers
-        first = await send(a.port, {"id": 1, "op": "analyze",
-                                    "benchmark": "QU", "payload": False})
-        assert first["ok"]
-        digest = first["result"]["key"]
-        inventory = await send(a.port, {"id": 2, "op": "digest"})
-        fetched = await send(a.port, {"id": 3, "op": "fetch",
-                                      "digest": digest})
-        seeded = await send(b.port, {"id": 4, "op": "seed",
-                                     "key": fetched["result"]["key"],
-                                     "payload": fetched["result"]["payload"]})
-        hit = await send(b.port, {"id": 5, "op": "analyze",
-                                  "benchmark": "QU", "payload": False})
-        missing = await send(a.port, {"id": 6, "op": "fetch",
-                                      "digest": "no-such-digest"})
-        malformed = await send(b.port, {"id": 7, "op": "seed",
-                                        "key": {"bogus": True},
-                                        "payload": {}})
-        return digest, inventory, fetched, seeded, hit, missing, malformed
-
-    digest, inventory, fetched, seeded, hit, missing, malformed = \
-        run_cluster(scenario)
-    entry = next(e for e in inventory["result"]["entries"]
-                 if e["digest"] == digest)
-    assert fetched["result"]["key"]["program_hash"] == entry["program"]
-    assert seeded["ok"] and seeded["result"]["seeded"]
-    assert seeded["result"]["key"] == digest  # same content address
-    assert hit["ok"] and hit["result"]["cached"]
-    assert hit["result"]["fingerprint"] == direct_fingerprint("QU")
-    assert not missing["ok"] and missing["code"] == "not-found"
-    assert not malformed["ok"]
-
-
-def test_seed_vs_invalidate_race_leaves_replica_divergent():
-    """The documented gap anti-entropy exists to close: ``invalidate``
-    drops the seeded replica copy, re-analysis on the home reproduces
-    the *same* content-addressed digest, and the router's ``_seeded``
-    dedupe LRU refuses to push it again — the replica stays cold, so
-    a later failover must recompute (correct result, wasted work)."""
+def test_seed_vs_invalidate_race_reseeds_the_replica():
+    """``invalidate`` drops the seeded replica copy and re-analysis on
+    the home reproduces the *same* content-addressed digest.  The
+    result is fresh again, so the router pushes it again: the replica
+    holds the digest once more, and a failover to it is a warm memory
+    hit with no recomputation."""
 
     async def scenario(router, servers):
         first = await send(router.port, {"id": 1, "op": "analyze",
@@ -790,138 +763,33 @@ def test_seed_vs_invalidate_race_leaves_replica_divergent():
             "id": 2, "op": "invalidate",
             "source": benchmark("QU").source})
         assert report["ok"] and report["result"]["invalidated"] >= 1
-        assert replica.cache.get_by_digest(digest) is None
+        assert digest not in replica.cache._memory
         again = await send(router.port, {"id": 3, "op": "analyze",
                                          "benchmark": "QU",
                                          "payload": False})
         assert again["ok"] and not again["result"]["cached"]
         assert again["result"]["key"] == digest  # same digest, by design
-        await wait_until(lambda: not router._replication_tasks,
-                         timeout=2.0)
-        divergent = replica.cache.get_by_digest(digest) is None
-        # ...and the stale-miss that divergence costs on failover:
+        reseeded = await wait_until(
+            lambda: digest in replica.cache._memory, timeout=5.0)
         await take_out(router, owner)
         failover = await send(router.port, {"id": 4, "op": "analyze",
                                             "benchmark": "QU",
                                             "payload": False})
-        return first, divergent, failover
+        return reseeded, failover, replica.stats.analyses_executed
 
-    first, divergent, failover = run_cluster(
+    reseeded, failover, replica_analyses = run_cluster(
         scenario, router_kwargs={"replicate": 2})
-    assert divergent, "dedupe LRU should have blocked the re-seed"
-    assert failover["ok"]
-    assert not failover["result"]["cached"]  # recomputed, not served warm
-    assert failover["result"]["fingerprint"] == \
-        first["result"]["fingerprint"]
-
-
-def test_anti_entropy_repairs_the_invalidate_race():
-    """Same setup as above, but an ``anti-entropy`` pass between the
-    re-analysis and the failover: the pass sees the home holding a
-    digest its replica window lacks, re-seeds it, and the failover is
-    a warm memory hit again."""
-
-    async def scenario(router, servers):
-        first = await send(router.port, {"id": 1, "op": "analyze",
-                                         "benchmark": "QU",
-                                         "payload": False})
-        digest = first["result"]["key"]
-        owner, owner_index = shard_owning(router, "QU")
-        replica = servers[1 - owner_index]
-        assert await wait_until(lambda: replica.cache.stats.seeds >= 1)
-        await send(router.port, {"id": 2, "op": "invalidate",
-                                 "source": benchmark("QU").source})
-        again = await send(router.port, {"id": 3, "op": "analyze",
-                                         "benchmark": "QU",
-                                         "payload": False})
-        assert again["ok"]
-        await wait_until(lambda: not router._replication_tasks,
-                         timeout=2.0)
-        assert replica.cache.get_by_digest(digest) is None  # diverged
-        repair = await send(router.port, {"id": 4, "op": "anti-entropy"})
-        assert repair["ok"], repair
-        repaired = replica.cache.get_by_digest(digest) is not None
-        await take_out(router, owner)
-        failover = await send(router.port, {"id": 5, "op": "analyze",
-                                            "benchmark": "QU",
-                                            "payload": False})
-        return (first, repair, repaired, failover,
-                replica.stats.analyses_executed,
-                router.stats.anti_entropy_repairs)
-
-    first, repair, repaired, failover, replica_analyses, counted = \
-        run_cluster(scenario, router_kwargs={"replicate": 2})
-    assert repair["result"]["repairs"] >= 1
-    assert counted >= 1
-    assert repaired, "anti-entropy pass did not re-seed the replica"
-    assert failover["ok"]
+    assert reseeded, "re-analysis did not re-seed the replica"
+    assert failover["ok"], failover
     assert failover["result"]["cached"]        # warm memory again
+    assert failover["result"]["fingerprint"] == direct_fingerprint("QU")
     assert replica_analyses == 0               # no recomputation
-    assert failover["result"]["fingerprint"] == \
-        first["result"]["fingerprint"]
-
-
-def test_anti_entropy_reseeds_restarted_home_but_never_resurrects(tmp_path):
-    """The other two anti-entropy cases: a home shard whose memory
-    tier was wiped (restart) is re-seeded from its replica because the
-    shared disk store confirms the entry is legitimate; an entry that
-    was invalidated everywhere but lingers in one straggler's memory
-    is *not* re-spread — invalidate wins over repair."""
-    cache_dir = str(tmp_path / "l2")
-    from repro.service.cache import ResultCache
-
-    async def scenario(router, servers):
-        # -- restart loss: wipe the home's memory, repair from replica
-        first = await send(router.port, {"id": 1, "op": "analyze",
-                                         "benchmark": "QU",
-                                         "payload": False})
-        digest = first["result"]["key"]
-        owner, owner_index = shard_owning(router, "QU")
-        home, replica = servers[owner_index], servers[1 - owner_index]
-        assert await wait_until(lambda: replica.cache.stats.seeds >= 1)
-        with home.cache._lock:  # simulate a restart's empty memory
-            home.cache._memory.clear()
-        assert home.cache.get_by_digest(digest) is None
-        repair = await send(router.port, {"id": 2, "op": "anti-entropy"})
-        assert repair["ok"], repair
-        home_restored = home.cache.get_by_digest(digest) is not None
-
-        # -- straggler resurrection: drop everywhere, re-seed only the
-        # replica's memory, and verify the pass refuses to spread it
-        stale = replica.cache.get_by_digest(digest)
-        await send(router.port, {"id": 3, "op": "invalidate",
-                                 "source": benchmark("QU").source})
-        assert home.cache.get_by_digest(digest) is None
-        replica.cache.seed(*stale)  # the straggler's surviving copy
-        second_repair = await send(router.port,
-                                   {"id": 4, "op": "anti-entropy"})
-        home_still_empty = home.cache.get_by_digest(digest) is None
-        return repair, home_restored, second_repair, home_still_empty
-
-    repair, home_restored, second_repair, home_still_empty = run_cluster(
-        scenario,
-        server_kwargs=lambda i: {"cache": ResultCache(cache_dir)},
-        router_kwargs={"replicate": 2, "cache_dir": cache_dir})
-    assert repair["result"]["repairs"] >= 1
-    assert home_restored, "restart loss was not repaired"
-    assert second_repair["result"]["skipped_invalidated"] >= 1
-    assert home_still_empty, "anti-entropy resurrected an invalidated entry"
-
-
-def test_anti_entropy_requires_replication():
-    async def scenario(router, servers):
-        return await send(router.port, {"id": 1, "op": "anti-entropy"})
-
-    refused = run_cluster(scenario)  # default replicate=1
-    assert not refused["ok"]
-    assert "--replicate" in refused["error"]
 
 
 def test_failover_recompute_triggers_read_repair():
-    """A failover that *recomputes* a digest the dedupe LRU thought
-    was already replicated proves the copies are gone: the router
-    drops the dedupe entry, counts a read-repair, and re-pushes to
-    the surviving replicas."""
+    """A failover that *recomputes* a result is fresh, so it
+    replicates like any other: the serving replica re-pushes to the
+    next live node of the preference list."""
 
     async def scenario(router, servers):
         first = await send(router.port, {"id": 1, "op": "analyze",
@@ -938,19 +806,14 @@ def test_failover_recompute_triggers_read_repair():
                                           "benchmark": "QU",
                                           "payload": False})
         assert second["ok"] and not second["result"]["cached"]
-        # the re-push from the serving replica lands on the next live
-        # node of the preference list
         third = next(s for s in servers
                      if "127.0.0.1:%d" % s.port == preference[2])
-        reseeded = await wait_until(
-            lambda: third.cache.get_by_digest(
-                second["result"]["key"]) is not None)
-        return router.stats.read_repairs, reseeded
+        return await wait_until(
+            lambda: second["result"]["key"] in third.cache._memory)
 
-    read_repairs, reseeded = run_cluster(
-        scenario, shards=3, router_kwargs={"replicate": 3})
-    assert read_repairs >= 1
-    assert reseeded, "read-repair never re-pushed the recomputed entry"
+    reseeded = run_cluster(scenario, shards=3,
+                           router_kwargs={"replicate": 3})
+    assert reseeded, "the failover recompute was never re-pushed"
 
 
 # -- durable membership journal ----------------------------------------------

@@ -80,6 +80,7 @@ def test_check_violation_exits_one_with_complete_json(capsys):
     ["--no-such-flag"],
     ["only-a-file.pl"],
     ["check", "--benchmark", "CHK", "--no-such-flag"],
+    ["router", "--anti-entropy-interval", "1"],
 ])
 def test_usage_errors_exit_two(argv):
     proc = run_repro(*argv)
