@@ -13,7 +13,7 @@ factor on CPython); the printed table is the informative part.
 import time
 
 from repro.domains.leaf import TrivialLeafDomain
-from repro.domains.pattern import SubstBuilder, _UNode
+from repro.domains.pybuilder import SubstBuilder, _UNode
 
 from .conftest import report
 

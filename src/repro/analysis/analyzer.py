@@ -14,9 +14,9 @@ principal-functor comparison analysis of §9.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
+from .._record import Record
 from ..domains.leaf import LeafDomain, TrivialLeafDomain, TypeLeafDomain
 from ..domains.pattern import (AbstractSubst, PAT_BOTTOM, display_subst,
                                make_builder, value_of)
@@ -60,16 +60,21 @@ def make_input_pattern(domain: LeafDomain,
     return builder.freeze(nodes)
 
 
-@dataclass
-class TypeAnalysis:
+class TypeAnalysis(Record):
     """Everything the analysis produced, with convenience accessors."""
 
-    program: Program
-    norm: NormProgram
-    query: PredId
-    domain: LeafDomain
-    result: AnalysisResult
-    wall_time: float
+    __slots__ = ("program", "norm", "query", "domain", "result",
+                 "wall_time")
+
+    def __init__(self, program: Program, norm: NormProgram,
+                 query: PredId, domain: LeafDomain,
+                 result: AnalysisResult, wall_time: float) -> None:
+        self.program = program
+        self.norm = norm
+        self.query = query
+        self.domain = domain
+        self.result = result
+        self.wall_time = wall_time
 
     @property
     def output(self):

@@ -23,9 +23,9 @@ JSON — are bit-identical across kernel tiers and cache-warm/cold runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from .._record import Record
 from ..domains.leaf import LeafDomain
 from ..domains.pattern import PAT_BOTTOM, display_subst, subst_le
 from .compiler import compile_assertion
@@ -39,18 +39,26 @@ VIOLATED = "violated"
 UNREACHABLE = "unreachable"
 
 
-@dataclass
-class Verdict:
+class Verdict(Record):
     """The outcome of one assertion against one analysis table."""
 
-    assertion: Assertion
-    status: str
-    #: table entry ids with a non-bottom β that were compared
-    checked_entries: List[int] = field(default_factory=list)
-    #: the subset whose β escapes the declared pattern
-    offending_entries: List[int] = field(default_factory=list)
-    #: human-readable β renderings for the offending entries
-    details: List[str] = field(default_factory=list)
+    __slots__ = ("assertion", "status", "checked_entries",
+                 "offending_entries", "details")
+
+    def __init__(self, assertion: Assertion, status: str,
+                 checked_entries: Optional[List[int]] = None,
+                 offending_entries: Optional[List[int]] = None,
+                 details: Optional[List[str]] = None) -> None:
+        self.assertion = assertion
+        self.status = status
+        #: table entry ids with a non-bottom β that were compared
+        self.checked_entries = ([] if checked_entries is None
+                                else checked_entries)
+        #: the subset whose β escapes the declared pattern
+        self.offending_entries = ([] if offending_entries is None
+                                  else offending_entries)
+        #: human-readable β renderings for the offending entries
+        self.details = [] if details is None else details
 
     def to_obj(self) -> dict:
         return {"assertion": self.assertion.to_obj(),
@@ -70,11 +78,13 @@ class Verdict:
                    details=list(data.get("details", ())))
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record):
     """All verdicts of one check run."""
 
-    verdicts: List[Verdict] = field(default_factory=list)
+    __slots__ = ("verdicts",)
+
+    def __init__(self, verdicts: Optional[List[Verdict]] = None) -> None:
+        self.verdicts = [] if verdicts is None else verdicts
 
     @property
     def ok(self) -> bool:

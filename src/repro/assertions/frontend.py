@@ -42,9 +42,9 @@ into the analysis domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
+from .._record import FrozenRecord
 from ..prolog.parser import parse_term
 from ..prolog.program import PredId, Program
 from ..prolog.terms import (Atom, Int, Struct, Term, Var, format_term,
@@ -67,8 +67,7 @@ class AssertionSyntaxError(ValueError):
     """A malformed assertion directive (wrong shape, unknown spec)."""
 
 
-@dataclass(frozen=True)
-class Assertion:
+class Assertion(FrozenRecord):
     """One parsed assertion directive.
 
     ``kind`` is ``"pattern"`` (checks β_out) or ``"calls"`` (checks
@@ -77,20 +76,22 @@ class Assertion:
     equality/hashing so the same assertion at a different source line
     compares equal)."""
 
-    kind: str
-    pred: PredId
-    specs: Tuple[str, ...]
-    line: int = field(default=0, compare=False)
+    __slots__ = ("kind", "pred", "specs", "line")
+    _compare = ("kind", "pred", "specs")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("pattern", "calls"):
+    def __init__(self, kind: str, pred: PredId, specs: Tuple[str, ...],
+                 line: int = 0) -> None:
+        if kind not in ("pattern", "calls"):
             raise AssertionSyntaxError(
-                "unknown assertion kind %r" % (self.kind,))
-        if len(self.specs) != self.pred[1]:
+                "unknown assertion kind %r" % (kind,))
+        if len(specs) != pred[1]:
             raise AssertionSyntaxError(
                 "%s/%d assertion needs %d spec(s), got %d"
-                % (self.pred[0], self.pred[1], self.pred[1],
-                   len(self.specs)))
+                % (pred[0], pred[1], pred[1], len(specs)))
+        self.kind = kind
+        self.pred = pred
+        self.specs = specs
+        self.line = line
 
     @property
     def directive(self) -> str:

@@ -27,9 +27,9 @@ are fingerprint-stable.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
+from .._record import Record
 from ..prolog.normalize import NormProgram
 from ..prolog.program import PredId
 from .checker import CheckReport, VIOLATED, Verdict
@@ -37,8 +37,7 @@ from .checker import CheckReport, VIOLATED, Verdict
 __all__ = ["SliceStep", "BlameSlice", "blame_slices"]
 
 
-@dataclass
-class SliceStep:
+class SliceStep(Record):
     """One element of a blame slice.
 
     ``role`` is ``"clause"`` (a producing clause of the violated
@@ -48,16 +47,23 @@ class SliceStep:
     (clause steps have neither).  ``source``/``line`` anchor the step
     to the original program text."""
 
-    role: str
-    pred: PredId
-    entry_id: int
-    clause_index: int
-    body_pos: Optional[int] = None
-    goal: Optional[str] = None
-    source: Optional[str] = None
-    line: int = 0
-    #: hops from the violated entry (0 = its own clauses)
-    depth: int = 0
+    __slots__ = ("role", "pred", "entry_id", "clause_index", "body_pos",
+                 "goal", "source", "line", "depth")
+
+    def __init__(self, role: str, pred: PredId, entry_id: int,
+                 clause_index: int, body_pos: Optional[int] = None,
+                 goal: Optional[str] = None, source: Optional[str] = None,
+                 line: int = 0, depth: int = 0) -> None:
+        self.role = role
+        self.pred = pred
+        self.entry_id = entry_id
+        self.clause_index = clause_index
+        self.body_pos = body_pos
+        self.goal = goal
+        self.source = source
+        self.line = line
+        #: hops from the violated entry (0 = its own clauses)
+        self.depth = depth
 
     def to_obj(self) -> dict:
         return {"role": self.role, "pred": list(self.pred),
@@ -79,15 +85,18 @@ class SliceStep:
                    depth=int(data.get("depth") or 0))
 
 
-@dataclass
-class BlameSlice:
+class BlameSlice(Record):
     """The minimal clause/call-site slice for one offending entry of
     one violated assertion."""
 
-    assertion_key: str
-    pred: PredId
-    entry_id: int
-    steps: List[SliceStep] = field(default_factory=list)
+    __slots__ = ("assertion_key", "pred", "entry_id", "steps")
+
+    def __init__(self, assertion_key: str, pred: PredId, entry_id: int,
+                 steps: Optional[List[SliceStep]] = None) -> None:
+        self.assertion_key = assertion_key
+        self.pred = pred
+        self.entry_id = entry_id
+        self.steps = [] if steps is None else steps
 
     def to_obj(self) -> dict:
         return {"assertion": self.assertion_key,

@@ -12,23 +12,27 @@ says otherwise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from .._record import FrozenRecord
 from . import ar, br, chk, cs, ds, ka, pe, pg, pl, pr, qu, re as re_mod
 
 __all__ = ["BenchProgram", "BENCHMARKS", "benchmark", "benchmark_names"]
 
 
-@dataclass(frozen=True)
-class BenchProgram:
+class BenchProgram(FrozenRecord):
     """One analysis workload."""
 
-    name: str
-    source: str
-    query: Tuple[str, int]
-    input_types: Optional[Tuple[str, ...]] = None
-    description: str = ""
+    __slots__ = ("name", "source", "query", "input_types", "description")
+
+    def __init__(self, name: str, source: str, query: Tuple[str, int],
+                 input_types: Optional[Tuple[str, ...]] = None,
+                 description: str = "") -> None:
+        self.name = name
+        self.source = source
+        self.query = query
+        self.input_types = input_types
+        self.description = description
 
     @property
     def pred_name(self) -> str:

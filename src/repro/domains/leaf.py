@@ -29,7 +29,20 @@ from ..typegraph.ops import g_intersect, g_le, g_split, g_union
 from ..typegraph.widening import g_widen
 
 __all__ = ["LeafDomain", "TypeLeafDomain", "TrivialLeafDomain",
-           "DepthBoundLeafDomain", "TOP", "domain_from_descriptor"]
+           "DepthBoundLeafDomain", "TOP", "domain_from_descriptor",
+           "check_or_width"]
+
+
+def check_or_width(width):
+    """``width`` itself when it is an or-degree restriction: None (no
+    restriction) or an integer >= 0.  Anything else is a
+    ``ValueError``: the C kernels read a negative width as "no cap"
+    while the python tier caps, so one must never reach them."""
+    if width is None or (isinstance(width, int)
+                         and not isinstance(width, bool) and width >= 0):
+        return width
+    raise ValueError("or-width must be an integer >= 0, got %r"
+                     % (width,))
 
 
 class _Top:
@@ -175,13 +188,14 @@ class TypeLeafDomain(LeafDomain):
 
     ``max_or_width`` is the or-degree restriction of Table 3 ("(5)" and
     "(2)" rows): or-vertices with more successors collapse to Any.
+    It must be None or an integer >= 0 (:func:`check_or_width`).
     """
 
     name = "type"
 
     def __init__(self, max_or_width: Optional[int] = None,
                  type_database: Optional[list] = None) -> None:
-        self.max_or_width = max_or_width
+        self.max_or_width = check_or_width(max_or_width)
         self.type_database = type_database
         super().__init__()
 

@@ -15,9 +15,9 @@ Unknown predicates are reported by the engine and treated as identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
+from .._record import FrozenRecord
 from ..domains.leaf import LeafDomain, TypeLeafDomain
 from ..prolog.program import PredId
 from ..typegraph.grammar import Grammar, g_any, g_atom, g_int
@@ -26,8 +26,7 @@ from ..typegraph.ops import g_list_of, g_union
 __all__ = ["BuiltinSpec", "BUILTINS", "is_builtin", "tag_value"]
 
 
-@dataclass(frozen=True)
-class BuiltinSpec:
+class BuiltinSpec(FrozenRecord):
     """Abstract behaviour of one builtin.
 
     ``tags`` gives a constraint tag per argument; ``any`` is the
@@ -35,8 +34,11 @@ class BuiltinSpec:
     ``BuiltinSpec(("any", ...))``.
     """
 
-    tags: Tuple[str, ...]
-    fails: bool = False
+    __slots__ = ("tags", "fails")
+
+    def __init__(self, tags: Tuple[str, ...], fails: bool = False) -> None:
+        self.tags = tags
+        self.fails = fails
 
 
 def _t(*tags: str, fails: bool = False) -> BuiltinSpec:

@@ -7,7 +7,7 @@ A worklist algorithm over a table of *entries* ``(pred, β_in) → β_out``:
   most recent entry's input (the call-pattern widening of §7.1 case 2,
   and the input-pattern collapsing discussed in §8/§9 for RE);
 * clause bodies execute abstractly left-to-right on a
-  :class:`~repro.domains.pattern.SubstBuilder`; procedure calls look up
+  :class:`~repro.domains.pybuilder.SubstBuilder`; procedure calls look up
   the table and record a dependency edge, so an improved callee result
   reschedules its callers;
 * clause results are joined (operation UNION) and, after
@@ -26,7 +26,7 @@ deterministic function of the entry's β_in and the callee outputs at
 its call sites, so the joined result — and therefore every β_out and
 the whole table — is bit-identical to full re-execution; only the
 `clause_iterations` work drops.  A dirty clause additionally resumes
-from a :meth:`~repro.domains.pattern.SubstBuilder.fork` snapshot taken
+from a :meth:`~repro.domains.pybuilder.SubstBuilder.fork` snapshot taken
 just before its first dirty call site instead of from the clause head
 (GAIA-style prefix resumption, counted in
 ``AnalysisStats.callsite_resumptions``).  Call-site granularity also
@@ -52,14 +52,14 @@ would have executed over the same procedure iterations).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..domains.leaf import LeafDomain, TypeLeafDomain
-from ..domains.pattern import (AbstractSubst, PAT_BOTTOM, SubstBuilder,
-                               make_builder, subst_eq, subst_join,
-                               subst_le, subst_top, subst_widen)
+from .._record import Record
+from ..domains.leaf import LeafDomain, TypeLeafDomain, check_or_width
+from ..domains.pattern import (AbstractSubst, PAT_BOTTOM, make_builder,
+                               subst_eq, subst_join, subst_le, subst_top,
+                               subst_widen)
 from ..prolog.normalize import NBuild, NCall, NUnify, NormClause, NormProgram
 from ..prolog.program import PredId
 from ..typegraph import arena, opcache
@@ -77,11 +77,11 @@ class AnalysisBudgetExceeded(RuntimeError):
     happen — widening guarantees termination)."""
 
 
-@dataclass
-class AnalysisConfig:
+class AnalysisConfig(Record):
     """Tunables of the analysis.
 
-    ``max_or_width`` is Table 3's or-degree restriction (None, 5, 2).
+    ``max_or_width`` is Table 3's or-degree restriction (None, 5, 2);
+    anything but None or an integer >= 0 is a ``ValueError``.
     ``max_input_patterns`` bounds polyvariance per predicate.
     ``widening_delay`` counts output updates joined before widening
     kicks in.
@@ -103,71 +103,114 @@ class AnalysisConfig:
     config that pins the assertions it verified.
     """
 
-    max_or_width: Optional[int] = None
-    max_input_patterns: int = 8
-    widening_delay: int = 2
-    strict_widening_after: int = 12
-    max_procedure_iterations: int = 200000
-    type_database: Optional[list] = None  # §10 widening extension
-    differential: bool = True
-    scheduler: str = "lifo"
-    keep_deps: bool = False
-    #: tuple of :class:`repro.assertions.Assertion` (kept untyped to
-    #: avoid an import cycle; the engine itself never reads it)
-    assertions: tuple = ()
+    __slots__ = ("max_or_width", "max_input_patterns", "widening_delay",
+                 "strict_widening_after", "max_procedure_iterations",
+                 "type_database", "differential", "scheduler",
+                 "keep_deps", "assertions")
+
+    def __init__(self, max_or_width: Optional[int] = None,
+                 max_input_patterns: int = 8,
+                 widening_delay: int = 2,
+                 strict_widening_after: int = 12,
+                 max_procedure_iterations: int = 200000,
+                 type_database: Optional[list] = None,  # §10 extension
+                 differential: bool = True,
+                 scheduler: str = "lifo",
+                 keep_deps: bool = False,
+                 assertions: tuple = ()) -> None:
+        self.max_or_width = check_or_width(max_or_width)
+        self.max_input_patterns = max_input_patterns
+        self.widening_delay = widening_delay
+        self.strict_widening_after = strict_widening_after
+        self.max_procedure_iterations = max_procedure_iterations
+        self.type_database = type_database
+        self.differential = differential
+        self.scheduler = scheduler
+        self.keep_deps = keep_deps
+        #: tuple of :class:`repro.assertions.Assertion` (kept untyped
+        #: to avoid an import cycle; the engine itself never reads it)
+        self.assertions = assertions
 
 
-@dataclass
-class AnalysisStats:
-    procedure_iterations: int = 0
-    clause_iterations: int = 0
-    entries_created: int = 0
-    input_widenings: int = 0
-    cpu_time: float = 0.0
-    #: type-graph operation cache traffic attributed to this run (the
-    #: delta of :func:`repro.typegraph.opcache.snapshot` across
-    #: :meth:`Engine.analyze`); both stay 0 with caching disabled.
-    opcache_hits: int = 0
-    opcache_misses: int = 0
-    #: clause runs the differential mode proved redundant and skipped
-    #: (their cached output was joined instead of re-executing);
-    #: ``clause_iterations + clause_iterations_skipped`` equals the
-    #: clause work a non-differential engine performs for the same
-    #: procedure iterations.
-    clause_iterations_skipped: int = 0
-    #: dirty clause runs that resumed from a pre-call-site snapshot
-    #: instead of re-executing the clause from its head.
-    callsite_resumptions: int = 0
-    #: worklist policy the run used (provenance for bench reports).
-    scheduler: str = "lifo"
-    #: arena compilations attributed to this run (grammar arenas plus
-    #: widening step indexes — the delta of
-    #: :func:`repro.typegraph.arena.snapshot`); 0 with the arena
-    #: kernels configured off.
-    arena_compiles: int = 0
-    #: oversized disjunctions the normalizer compiled to auxiliary
-    #: predicates instead of cartesian expansion
-    #: (:attr:`repro.prolog.normalize.NormProgram.disjunction_fallbacks`)
-    #: — a warning-worthy signal that the source had pathological
-    #: disjunctive nesting, not a soundness concern.
-    disjunction_fallbacks: int = 0
+class AnalysisStats(Record):
+    """The counters of one analysis run (Table 3's iterations and the
+    engine's own bookkeeping)."""
+
+    __slots__ = ("procedure_iterations", "clause_iterations",
+                 "entries_created", "input_widenings", "cpu_time",
+                 "opcache_hits", "opcache_misses",
+                 "clause_iterations_skipped", "callsite_resumptions",
+                 "scheduler", "arena_compiles", "disjunction_fallbacks")
+
+    def __init__(self, procedure_iterations: int = 0,
+                 clause_iterations: int = 0,
+                 entries_created: int = 0,
+                 input_widenings: int = 0,
+                 cpu_time: float = 0.0,
+                 opcache_hits: int = 0,
+                 opcache_misses: int = 0,
+                 clause_iterations_skipped: int = 0,
+                 callsite_resumptions: int = 0,
+                 scheduler: str = "lifo",
+                 arena_compiles: int = 0,
+                 disjunction_fallbacks: int = 0) -> None:
+        self.procedure_iterations = procedure_iterations
+        self.clause_iterations = clause_iterations
+        self.entries_created = entries_created
+        self.input_widenings = input_widenings
+        self.cpu_time = cpu_time
+        #: type-graph operation cache traffic attributed to this run
+        #: (the delta of :func:`repro.typegraph.opcache.snapshot`
+        #: across :meth:`Engine.analyze`); both stay 0 with caching
+        #: disabled.
+        self.opcache_hits = opcache_hits
+        self.opcache_misses = opcache_misses
+        #: clause runs the differential mode proved redundant and
+        #: skipped (their cached output was joined instead of
+        #: re-executing); ``clause_iterations +
+        #: clause_iterations_skipped`` equals the clause work a
+        #: non-differential engine performs for the same procedure
+        #: iterations.
+        self.clause_iterations_skipped = clause_iterations_skipped
+        #: dirty clause runs that resumed from a pre-call-site snapshot
+        #: instead of re-executing the clause from its head.
+        self.callsite_resumptions = callsite_resumptions
+        #: worklist policy the run used (provenance for bench reports).
+        self.scheduler = scheduler
+        #: arena compilations attributed to this run (grammar arenas
+        #: plus widening step indexes — the delta of
+        #: :func:`repro.typegraph.arena.snapshot`); 0 with the arena
+        #: kernels configured off.
+        self.arena_compiles = arena_compiles
+        #: oversized disjunctions the normalizer compiled to auxiliary
+        #: predicates instead of cartesian expansion
+        #: (:attr:`repro.prolog.normalize.NormProgram.disjunction_fallbacks`)
+        #: — a warning-worthy signal that the source had pathological
+        #: disjunctive nesting, not a soundness concern.
+        self.disjunction_fallbacks = disjunction_fallbacks
 
 
-@dataclass
-class Entry:
+class Entry(Record):
     """One tabulated (input pattern, predicate, output pattern) tuple —
     the (β_in, p, β_out) triples of §2.  ``dependents`` holds caller
     *entry ids*; the differential engine additionally keeps
     per-call-site edges in ``Engine._callsite_deps`` and prunes both
     when a call site re-resolves elsewhere."""
 
-    id: int
-    pred: PredId
-    beta_in: AbstractSubst
-    beta_out: object = PAT_BOTTOM
-    dependents: Set[int] = field(default_factory=set)
-    updates: int = 0
-    iterations: int = 0
+    __slots__ = ("id", "pred", "beta_in", "beta_out", "dependents",
+                 "updates", "iterations")
+
+    def __init__(self, id: int, pred: PredId, beta_in: AbstractSubst,
+                 beta_out: object = PAT_BOTTOM,
+                 dependents: Optional[Set[int]] = None,
+                 updates: int = 0, iterations: int = 0) -> None:
+        self.id = id
+        self.pred = pred
+        self.beta_in = beta_in
+        self.beta_out = beta_out
+        self.dependents = set() if dependents is None else dependents
+        self.updates = updates
+        self.iterations = iterations
 
 
 class _ClauseState:
@@ -687,7 +730,7 @@ class Engine:
         self._callsite_deps.setdefault(callee.id, set()).add(
             (entry.id, ci, cs))
 
-    def _exec_call(self, entry: Entry, builder: SubstBuilder,
+    def _exec_call(self, entry: Entry, builder,
                    nodes: List, goal: NCall,
                    ci: Optional[int] = None, cs: Optional[int] = None,
                    state: Optional[_ClauseState] = None) -> bool:

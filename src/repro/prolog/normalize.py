@@ -31,9 +31,9 @@ as ``AnalysisStats.disjunction_fallbacks``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
+from .._record import Record
 from .program import Clause, PredId, Program
 from .terms import Atom, Int, Struct, Term, Var, term_variables
 
@@ -132,13 +132,20 @@ class NCall:
 NGoal = Union[NUnify, NBuild, NCall]
 
 
-@dataclass
-class NormClause:
-    pred: PredId
-    nvars: int
-    body: List[NGoal]
-    source: Optional[Clause] = None
-    var_names: List[str] = field(default_factory=list)
+class NormClause(Record):
+    """One normalized clause: head ``pred(X0..Xn-1)`` over ``nvars``
+    variables and a body of kernel goals."""
+
+    __slots__ = ("pred", "nvars", "body", "source", "var_names")
+
+    def __init__(self, pred: PredId, nvars: int, body: List[NGoal],
+                 source: Optional[Clause] = None,
+                 var_names: Optional[List[str]] = None) -> None:
+        self.pred = pred
+        self.nvars = nvars
+        self.body = body
+        self.source = source
+        self.var_names = [] if var_names is None else var_names
 
     def __repr__(self) -> str:
         head_args = ",".join("X%d" % i for i in range(self.pred[1]))
@@ -148,21 +155,34 @@ class NormClause:
         return "%s :- %s." % (head, ", ".join(map(repr, self.body)))
 
 
-@dataclass
-class NormProcedure:
-    pred: PredId
-    clauses: List[NormClause] = field(default_factory=list)
+class NormProcedure(Record):
+    """The normalized clauses of one predicate, in source order."""
+
+    __slots__ = ("pred", "clauses")
+
+    def __init__(self, pred: PredId,
+                 clauses: Optional[List[NormClause]] = None) -> None:
+        self.pred = pred
+        self.clauses = [] if clauses is None else clauses
 
 
-@dataclass
-class NormProgram:
-    procedures: Dict[PredId, NormProcedure] = field(default_factory=dict)
-    order: List[PredId] = field(default_factory=list)
-    #: oversized disjunctions compiled to auxiliary predicates instead
-    #: of cartesian expansion (sound; branch outputs join earlier than
-    #: under inline expansion, so precision may drop — see module doc;
-    #: nonzero values are worth a warning in reports).
-    disjunction_fallbacks: int = 0
+class NormProgram(Record):
+    """A normalized program: its procedures, in source order."""
+
+    __slots__ = ("procedures", "order", "disjunction_fallbacks")
+
+    def __init__(self,
+                 procedures: Optional[Dict[PredId, NormProcedure]] = None,
+                 order: Optional[List[PredId]] = None,
+                 disjunction_fallbacks: int = 0) -> None:
+        self.procedures = {} if procedures is None else procedures
+        self.order = [] if order is None else order
+        #: oversized disjunctions compiled to auxiliary predicates
+        #: instead of cartesian expansion (sound; branch outputs join
+        #: earlier than under inline expansion, so precision may drop
+        #: — see module doc; nonzero values are worth a warning in
+        #: reports).
+        self.disjunction_fallbacks = disjunction_fallbacks
 
     def procedure(self, pred: PredId) -> Optional[NormProcedure]:
         return self.procedures.get(pred)

@@ -8,18 +8,23 @@ means lower *or equal*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
+
+from .._record import FrozenRecord
 
 __all__ = ["OperatorTable", "OpDef", "default_operators", "MAX_PRIORITY"]
 
 MAX_PRIORITY = 1200
 
 
-@dataclass(frozen=True)
-class OpDef:
-    priority: int
-    type: str  # xfx | xfy | yfx | fy | fx | xf | yf
+class OpDef(FrozenRecord):
+    """One operator definition: a priority and a type."""
+
+    __slots__ = ("priority", "type")
+
+    def __init__(self, priority: int, type: str) -> None:
+        self.priority = priority
+        self.type = type  # xfx | xfy | yfx | fy | fx | xf | yf
 
     @property
     def is_infix(self) -> bool:

@@ -7,12 +7,12 @@ on the *normalized* form produced by :mod:`repro.prolog.normalize`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from .._record import Record
 from .operators import OperatorTable
 from .parser import parse_clauses_located
-from .terms import Atom, Int, Struct, Term, Var, format_term
+from .terms import Atom, Struct, Term, format_term
 
 __all__ = ["PredId", "Clause", "Procedure", "Program", "parse_program"]
 
@@ -29,16 +29,19 @@ def _split_conjunction(term: Term) -> List[Term]:
     return [term]
 
 
-@dataclass
-class Clause:
+class Clause(Record):
     """A source clause ``head :- body`` (body is a goal list).
     ``line`` is the 1-based source line of the clause's first token
     (None when the clause was built programmatically) — the anchor
     assertion blame slices report."""
 
-    head: Term
-    body: List[Term]
-    line: Optional[int] = None
+    __slots__ = ("head", "body", "line")
+
+    def __init__(self, head: Term, body: List[Term],
+                 line: Optional[int] = None) -> None:
+        self.head = head
+        self.body = body
+        self.line = line
 
     @property
     def pred(self) -> PredId:
@@ -55,12 +58,15 @@ class Clause:
         return "%s :- %s." % (format_term(self.head), goals)
 
 
-@dataclass
-class Procedure:
+class Procedure(Record):
     """All clauses for one predicate, in source order."""
 
-    pred: PredId
-    clauses: List[Clause] = field(default_factory=list)
+    __slots__ = ("pred", "clauses")
+
+    def __init__(self, pred: PredId,
+                 clauses: Optional[List[Clause]] = None) -> None:
+        self.pred = pred
+        self.clauses = [] if clauses is None else clauses
 
     @property
     def name(self) -> str:
@@ -71,16 +77,22 @@ class Procedure:
         return self.pred[1]
 
 
-@dataclass
-class Program:
+class Program(Record):
     """A Prolog program: procedures plus directives, in source order."""
 
-    procedures: Dict[PredId, Procedure] = field(default_factory=dict)
-    directives: List[Term] = field(default_factory=list)
-    #: source line per directive, parallel to ``directives`` (0 when
-    #: unknown — directives added programmatically).
-    directive_lines: List[int] = field(default_factory=list)
-    order: List[PredId] = field(default_factory=list)
+    __slots__ = ("procedures", "directives", "directive_lines", "order")
+
+    def __init__(self, procedures: Optional[Dict[PredId, Procedure]] = None,
+                 directives: Optional[List[Term]] = None,
+                 directive_lines: Optional[List[int]] = None,
+                 order: Optional[List[PredId]] = None) -> None:
+        self.procedures = {} if procedures is None else procedures
+        self.directives = [] if directives is None else directives
+        #: source line per directive, parallel to ``directives`` (0
+        #: when unknown — directives added programmatically).
+        self.directive_lines = ([] if directive_lines is None
+                                else directive_lines)
+        self.order = [] if order is None else order
 
     def add_clause(self, clause: Clause) -> None:
         pred = clause.pred

@@ -78,8 +78,6 @@ import time
 from collections import OrderedDict, deque
 from typing import Dict, Optional, Tuple, Union
 
-from dataclasses import replace as _replace
-
 from ..fixpoint.engine import AnalysisConfig
 from ..prolog.program import Program, parse_program
 from .batch import WorkerPool, _execute_spec, _settled
@@ -396,7 +394,10 @@ class AnalysisServer:
             except (TypeError, ValueError, KeyError):
                 raise RequestError("malformed 'config'")
         elif request.get("or_width") is not None:
-            config = AnalysisConfig(max_or_width=int(request["or_width"]))
+            try:
+                config = AnalysisConfig(max_or_width=request["or_width"])
+            except ValueError as error:
+                raise RequestError("'or_width': %s" % (error,))
         else:
             config = None
         baseline = bool(request.get("baseline", False))
@@ -439,7 +440,7 @@ class AnalysisServer:
             raise RequestError("bad assertion directive: %s" % error)
         base = (decode_config(spec["config"])
                 if spec["config"] is not None else AnalysisConfig())
-        config = _replace(base, assertions=assertions, keep_deps=True)
+        config = base.replace(assertions=assertions, keep_deps=True)
         query = (spec["query"][0], int(spec["query"][1]))
         key = make_key(program, query,
                        decode_input_types(spec["input_types"]), config,

@@ -154,7 +154,10 @@ class LineServer:
     open client transports a draining process must hang up on
     (``Server.wait_closed`` waits for every connection handler from
     Python 3.12.1, and a handler parked in ``readline`` on an idle
-    client would otherwise block shutdown forever).
+    client would otherwise block shutdown forever).  :meth:`wait_closed`
+    also waits for the handlers itself: before 3.12.1 the server's own
+    wait returns at once, and the loop would then cancel the handlers
+    mid-read, logging a traceback for each.
 
     An optional ``faults`` plan (:class:`repro.service.faults.FaultPlan`)
     hooks the three lifecycle points — accept, request-read,
@@ -172,6 +175,8 @@ class LineServer:
         self.limit = limit
         self.faults = faults
         self.connections: set = set()
+        #: the running connection-handler tasks
+        self._handlers: set = set()
         self._server: Optional[asyncio.AbstractServer] = None
 
     async def start(self) -> None:
@@ -185,6 +190,8 @@ class LineServer:
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         faults = self.faults
+        task = asyncio.current_task()
+        self._handlers.add(task)
         self.connections.add(writer)
         try:
             if faults is not None and faults.on_accept():
@@ -241,6 +248,7 @@ class LineServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
+            self._handlers.discard(task)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -256,8 +264,15 @@ class LineServer:
             writer.close()
 
     async def wait_closed(self) -> None:
+        """Wait until the server and every connection handler have
+        ended (call :meth:`hang_up` first, or idle clients keep their
+        handlers alive)."""
         if self._server is not None:
             await self._server.wait_closed()
+        current = asyncio.current_task()
+        handlers = [task for task in self._handlers if task is not current]
+        if handlers:
+            await asyncio.wait(handlers)
 
 
 # -- asyncio client side (router -> shard) -----------------------------------

@@ -2,7 +2,7 @@
  *
  * Compiled lazily by repro/typegraph/_native.py with the system C
  * compiler; everything here mirrors the pure-Python kernels in
- * arena.py / ops.py / pattern.py step for step, so results are
+ * _python.py / widenloop.py / pybuilder.py step for step, so results are
  * bit-identical: all Grammar / AbstractSubst construction funnels
  * through Python callbacks into the process-wide intern tables, and
  * this module only ever hands back the canonical interned objects.
@@ -513,7 +513,7 @@ static void dense_free(Dense *d) {
     memset(d, 0, sizeof(*d));
 }
 
-/* nonempty least fixpoint, mirroring arena._nonempty_bits */
+/* nonempty least fixpoint, mirroring _python._nonempty_bits */
 static int dense_nonempty(const Dense *d, char *ne) {
     int n = d->n;
     int nalts = d->asym.len;
@@ -586,7 +586,7 @@ done:
 }
 
 /* Full normalization of a Dense buffer; returns a NEW reference to the
- * canonical interned Grammar.  Mirrors arena._normalize_dense +
+ * canonical interned Grammar.  Mirrors _python.normalize_dense +
  * _renumber_and_intern exactly (the partition is unique, the
  * representative is the minimum original index, BFS order is fkey-
  * sorted), so the flat int key matches the Python tiers bit for bit. */
@@ -1193,7 +1193,7 @@ static void prod_free(Prod *p) {
     dense_free(&p->d);
 }
 
-/* bare union product, mirroring arena._arena_union_py */
+/* bare union product, mirroring _python.arena_union */
 static PyObject *union_product(PyObject *g1, PyObject *g2, int w) {
     CArena *a1 = get_arena(g1);
     CArena *a2 = a1 ? get_arena(g2) : NULL;
@@ -1278,7 +1278,7 @@ static PyObject *union_product(PyObject *g1, PyObject *g2, int w) {
     return res;
 }
 
-/* bare intersection product, mirroring arena._arena_intersect_py */
+/* bare intersection product, mirroring _python.arena_intersect */
 static PyObject *intersect_product(PyObject *g1, PyObject *g2, int w) {
     CArena *a1 = get_arena(g1);
     CArena *a2 = a1 ? get_arena(g2) : NULL;
@@ -1440,7 +1440,7 @@ done:
     return res;
 }
 
-/* functor construction, mirroring arena._arena_functor_py (the
+/* functor construction, mirroring _python.arena_functor (the
  * g_functor opcache probe is replaced by the C-side functor memo) */
 static PyObject *c_g_functor(PyObject *name, PyObject *children, int w) {
     PROF_BEGIN(OP_FUNCTOR)
@@ -1537,7 +1537,7 @@ done:
     return res;
 }
 
-/* subgrammar at dense index, mirroring arena._arena_subgrammar_py:
+/* subgrammar at dense index, mirroring _python.arena_subgrammar:
  * BFS renumbering over the (pre-sorted, duplicate-free) arena rows of
  * a normalized grammar is already the canonical numbering, so the
  * emission below is the result's canonical flat int key. */
@@ -1660,7 +1660,7 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
-/* widening (repro.typegraph.widening._g_widen_impl): the tree +
+/* widening (repro.typegraph.widenloop.widen): the tree +
  * back-edge view, clash detection and both transformation rules,
  * mirroring the Python reference step for step.  The grammar produced
  * by every step goes through the same dense_normalize pipeline, so
@@ -2063,7 +2063,7 @@ static int build_local(WGraph *g, LocalArena *L) {
 }
 
 /* denotation inclusion between two or-vertices of the same graph,
- * with a per-step result memo (widening._vertex_le) */
+ * with a per-step result memo (widenloop._vertex_le) */
 static int w_vertex_le(const LocalArena *L, WVert *v1, WVert *v2,
                        IMap *memo) {
     int64_t key = ((int64_t)v1->nt << 32) | (uint32_t)v2->nt;
@@ -2142,7 +2142,7 @@ static PyObject *local_norm(const LocalArena *L, int nt) {
 }
 
 /* graft `upper` at nonterminal `nt_va` of the raw view and normalize
- * (widening._graft + normalize) */
+ * (widenloop._graft + normalize) */
 static PyObject *w_graft_candidate(const LocalArena *L, int nt_va,
                                    PyObject *upper, int w) {
     CArena *ua = get_arena(upper);
@@ -2714,7 +2714,7 @@ done:
     return res;
 }
 
-/* _merge (pattern._merge): the common-structure walk with its leaf
+/* merge (pybuilder.merge): the common-structure walk with its leaf
  * combiner.  mode 1 combines with the pure-C union, mode 2 with the
  * pure-C widening (the TypeLeafDomain join/widen bodies); mode 0
  * calls back into an arbitrary Python combiner for overriding

@@ -6,14 +6,21 @@ directory, one file per source and compile command, so the repo needs
 no build step and no toolchain: when compilation is impossible the
 loader reports a reason and the tier machinery in
 :mod:`repro.typegraph.arena` falls back to the python tier and
-records the reason in ``arena.kernel_status()``.  The C module holds only integers — every
-Grammar/AbstractSubst it returns is produced through the same intern
-tables as the pure-Python tier (see ``arena._grammar_from_intkey`` and
-``pattern._freeze_build``), so results are *identical objects* across
-tiers and the opcache/serialize layers stay tier-oblivious.
+records the reason in ``arena.kernel_status()``.  The C module holds
+only integers — every Grammar/AbstractSubst it returns is produced
+through the same intern tables as the python tier (see
+``arena._grammar_from_intkey`` and ``pattern._freeze_build``), so
+results are *identical objects* across tiers and the opcache/serialize
+layers stay tier-oblivious.
 
 This module is the object published as ``arena.NATIVE``; the functions
-below are the dispatch surface the python-level call sites use.
+below are the dispatch surface the python-level call sites use.  The
+python tier's module, :mod:`repro.typegraph._python`, offers the same
+arena-op surface; a process on this tier never imports it, nor the
+Python widening loop (:mod:`repro.typegraph.widenloop`), the
+Grammar-level references or the Python substitution builder
+(:mod:`repro.domains.pybuilder`), since the C module serves the
+widening and the Pat(Type) walks itself.
 """
 
 from __future__ import annotations
@@ -203,7 +210,7 @@ def subst_le(s1, s2, did: int, max_or_width: Optional[int]) -> bool:
 
 def subst_merge(s1, s2, did: int, max_or_width: Optional[int],
                 mode: int, strict: bool, combine):
-    """The ``pattern._merge`` walk in C.  ``mode`` selects the leaf
+    """The ``pybuilder.merge`` walk in C.  ``mode`` selects the leaf
     combiner: 1 = the pure-C union (``TypeLeafDomain.join``), 2 = the
     pure-C widening (``TypeLeafDomain.widen``, no type database), 0 =
     call back into the Python ``combine`` for overriding domains."""
@@ -212,7 +219,7 @@ def subst_merge(s1, s2, did: int, max_or_width: Optional[int],
 
 
 class NativeSubstBuilder:
-    """Drop-in for :class:`repro.domains.pattern.SubstBuilder` whose
+    """Drop-in for :class:`repro.domains.pybuilder.SubstBuilder` whose
     union-find nodes and walks live in C.  Only built for
     :class:`~repro.domains.leaf.TypeLeafDomain` (and subclasses that
     keep its meet/split/le primitives), whose operations the C tier

@@ -28,12 +28,18 @@ worklist loops over plain ints:
   partition refinement, and BFS renumbering over int arrays, touching
   ``FuncAlt`` objects only once to build the final interned result.
 
-Results are **bit-identical** to the reference implementations kept in
-:mod:`repro.typegraph.grammar` / :mod:`repro.typegraph.ops`
+Results are **bit-identical** to the Grammar-level reference
+implementations in :mod:`repro.typegraph.reference`
 (``tests/test_arena_properties.py`` proves it with hypothesis; the
 benchmark trajectory compares full-engine fingerprints).
 :func:`configure` (``enabled=False``) routes every operation back
 through the reference paths, which is how those tests reach them.
+
+This module holds what both tiers share: tier selection, the symbol
+table, the per-grammar arena, the flat-int intern probe the C tier
+returns through, and the dispatch functions (``arena_le`` and the
+rest).  Each tier's kernels live in a module of its own, imported when
+that tier is selected.
 
 Execution tiers
 ---------------
@@ -41,15 +47,17 @@ Execution tiers
 The arena kernels themselves run in one of two tiers, selected by
 ``REPRO_ARENA_KERNEL`` (or ``configure(kernel=...)``):
 
-* ``python`` — the iterative worklist loops below, over Python-int
-  bitsets.  Always available; the no-compiler fallback and the
-  cross-tier oracle.
-* ``native`` — a small C extension (:mod:`repro.typegraph._native`)
-  compiled lazily with the system C compiler, which additionally
-  serves the memoized grammar *operations* (``g_le``/``g_union``/
-  ``g_intersect``/``g_functor``/``subgrammar``) and the Pat(Type)
-  pattern walks from C-side tables.  Falls back to ``python`` when
-  no toolchain is available.
+* ``python`` — iterative worklist loops over Python-int bitsets, in
+  :mod:`repro.typegraph._python` (published as :data:`PYTHON`).
+  Always available; the no-compiler fallback and the cross-tier
+  oracle.  A native-tier process never imports it.
+* ``native`` — a small C extension (:mod:`repro.typegraph._native`,
+  published as :data:`NATIVE`) compiled lazily with the system C
+  compiler, which additionally serves the memoized grammar
+  *operations* (``g_le``/``g_union``/``g_intersect``/``g_functor``/
+  ``subgrammar``), the widening and the Pat(Type) pattern walks from
+  C-side tables.  Falls back to ``python`` when no toolchain is
+  available.
 
 ``auto`` (the default) resolves like ``native``.  An unrecognised
 ``REPRO_ARENA_KERNEL`` value also resolves like ``auto``, and
@@ -72,7 +80,7 @@ from .grammar import ANY, INT, FuncAlt, Grammar, intern_grammar
 __all__ = [
     "SymbolTable", "SYMBOLS", "GrammarArena", "arena_of", "decompile",
     "arena_le", "arena_union", "arena_intersect", "arena_functor",
-    "arena_subgrammar", "arena_normalize", "RulesIndex",
+    "arena_subgrammar", "arena_normalize",
     "enabled", "configure", "stats", "snapshot",
     "kernel", "available_kernels", "kernel_status",
 ]
@@ -117,6 +125,12 @@ _KERNEL_ACTIVE: Optional[str] = None
 #: tier is re-resolved.
 NATIVE = None
 
+#: The python tier's kernel module (:mod:`repro.typegraph._python`),
+#: imported when the tier resolves to ``python`` and None until then,
+#: so a native-tier process never compiles it.  Only read where
+#: ``NATIVE`` is None.
+PYTHON = None
+
 
 def _try_native():
     try:
@@ -132,8 +146,8 @@ def _try_native():
 def _resolve_kernel() -> str:
     """Resolve the requested tier to an available one (recording why
     the native tier was skipped), load its helper module, and publish
-    the module global the dispatch sites read."""
-    global _KERNEL_ACTIVE, NATIVE
+    the module globals the dispatch sites read."""
+    global _KERNEL_ACTIVE, NATIVE, PYTHON
     if _KERNEL_ACTIVE is not None:
         return _KERNEL_ACTIVE
     NATIVE = None
@@ -145,6 +159,9 @@ def _resolve_kernel() -> str:
         else:
             NATIVE = mod
             _KERNEL_ACTIVE = "native"
+    if NATIVE is None and PYTHON is None:
+        from . import _python
+        PYTHON = _python
     return _KERNEL_ACTIVE
 
 
@@ -509,45 +526,13 @@ def _normalize_core(items: Dict[int, tuple], root: int,
                             max_or_width)
 
 
-def _nonempty_bits(any_f: List[bool], int_f: List[bool],
-                   funcs: List[list], n: int) -> int:
-    """Nonempty bitset (worklist with per-alternative counters;
-    duplicate argument occurrences register the cell once per
-    occurrence and count once per occurrence, so they balance)."""
-    nonempty = 0
-    waiting: Dict[int, list] = {}
-    stack: List[int] = []
-    for i in range(n):
-        if any_f[i] or int_f[i]:
-            nonempty |= 1 << i
-            stack.append(i)
-            continue
-        for sym, arg_idx in funcs[i]:
-            if not arg_idx:
-                if not (nonempty >> i) & 1:
-                    nonempty |= 1 << i
-                    stack.append(i)
-                break
-            cell = [i, len(arg_idx)]
-            for a in arg_idx:
-                waiting.setdefault(a, []).append(cell)
-    while stack:
-        proved = stack.pop()
-        for cell in waiting.get(proved, ()):
-            cell[1] -= 1
-            if cell[1] == 0 and not (nonempty >> cell[0]) & 1:
-                nonempty |= 1 << cell[0]
-                stack.append(cell[0])
-    return nonempty
-
-
 def _normalize_dense(any_f: List[bool], int_f: List[bool],
                      funcs: List[list], root_i: int,
                      max_or_width: Optional[int],
                      prune: bool = True) -> Grammar:
     """Normalization over dense arrays: ``funcs[i]`` lists the functor
     alternatives of nonterminal ``i`` as ``(sym, arg_index_tuple)``
-    (duplicate-free).  Mutates the argument lists in place.
+    (duplicate-free), on the active tier.  The lists may be mutated.
 
     ``prune=False`` skips the nonemptiness pass — sound for
     constructions that cannot produce empty nonterminals from
@@ -556,219 +541,8 @@ def _normalize_dense(any_f: List[bool], int_f: List[bool],
     if NATIVE is not None:
         return NATIVE.normalize_dense(any_f, int_f, funcs, root_i,
                                       max_or_width, prune)
-    n = len(any_f)
-    is_literal = SYMBOLS.is_literal
-
-    if prune:
-        # 1. nonempty pass
-        nonempty = _nonempty_bits(any_f, int_f, funcs, n)
-    all_mask = (1 << n) - 1
-
-    # 2+3. prune empty references, absorb, cap or-width
-    for i in range(n):
-        row = funcs[i]
-        if prune and nonempty != all_mask:
-            kept = []
-            for sym, arg_idx in row:
-                ok = True
-                for a in arg_idx:
-                    if not (nonempty >> a) & 1:
-                        ok = False
-                        break
-                if ok:
-                    kept.append((sym, arg_idx))
-        else:
-            kept = row if isinstance(row, list) else list(row)
-        has_any = any_f[i]
-        has_int = int_f[i]
-        if has_any and (has_int or kept):
-            has_int = False
-            kept = []
-        elif has_int:
-            kept = [(sym, arg_idx) for sym, arg_idx in kept
-                    if not is_literal[sym]]
-        if max_or_width is not None and \
-                (has_any + has_int + len(kept)) > max_or_width:
-            has_any, has_int, kept = True, False, []
-        any_f[i] = has_any
-        int_f[i] = has_int
-        funcs[i] = kept
-
-    # 4. partition refinement to the coarsest bisimulation — identical
-    #    partition to the reference walk (the coarsest
-    #    signature-stable partition is unique; any fair split order
-    #    reaches it).  Split-based with a dirty-class worklist: only
-    #    classes containing a node whose successors were relabelled
-    #    recompute signatures, instead of re-signing every node every
-    #    round.  An alternative's signature is a flat
-    #    ``(code, digits)`` pair: ``digits`` packs the arg classes as
-    #    base-(n+1) positional digits (each >= 1), and ``code`` fixes
-    #    the symbol hence the arity, so the pair is injective — and
-    #    far cheaper to hash than variable-length nested tuples.
-    #    (ANY -> code 0, INT -> 1, functor sym -> s + 2.)
-    classes = _refine_classes(any_f, int_f, funcs, n)
-    representative: Dict[int, int] = {}
-    for i in range(n):
-        representative.setdefault(classes[i], i)
-    cmap = [representative[c] for c in classes]
-    return _renumber_and_intern(any_f, int_f, funcs, cmap, root_i)
-
-
-def _refine_classes(any_f: List[bool], int_f: List[bool],
-                    funcs: List[list], n: int) -> List[int]:
-    classes = [0] * n
-    if n > 1:
-        shapes: List[list] = [None] * n
-        preds: List[list] = [[] for _ in range(n)]
-        for i in range(n):
-            parts = []
-            if any_f[i]:
-                parts.append((0, ()))
-            if int_f[i]:
-                parts.append((1, ()))
-            for sym, arg_idx in funcs[i]:
-                parts.append((sym + 2, arg_idx))
-                for a in arg_idx:
-                    preds[a].append(i)
-            shapes[i] = parts
-        base = n + 1
-        members: Dict[int, List[int]] = {0: list(range(n))}
-        next_class = 1
-        pending = {0}
-        while pending:
-            cls = pending.pop()
-            group = members[cls]
-            if len(group) <= 1:
-                continue
-            sig_groups: Dict[tuple, list] = {}
-            for i in group:
-                row = []
-                for code, arg_idx in shapes[i]:
-                    digits = 0
-                    for a in arg_idx:
-                        digits = digits * base + classes[a] + 1
-                    row.append((code, digits))
-                if len(row) > 1:
-                    row.sort()
-                sig_groups.setdefault(tuple(row), []).append(i)
-            if len(sig_groups) == 1:
-                continue
-            # the largest part keeps the label; relabelled nodes make
-            # their predecessors' classes dirty
-            parts_by_size = sorted(sig_groups.values(), key=len,
-                                   reverse=True)
-            members[cls] = parts_by_size[0]
-            for part in parts_by_size[1:]:
-                label = next_class
-                next_class += 1
-                members[label] = part
-                for i in part:
-                    classes[i] = label
-                for i in part:
-                    for pred in preds[i]:
-                        pending.add(classes[pred])
-    return classes
-
-
-def _renumber_and_intern(any_f: List[bool], int_f: List[bool],
-                         funcs: List[list], cmap: List[int],
-                         root_i: int) -> Grammar:
-    """Steps 5–6 of :func:`_normalize_dense`: canonical BFS
-    renumbering, the intern probe, and the fused arena build."""
-    # 5. BFS renumbering from the root's class, alternatives visited in
-    #    canonical fkey order (ANY/INT have no children, so only the
-    #    functor alternatives drive the numbering)
-    fkeys = SYMBOLS.fkeys
-    start = cmap[root_i]
-    number = {start: 0}
-    order = [start]
-    qi = 0
-    merged: Dict[int, list] = {}
-    while qi < len(order):
-        i = order[qi]
-        qi += 1
-        seen_alts = set()
-        alts = []
-        for sym, arg_idx in funcs[i]:
-            mapped = tuple(cmap[a] for a in arg_idx)
-            entry = (sym, mapped)
-            if entry in seen_alts:  # class-mapping can merge duplicates
-                continue
-            seen_alts.add(entry)
-            alts.append((fkeys[sym], sym, mapped))
-        alts.sort()
-        merged[i] = alts
-        for _, _, mapped in alts:
-            for child in mapped:
-                if child not in number:
-                    number[child] = len(number)
-                    order.append(child)
-
-    # 6. probe the int-keyed intern index before building any objects:
-    #    the canonical numbering and per-node fkey-sorted rows make the
-    #    flat int encoding below a deterministic function of the
-    #    grammar's structure, so a repeat normalization returns the
-    #    canonical instance without constructing a single FuncAlt,
-    #    frozenset, or structural hash.
-    out_n = len(number)
-    flat: List[int] = [out_n]
-    renumbered: List[tuple] = [None] * out_n
-    for i, new_nt in number.items():
-        rows = []
-        for fkey, sym, mapped in merged[i]:
-            renum = tuple(number[c] for c in mapped)
-            rows.append((fkey, sym, renum))
-        renumbered[new_nt] = (i, rows)
-    for new_nt in range(out_n):
-        i, rows = renumbered[new_nt]
-        flat.append((1 if any_f[i] else 0) | (2 if int_f[i] else 0))
-        flat.append(len(rows))
-        for _, sym, renum in rows:
-            flat.append(sym)
-            flat.extend(renum)
-    int_key = tuple(flat)
-    cached_grammar = _INTKEY_INTERN.get(int_key)
-    if cached_grammar is not None:
-        return cached_grammar
-
-    # build the final Grammar once (plus its arena, for free)
-    final: Dict[int, frozenset] = {}
-    out_any = 0
-    out_int = 0
-    out_syms: List[tuple] = [()] * out_n
-    out_args: List[tuple] = [()] * out_n
-    out_by: List[dict] = [None] * out_n
-    key_items: List[tuple] = [None] * out_n
-    for new_nt in range(out_n):
-        i, rows = renumbered[new_nt]
-        alt_objs: List[object] = []
-        if any_f[i]:
-            alt_objs.append(ANY)
-            out_any |= 1 << new_nt
-        if int_f[i]:
-            alt_objs.append(INT)
-            out_int |= 1 << new_nt
-        for fkey, sym, renum in rows:
-            alt_objs.append(FuncAlt(fkey[1], renum, fkey[0] == "i"))
-        out_syms[new_nt] = tuple(sym for _, sym, _ in rows)
-        out_args[new_nt] = tuple(renum for _, _, renum in rows)
-        out_by[new_nt] = {sym: renum for _, sym, renum in rows}
-        key_items[new_nt] = (new_nt, tuple(alt_objs))
-        final[new_nt] = frozenset(alt_objs)
-    raw = Grammar(final, 0)
-    # alt_objs is already in _alt_sort_key order (ANY, INT, functors in
-    # fkey order) and nts are dense from 0, so the structural key can be
-    # assembled here without re-sorting the frozensets.
-    raw._key_cache = (0, tuple(key_items))
-    grammar = intern_grammar(raw)
-    if grammar._arena is None:
-        global _COMPILES
-        _COMPILES += 1  # fused compile: the arrays are already flat
-        grammar._arena = GrammarArena(
-            out_n, out_any, out_int, tuple(out_syms), tuple(out_args),
-            tuple(out_by))
-    _INTKEY_INTERN[int_key] = grammar
-    return grammar
+    return PYTHON.normalize_dense(any_f, int_f, funcs, root_i,
+                                  max_or_width, prune)
 
 
 # -- native-tier bridge ------------------------------------------------------
@@ -907,7 +681,11 @@ def _arena_normalize_impl(grammar: Grammar,
     return _normalize_core(items, grammar.root, max_or_width)
 
 
-# -- inclusion ---------------------------------------------------------------
+# -- the tier-dispatched operations ------------------------------------------
+#
+# Each runs on the native tier when it is loaded and on the python
+# tier's loops (:mod:`repro.typegraph._python`) otherwise; both return
+# the identical interned grammar.
 
 def arena_le(g1: Grammar, g2: Grammar) -> bool:
     """Exact inclusion as an iterative worklist over the synchronized
@@ -916,139 +694,21 @@ def arena_le(g1: Grammar, g2: Grammar) -> bool:
     if NATIVE is not None:
         return NATIVE.arena_le(g1, g2)
     if _KPROF:
-        return _timed("le", _arena_le_py, g1, g2)
-    return _arena_le_py(g1, g2)
+        return _timed("le", PYTHON.arena_le, g1, g2)
+    return PYTHON.arena_le(g1, g2)
 
-
-def _arena_le_py(g1: Grammar, g2: Grammar) -> bool:
-    a1 = arena_of(g1)
-    a2 = arena_of(g2)
-    any1, int1 = a1.any_mask, a1.int_mask
-    any2, int2 = a2.any_mask, a2.int_mask
-    n2 = a2.n
-    is_literal = SYMBOLS.is_literal
-    r1 = a1.index_of(g1.root)
-    r2 = a2.index_of(g2.root)
-    seen = {r1 * n2 + r2}
-    stack = [(r1, r2)]
-    syms1, args1, by2 = a1.syms, a1.args, a2.by_sym
-    while stack:
-        i, j = stack.pop()
-        if (any2 >> j) & 1:
-            continue  # ANY on the right covers everything below
-        if (any1 >> i) & 1:
-            return False  # nothing but ANY covers all terms
-        has_int = (int2 >> j) & 1
-        if (int1 >> i) & 1 and not has_int:
-            return False
-        row = by2[j]
-        for sym, arg_tuple in zip(syms1[i], args1[i]):
-            if has_int and is_literal[sym]:
-                continue
-            other = row.get(sym)
-            if other is None:
-                return False
-            for c1, c2 in zip(arg_tuple, other):
-                key = c1 * n2 + c2
-                if key not in seen:
-                    seen.add(key)
-                    stack.append((c1, c2))
-    return True
-
-
-# -- union -------------------------------------------------------------------
 
 def arena_union(g1: Grammar, g2: Grammar,
                 max_or_width: Optional[int]) -> Grammar:
     """Pointwise-merged union (principal functor restriction) as an
     iterative product construction over int keys, emitting the dense
-    arrays normalization consumes directly.  The product discovery is
-    inherently sequential hash-consing; the native tier runs the whole
-    construction in C."""
+    arrays normalization consumes directly."""
     if NATIVE is not None:
         return NATIVE.arena_union(g1, g2, max_or_width)
     if _KPROF:
-        return _timed("union", _arena_union_py, g1, g2, max_or_width)
-    return _arena_union_py(g1, g2, max_or_width)
+        return _timed("union", PYTHON.arena_union, g1, g2, max_or_width)
+    return PYTHON.arena_union(g1, g2, max_or_width)
 
-
-def _arena_union_py(g1: Grammar, g2: Grammar,
-                    max_or_width: Optional[int]) -> Grammar:
-    a1 = arena_of(g1)
-    a2 = arena_of(g2)
-    n1, n2 = a1.n, a2.n
-    base = n1 * n2          # keys < base: merged pairs i * n2 + j
-    base_r = base + n1      # then n1 left-embed keys, n2 right-embed
-    is_literal = SYMBOLS.is_literal
-    ids: Dict[int, int] = {}
-    any_f: List[int] = []
-    int_f: List[int] = []
-    funcs: List[list] = []
-    work: List[int] = []
-
-    def nid(key: int) -> int:
-        i = ids.get(key)
-        if i is None:
-            i = len(ids)
-            ids[key] = i
-            any_f.append(0)
-            int_f.append(0)
-            funcs.append(())
-            work.append(key)
-        return i
-
-    root = nid(a1.index_of(g1.root) * n2 + a2.index_of(g2.root))
-    while work:
-        key = work.pop()
-        slot = ids[key]
-        if key >= base_r:                       # embedded from g2
-            j = key - base_r
-            any_f[slot] = (a2.any_mask >> j) & 1
-            int_f[slot] = (a2.int_mask >> j) & 1
-            funcs[slot] = [
-                (sym, tuple(nid(base_r + c) for c in arg_tuple))
-                for sym, arg_tuple in zip(a2.syms[j], a2.args[j])]
-            continue
-        if key >= base:                         # embedded from g1
-            i = key - base
-            any_f[slot] = (a1.any_mask >> i) & 1
-            int_f[slot] = (a1.int_mask >> i) & 1
-            funcs[slot] = [
-                (sym, tuple(nid(base + c) for c in arg_tuple))
-                for sym, arg_tuple in zip(a1.syms[i], a1.args[i])]
-            continue
-        i, j = divmod(key, n2)
-        if ((a1.any_mask >> i) & 1) or ((a2.any_mask >> j) & 1):
-            any_f[slot] = 1
-            funcs[slot] = []
-            continue
-        has_int = ((a1.int_mask >> i) & 1) or ((a2.int_mask >> j) & 1)
-        int_f[slot] = has_int
-        by1, by2 = a1.by_sym[i], a2.by_sym[j]
-        row = []
-        for sym, arg_tuple in by1.items():
-            if has_int and is_literal[sym]:
-                continue
-            other = by2.get(sym)
-            if other is not None:
-                row.append((sym, tuple(
-                    nid(c1 * n2 + c2)
-                    for c1, c2 in zip(arg_tuple, other))))
-            else:
-                row.append((sym, tuple(nid(base + c)
-                                       for c in arg_tuple)))
-        for sym, arg_tuple in by2.items():
-            if sym in by1 or (has_int and is_literal[sym]):
-                continue
-            row.append((sym, tuple(nid(base_r + c)
-                                   for c in arg_tuple)))
-        funcs[slot] = row
-    # Union cannot create empty nonterminals from normalized operands.
-    return _normalize_dense(any_f, int_f, funcs, root, max_or_width,
-                            prune=False)
-
-
-# -- intersection ------------------------------------------------------------
 
 def arena_intersect(g1: Grammar, g2: Grammar,
                     max_or_width: Optional[int]) -> Grammar:
@@ -1057,95 +717,10 @@ def arena_intersect(g1: Grammar, g2: Grammar,
     if NATIVE is not None:
         return NATIVE.arena_intersect(g1, g2, max_or_width)
     if _KPROF:
-        return _timed("intersect", _arena_intersect_py, g1, g2,
+        return _timed("intersect", PYTHON.arena_intersect, g1, g2,
                       max_or_width)
-    return _arena_intersect_py(g1, g2, max_or_width)
+    return PYTHON.arena_intersect(g1, g2, max_or_width)
 
-
-def _arena_intersect_py(g1: Grammar, g2: Grammar,
-                        max_or_width: Optional[int]) -> Grammar:
-    a1 = arena_of(g1)
-    a2 = arena_of(g2)
-    n1, n2 = a1.n, a2.n
-    base = n1 * n2
-    base_r = base + n1
-    is_literal = SYMBOLS.is_literal
-    ids: Dict[int, int] = {}
-    any_f: List[int] = []
-    int_f: List[int] = []
-    funcs: List[list] = []
-    work: List[int] = []
-
-    def nid(key: int) -> int:
-        i = ids.get(key)
-        if i is None:
-            i = len(ids)
-            ids[key] = i
-            any_f.append(0)
-            int_f.append(0)
-            funcs.append(())
-            work.append(key)
-        return i
-
-    root = nid(a1.index_of(g1.root) * n2 + a2.index_of(g2.root))
-    while work:
-        key = work.pop()
-        slot = ids[key]
-        if key >= base_r:                       # embedded from g2
-            j = key - base_r
-            any_f[slot] = (a2.any_mask >> j) & 1
-            int_f[slot] = (a2.int_mask >> j) & 1
-            funcs[slot] = [
-                (sym, tuple(nid(base_r + c) for c in arg_tuple))
-                for sym, arg_tuple in zip(a2.syms[j], a2.args[j])]
-            continue
-        if key >= base:                         # embedded from g1
-            i = key - base
-            any_f[slot] = (a1.any_mask >> i) & 1
-            int_f[slot] = (a1.int_mask >> i) & 1
-            funcs[slot] = [
-                (sym, tuple(nid(base + c) for c in arg_tuple))
-                for sym, arg_tuple in zip(a1.syms[i], a1.args[i])]
-            continue
-        i, j = divmod(key, n2)
-        if (a1.any_mask >> i) & 1:              # Any ∩ x = x
-            any_f[slot] = (a2.any_mask >> j) & 1
-            int_f[slot] = (a2.int_mask >> j) & 1
-            funcs[slot] = [
-                (sym, tuple(nid(base_r + c) for c in arg_tuple))
-                for sym, arg_tuple in zip(a2.syms[j], a2.args[j])]
-            continue
-        if (a2.any_mask >> j) & 1:
-            any_f[slot] = (a1.any_mask >> i) & 1
-            int_f[slot] = (a1.int_mask >> i) & 1
-            funcs[slot] = [
-                (sym, tuple(nid(base + c) for c in arg_tuple))
-                for sym, arg_tuple in zip(a1.syms[i], a1.args[i])]
-            continue
-        int1 = (a1.int_mask >> i) & 1
-        int2 = (a2.int_mask >> j) & 1
-        by1, by2 = a1.by_sym[i], a2.by_sym[j]
-        row = []
-        for sym, arg_tuple in by1.items():
-            other = by2.get(sym)
-            if other is None:
-                continue
-            row.append((sym, tuple(nid(c1 * n2 + c2)
-                                   for c1, c2 in zip(arg_tuple, other))))
-        if int2 and not int1:   # literals of g1 ∩ INT = those literals
-            for sym in by1:
-                if is_literal[sym] and sym not in by2:
-                    row.append((sym, ()))
-        if int1 and not int2:
-            for sym in by2:
-                if is_literal[sym] and sym not in by1:
-                    row.append((sym, ()))
-        int_f[slot] = int1 and int2
-        funcs[slot] = row
-    return _normalize_dense(any_f, int_f, funcs, root, max_or_width)
-
-
-# -- functor constructor -----------------------------------------------------
 
 def arena_functor(name: str, children: Tuple[Grammar, ...],
                   max_or_width: Optional[int]) -> Grammar:
@@ -1155,93 +730,10 @@ def arena_functor(name: str, children: Tuple[Grammar, ...],
     if NATIVE is not None:
         return NATIVE.arena_functor(name, children, max_or_width)
     if _KPROF:
-        return _timed("functor", _arena_functor_py, name, children,
+        return _timed("functor", PYTHON.arena_functor, name, children,
                       max_or_width)
-    return _arena_functor_py(name, children, max_or_width)
+    return PYTHON.arena_functor(name, children, max_or_width)
 
-
-def _arena_functor_py(name: str, children: Tuple[Grammar, ...],
-                      max_or_width: Optional[int]) -> Grammar:
-    any_f: List[int] = [0]
-    int_f: List[int] = [0]
-    funcs: List[list] = [()]
-    offset = 1
-    child_roots = []
-    for child in children:
-        arena = arena_of(child)
-        child_roots.append(offset + arena.index_of(child.root))
-        any_mask = arena.any_mask
-        int_mask = arena.int_mask
-        for i in range(arena.n):
-            any_f.append((any_mask >> i) & 1)
-            int_f.append((int_mask >> i) & 1)
-            funcs.append([
-                (sym, tuple(offset + c for c in arg_tuple))
-                for sym, arg_tuple in zip(arena.syms[i], arena.args[i])])
-        offset += arena.n
-    funcs[0] = [(SYMBOLS.sym("f", name, len(children)),
-                 tuple(child_roots))]
-    # A normalized grammar is either bottom or empty-free, so the
-    # nonempty pass is only needed when some child is bottom (then the
-    # root's alternative must be pruned, making the result bottom).
-    prune = any(child.is_bottom() for child in children)
-    return _normalize_dense(any_f, int_f, funcs, 0, max_or_width,
-                            prune=prune)
-
-
-# -- graph view bridge -------------------------------------------------------
-
-def graph_to_grammar(root, max_or_width: Optional[int]) -> Grammar:
-    """Normalized grammar of a type-graph (``root`` is an or-vertex) —
-    the arena-side ``to_grammar``: or-vertices get dense ids on
-    discovery and the rules feed :func:`_normalize_dense` directly,
-    with no ``GrammarBuilder``/``FuncAlt`` intermediates."""
-    sym = SYMBOLS.sym
-    ids: Dict[int, int] = {id(root): 0}
-    queue = [root]
-    any_f: List[int] = [0]
-    int_f: List[int] = [0]
-    funcs: List[list] = [()]
-    position = 0
-    while position < len(queue):
-        vertex = queue[position]
-        slot = ids[id(vertex)]
-        row: List[tuple] = []
-        seen_alts = None
-        for successor in vertex.successors:
-            kind = successor.kind
-            if kind == "any":
-                any_f[slot] = 1
-            elif kind == "int":
-                int_f[slot] = 1
-            else:
-                children = []
-                for child in successor.successors:
-                    child_id = ids.get(id(child))
-                    if child_id is None:
-                        child_id = len(ids)
-                        ids[id(child)] = child_id
-                        any_f.append(0)
-                        int_f.append(0)
-                        funcs.append(())
-                        queue.append(child)
-                    children.append(child_id)
-                entry = (sym("i" if successor.is_int else "f",
-                             successor.name, len(children)),
-                         tuple(children))
-                if len(row) >= 1:  # dedup like frozenset(alts) did
-                    if seen_alts is None:
-                        seen_alts = set(row)
-                    if entry in seen_alts:
-                        continue
-                    seen_alts.add(entry)
-                row.append(entry)
-        funcs[slot] = row
-        position += 1
-    return _normalize_dense(any_f, int_f, funcs, 0, max_or_width)
-
-
-# -- subgrammar --------------------------------------------------------------
 
 def arena_subgrammar(grammar: Grammar, nt: int) -> Grammar:
     """The grammar rooted at ``nt`` — a BFS renumbering over arena
@@ -1255,217 +747,13 @@ def arena_subgrammar(grammar: Grammar, nt: int) -> Grammar:
     if NATIVE is not None:
         return NATIVE.arena_subgrammar(grammar, nt)
     if _KPROF:
-        return _timed("subgrammar", _arena_subgrammar_py, grammar, nt)
-    return _arena_subgrammar_py(grammar, nt)
-
-
-def _arena_subgrammar_py(grammar: Grammar, nt: int) -> Grammar:
-    arena = arena_of(grammar)
-    start = arena.index_of(nt)
-    number = {start: 0}
-    order = [start]
-    qi = 0
-    while qi < len(order):
-        i = order[qi]
-        qi += 1
-        for arg_tuple in arena.args[i]:  # pre-sorted canonical order
-            for child in arg_tuple:
-                if child not in number:
-                    number[child] = len(number)
-                    order.append(child)
-    fkeys = SYMBOLS.fkeys
-    final: Dict[int, frozenset] = {}
-    for i, new_nt in number.items():
-        alts: List[object] = []
-        if (arena.any_mask >> i) & 1:
-            alts.append(ANY)
-        if (arena.int_mask >> i) & 1:
-            alts.append(INT)
-        for sym, arg_tuple in zip(arena.syms[i], arena.args[i]):
-            kind, name, _ = fkeys[sym]
-            alts.append(FuncAlt(name,
-                                tuple(number[c] for c in arg_tuple),
-                                kind == "i"))
-        final[new_nt] = frozenset(alts)
-    return intern_grammar(Grammar(final, 0))
-
-
-# -- raw-rules index (widening steps) ----------------------------------------
-
-class RulesIndex:
-    """One widening step's raw vertex grammar compiled to flat ints,
-    with pair-memoized inclusion queries.
-
-    The widening's transformation rules probe many overlapping
-    or-vertex pairs of the *same* uninterned graph; compiling its rules
-    once and answering each ``le`` query with the iterative pair
-    worklist (plus a shared memo) replaces a fresh recursive traversal
-    per query.  A ``True`` answer certifies every visited pair (all
-    pairs reachable from a passing root pass), so positive runs
-    populate the memo wholesale.
-    """
-
-    __slots__ = ("n", "index", "any_mask", "int_mask", "syms", "args",
-                 "by_sym", "memo")
-
-    @classmethod
-    def from_graph(cls, root) -> tuple:
-        """Compile a type-graph (``root`` an or-vertex) directly into a
-        pair index, skipping the raw-grammar detour.  Returns
-        ``(index, nts, vertices)`` where ``nts`` maps ``id(or_vertex)``
-        to its (dense) nonterminal and ``vertices`` lists the
-        or-vertices in numbering order — enough for a caller to build
-        the raw grammar lazily with the same numbering."""
-        global _INDEX_BUILDS
-        _INDEX_BUILDS += 1
-        sym_table = SYMBOLS
-        nts: Dict[int, int] = {id(root): 0}
-        vertices = [root]
-        any_mask = 0
-        int_mask = 0
-        syms: List[tuple] = []
-        args: List[tuple] = []
-        by_sym: List[dict] = []
-        position = 0
-        while position < len(vertices):
-            vertex = vertices[position]
-            row = []
-            for successor in vertex.successors:
-                kind = successor.kind
-                if kind == "any":
-                    any_mask |= 1 << position
-                elif kind == "int":
-                    int_mask |= 1 << position
-                else:
-                    children = []
-                    for child in successor.successors:
-                        child_nt = nts.get(id(child))
-                        if child_nt is None:
-                            child_nt = len(vertices)
-                            nts[id(child)] = child_nt
-                            vertices.append(child)
-                        children.append(child_nt)
-                    row.append((sym_table.sym(
-                        "i" if successor.is_int else "f",
-                        successor.name, len(children)),
-                        tuple(children)))
-            syms.append(tuple(pair[0] for pair in row))
-            args.append(tuple(pair[1] for pair in row))
-            by_sym.append(dict(row))
-            position += 1
-        index = cls.__new__(cls)
-        index.n = len(vertices)
-        index.index = None  # identity: nts already dense
-        index.any_mask = any_mask
-        index.int_mask = int_mask
-        index.syms = tuple(syms)
-        index.args = tuple(args)
-        index.by_sym = tuple(by_sym)
-        index.memo = {}
-        return index, nts, vertices
-
-    def __init__(self, rules: Dict[int, frozenset]) -> None:
-        global _INDEX_BUILDS
-        _INDEX_BUILDS += 1
-        index = {nt: i for i, nt in enumerate(rules)}
-        n = len(index)
-        any_mask = 0
-        int_mask = 0
-        syms: List[tuple] = [()] * n
-        args: List[tuple] = [()] * n
-        by_sym: List[dict] = [None] * n
-        sym_of_alt = SYMBOLS.sym_of_alt
-        for nt, alts in rules.items():
-            i = index[nt]
-            funcs = []
-            for alt in alts:
-                if alt is ANY:
-                    any_mask |= 1 << i
-                elif alt is INT:
-                    int_mask |= 1 << i
-                else:
-                    funcs.append((sym_of_alt(alt),
-                                  tuple(index[a] for a in alt.args)))
-            syms[i] = tuple(pair[0] for pair in funcs)
-            args[i] = tuple(pair[1] for pair in funcs)
-            by_sym[i] = dict(funcs)
-        self.n = n
-        self.index = index
-        self.any_mask = any_mask
-        self.int_mask = int_mask
-        self.syms = tuple(syms)
-        self.args = tuple(args)
-        self.by_sym = tuple(by_sym)
-        self.memo: Dict[int, bool] = {}
-
-    def le(self, nt1: int, nt2: int) -> bool:
-        """Denotation inclusion between two nonterminals (original
-        numbering) of the indexed rules."""
-        n = self.n
-        if self.index is None:
-            i0, j0 = nt1, nt2
-        else:
-            i0 = self.index[nt1]
-            j0 = self.index[nt2]
-        root = i0 * n + j0
-        cached = self.memo.get(root)
-        if cached is not None:
-            return cached
-        any_mask, int_mask = self.any_mask, self.int_mask
-        is_literal = SYMBOLS.is_literal
-        memo = self.memo
-        seen = {root}
-        stack = [(i0, j0)]
-        result = True
-        while stack:
-            i, j = stack.pop()
-            key = i * n + j
-            known = memo.get(key)
-            if known is True:
-                continue  # all pairs reachable from it pass too
-            if known is False:
-                result = False
-                break
-            if (any_mask >> j) & 1:
-                continue
-            if (any_mask >> i) & 1:
-                memo[key] = False
-                result = False
-                break
-            has_int = (int_mask >> j) & 1
-            if (int_mask >> i) & 1 and not has_int:
-                memo[key] = False
-                result = False
-                break
-            row = self.by_sym[j]
-            failed = False
-            for sym, arg_tuple in zip(self.syms[i], self.args[i]):
-                if has_int and is_literal[sym]:
-                    continue
-                other = row.get(sym)
-                if other is None:
-                    failed = True
-                    break
-                for c1, c2 in zip(arg_tuple, other):
-                    child = c1 * n + c2
-                    if child not in seen:
-                        seen.add(child)
-                        stack.append((c1, c2))
-            if failed:
-                memo[key] = False
-                result = False
-                break
-        if result:
-            for key in seen:
-                memo[key] = True
-        else:
-            memo[root] = False
-        return result
+        return _timed("subgrammar", PYTHON.arena_subgrammar, grammar, nt)
+    return PYTHON.arena_subgrammar(grammar, nt)
 
 
 # Resolve the requested tier eagerly so the dispatch sites (here and in
 # ``ops.py`` / ``grammar.py`` / ``pattern.py``) can read the module
-# global ``NATIVE`` without a per-call probe.  The helper module
-# imports nothing from this module at import time, so this cannot
-# recurse.
+# globals ``NATIVE`` and ``PYTHON`` without a per-call probe.  Neither
+# tier module needs more of this one at import time than what is
+# defined above, so this cannot recurse.
 _resolve_kernel()

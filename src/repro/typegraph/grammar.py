@@ -29,19 +29,22 @@ from __future__ import annotations
 
 import threading
 import weakref
-from collections import deque
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+from .._lazy import LazyModule
 from ..prolog.terms import Atom, Int, Struct, Term, Var
 from . import opcache
 
 __all__ = [
     "ANY", "INT", "FuncAlt", "Alt", "Grammar", "GrammarBuilder",
-    "normalize", "normalize_reference", "intern_grammar", "g_any",
+    "normalize", "intern_grammar", "g_any",
     "g_bottom", "g_int", "g_atom", "g_int_literal", "g_functor",
-    "g_alternatives", "nonempty_nonterminals", "member", "pf_of",
+    "g_alternatives", "member", "pf_of",
 ]
+
+#: The object-walking reference implementations, imported on first use
+#: (the arena kernels serve every interned grammar).
+_REFERENCE = LazyModule("repro.typegraph.reference")
 
 
 class _AnyAlt:
@@ -385,56 +388,6 @@ def intern_grammar(grammar: Grammar) -> Grammar:
 
 # -- normalization ----------------------------------------------------------
 
-def nonempty_nonterminals(rules: Dict[int, FrozenSet[Alt]]) -> set:
-    """Least fixpoint of "has at least one finite tree".
-
-    Worklist formulation: each functor alternative tracks how many of
-    its argument nonterminals are still unproven; proving a
-    nonterminal decrements the counters of the alternatives waiting on
-    it.  Linear in the grammar size, replacing the quadratic
-    restart-the-scan loop.
-    """
-    nonempty: set = set()
-    # waiting[nt] = list of counter cells for alternatives blocked on nt
-    waiting: Dict[int, List[List]] = {}
-    queue: deque = deque()
-    for nt, alts in rules.items():
-        for alt in alts:
-            if alt is ANY or alt is INT:
-                if nt not in nonempty:
-                    nonempty.add(nt)
-                    queue.append(nt)
-                break
-        else:
-            for alt in alts:
-                assert isinstance(alt, FuncAlt)
-                pending = set(alt.args)
-                if not pending:
-                    if nt not in nonempty:
-                        nonempty.add(nt)
-                        queue.append(nt)
-                    break
-                cell = [nt, len(pending)]
-                for arg in pending:
-                    waiting.setdefault(arg, []).append(cell)
-    while queue:
-        proved = queue.popleft()
-        for cell in waiting.get(proved, ()):
-            cell[1] -= 1
-            if cell[1] == 0 and cell[0] not in nonempty:
-                nonempty.add(cell[0])
-                queue.append(cell[0])
-    return nonempty
-
-
-def _absorb(alts: FrozenSet[Alt]) -> FrozenSet[Alt]:
-    if ANY in alts and len(alts) > 1:
-        return frozenset([ANY])
-    if INT in alts:
-        return frozenset(a for a in alts
-                         if not (isinstance(a, FuncAlt) and a.is_int))
-    return alts
-
 
 def _within_width(grammar: Grammar, max_or_width: int) -> bool:
     return all(len(alts) <= max_or_width
@@ -450,115 +403,15 @@ def normalize(grammar: Grammar,
 
     Runs on the flat-int arena pipeline
     (:func:`repro.typegraph.arena.arena_normalize`) unless the arena
-    kernels are disabled; both paths are bit-identical."""
+    kernels are disabled, and then on
+    :func:`repro.typegraph.reference.normalize_reference`; both paths
+    are bit-identical."""
     if grammar.interned and (max_or_width is None
                              or _within_width(grammar, max_or_width)):
         return grammar
     if arena.enabled():
         return arena.arena_normalize(grammar, max_or_width)
-    return normalize_reference(grammar, max_or_width)
-
-
-def normalize_reference(grammar: Grammar,
-                        max_or_width: Optional[int] = None) -> Grammar:
-    """The original object-walking normalization, kept as the
-    reference path (``arena.configure(enabled=False)``) and as the
-    oracle the arena property tests compare against."""
-    if grammar.interned and (max_or_width is None
-                             or _within_width(grammar, max_or_width)):
-        return grammar
-    rules = dict(grammar.rules)
-    root = grammar.root
-
-    # 1. prune empty nonterminals and the alternatives mentioning them
-    nonempty = nonempty_nonterminals(rules)
-    pruned: Dict[int, FrozenSet[Alt]] = {}
-    for nt, alts in rules.items():
-        kept = []
-        for alt in alts:
-            if isinstance(alt, FuncAlt) and \
-                    any(a not in nonempty for a in alt.args):
-                continue
-            kept.append(alt)
-        pruned[nt] = _absorb(frozenset(kept))
-
-    # 2. or-width cap: an or-vertex with too many successors becomes Any
-    #    (Table 3's "(5)" and "(2)" restriction, §9)
-    if max_or_width is not None:
-        for nt, alts in pruned.items():
-            if len(alts) > max_or_width:
-                pruned[nt] = frozenset([ANY])
-
-    # 3. merge bisimilar nonterminals by partition refinement: start
-    #    with one class and split by signature until stable.  For
-    #    deterministic grammars bisimilarity implies language equality,
-    #    so merging is sound and keeps graphs small (handles mutually
-    #    recursive copies, not just acyclic sharing).  Signatures hash
-    #    a precomputed static part (functor keys, sorted once) with
-    #    the per-round argument classes; refinement only ever splits,
-    #    so the loop stops as soon as the class count stops growing,
-    #    and immediately when every nonterminal sits alone.
-    order = sorted(pruned)
-    # static per-nt shape: (functor prefix, raw arg nts) per alternative
-    shapes: Dict[int, List[Tuple[tuple, Tuple[int, ...]]]] = {}
-    for nt in order:
-        sig_alts = []
-        for alt in pruned[nt]:
-            if isinstance(alt, FuncAlt):
-                sig_alts.append((("F",) + alt.fkey, alt.args))
-            else:
-                sig_alts.append((("ANY",) if alt is ANY else ("INT",), ()))
-        shapes[nt] = sig_alts
-    classes: Dict[int, int] = {nt: 0 for nt in pruned}
-    num_classes = 1
-    while num_classes < len(order):
-        signature_ids: Dict[tuple, int] = {}
-        new_classes: Dict[int, int] = {}
-        for nt in order:
-            sig = (classes[nt],) + tuple(sorted(
-                static + (tuple(classes[a] for a in args),)
-                for static, args in shapes[nt]))
-            cls = signature_ids.setdefault(sig, len(signature_ids))
-            new_classes[nt] = cls
-        if len(signature_ids) == num_classes:
-            break  # refinement only splits: same count => same partition
-        classes = new_classes
-        num_classes = len(signature_ids)
-    # map each class to one representative nonterminal
-    representative: Dict[int, int] = {}
-    for nt in sorted(pruned):
-        representative.setdefault(classes[nt], nt)
-    classes = {nt: representative[cls] for nt, cls in classes.items()}
-
-    merged: Dict[int, FrozenSet[Alt]] = {}
-    for nt in pruned:
-        cls = classes[nt]
-        if cls in merged:
-            continue
-        merged[cls] = frozenset(
-            FuncAlt(a.name, tuple(classes[x] for x in a.args), a.is_int)
-            if isinstance(a, FuncAlt) else a
-            for a in pruned[nt])
-    root = classes[root]
-
-    # 4. BFS renumbering from the root (canonical numbering)
-    numbering: Dict[int, int] = {root: 0}
-    queue: deque = deque([root])
-    while queue:
-        nt = queue.popleft()
-        for alt in sorted(merged[nt], key=_alt_sort_key):
-            if isinstance(alt, FuncAlt):
-                for child in alt.args:
-                    if child not in numbering:
-                        numbering[child] = len(numbering)
-                        queue.append(child)
-    final: Dict[int, FrozenSet[Alt]] = {}
-    for nt, number in numbering.items():
-        final[number] = frozenset(
-            FuncAlt(a.name, tuple(numbering[x] for x in a.args), a.is_int)
-            if isinstance(a, FuncAlt) else a
-            for a in merged[nt])
-    return intern_grammar(Grammar(final, 0))
+    return _REFERENCE.normalize_reference(grammar, max_or_width)
 
 
 # -- constructors -----------------------------------------------------------

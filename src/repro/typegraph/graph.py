@@ -24,11 +24,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
-from .grammar import (ANY, INT, INT_FKEY, Alt, FuncAlt, Grammar,
-                      GrammarBuilder, _alt_sort_key)
+from . import arena
+from .grammar import (ANY, INT, INT_FKEY, FuncAlt, Grammar, GrammarBuilder,
+                      _alt_sort_key)
 
 __all__ = ["Vertex", "TypeGraph", "treeify", "to_grammar",
-           "vertex_rules"]
+           "graph_to_grammar", "vertex_rules"]
 
 _TREEIFY_VERTEX_LIMIT = 250000
 
@@ -159,14 +160,13 @@ def treeify(grammar: Grammar) -> TypeGraph:
     resolution matches the recursive formulation — without Python's
     recursion limit capping the unfold depth.
     """
-    from . import arena as _arena
-    use_arena = grammar.interned and _arena.enabled()
+    use_arena = grammar.interned and arena.enabled()
     if use_arena:
         # Arena rows are pre-sorted in canonical alternative order, so
         # the unfold skips both the per-nonterminal sort and the
         # FuncAlt object walk.
-        ar = _arena.arena_of(grammar)
-        fkeys = _arena.SYMBOLS.fkeys
+        ar = arena.arena_of(grammar)
+        fkeys = arena.SYMBOLS.fkeys
         root_nt = ar.index_of(grammar.root)
     else:
         root_nt = grammar.root
@@ -282,9 +282,59 @@ def to_grammar(graph: TypeGraph,
     """Convert back to a (normalized) grammar.  Vertices no longer
     reachable from the root are dropped — this is the paper's
     ``removeUnconnected``."""
-    from . import arena as _arena
-    if _arena.enabled():
-        return _arena.graph_to_grammar(graph.root, max_or_width)
+    if arena.enabled():
+        return graph_to_grammar(graph.root, max_or_width)
     builder = GrammarBuilder()
     return builder.finish(vertex_rules(graph.root, builder, {}),
                           max_or_width)
+
+
+def graph_to_grammar(root, max_or_width: Optional[int]) -> Grammar:
+    """Normalized grammar of a type-graph (``root`` is an or-vertex) —
+    the arena-side ``to_grammar``: or-vertices get dense ids on
+    discovery and the rules feed
+    :func:`repro.typegraph.arena._normalize_dense` directly,
+    with no ``GrammarBuilder``/``FuncAlt`` intermediates."""
+    sym = arena.SYMBOLS.sym
+    ids: Dict[int, int] = {id(root): 0}
+    queue = [root]
+    any_f: List[int] = [0]
+    int_f: List[int] = [0]
+    funcs: List[list] = [()]
+    position = 0
+    while position < len(queue):
+        vertex = queue[position]
+        slot = ids[id(vertex)]
+        row: List[tuple] = []
+        seen_alts = None
+        for successor in vertex.successors:
+            kind = successor.kind
+            if kind == "any":
+                any_f[slot] = 1
+            elif kind == "int":
+                int_f[slot] = 1
+            else:
+                children = []
+                for child in successor.successors:
+                    child_id = ids.get(id(child))
+                    if child_id is None:
+                        child_id = len(ids)
+                        ids[id(child)] = child_id
+                        any_f.append(0)
+                        int_f.append(0)
+                        funcs.append(())
+                        queue.append(child)
+                    children.append(child_id)
+                entry = (sym("i" if successor.is_int else "f",
+                             successor.name, len(children)),
+                         tuple(children))
+                if len(row) >= 1:  # dedup like frozenset(alts) did
+                    if seen_alts is None:
+                        seen_alts = set(row)
+                    if entry in seen_alts:
+                        continue
+                    seen_alts.add(entry)
+                row.append(entry)
+        funcs[slot] = row
+        position += 1
+    return arena._normalize_dense(any_f, int_f, funcs, 0, max_or_width)

@@ -15,11 +15,12 @@ with empties pruned:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Optional, Tuple
 
+from .._lazy import LazyModule
 from . import arena, opcache
-from .grammar import (ANY, INT, Alt, FuncAlt, Grammar, GrammarBuilder,
-                      g_any, g_bottom, normalize)
+from .grammar import (ANY, INT, FuncAlt, Grammar, GrammarBuilder, _embed,
+                      g_any, g_bottom, normalize, subgrammar)
 
 __all__ = ["g_le", "g_equiv", "g_union", "g_intersect", "g_split",
            "g_list_of", "g_is_list"]
@@ -29,6 +30,11 @@ __all__ = ["g_le", "g_equiv", "g_union", "g_intersect", "g_split",
 #: per call, which shows up at these call rates).
 _LE_CACHE = opcache.cache_for("g_le")
 _UNION_CACHE = opcache.cache_for("g_union")
+
+#: The Grammar-level reference implementations, imported on first use:
+#: they serve raw (non-interned) operands and the arena-off
+#: configuration, which a native-tier analysis never meets.
+_REFERENCE = LazyModule("repro.typegraph.reference")
 
 
 # -- inclusion --------------------------------------------------------------
@@ -59,48 +65,7 @@ def _g_le_impl(g1: Grammar, g2: Grammar) -> bool:
         if g2.is_bottom():
             return False
         return arena.arena_le(g1, g2)
-    return _g_le_reference(g1, g2)
-
-
-def _g_le_reference(g1: Grammar, g2: Grammar) -> bool:
-    memo: Dict[Tuple[int, int], bool] = {}
-
-    def le(n1: int, n2: int) -> bool:
-        key = (n1, n2)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        memo[key] = True  # coinductive hypothesis
-        alts2 = g2.rules[n2]
-        if ANY in alts2:
-            return True
-        by_key = {a.fkey: a for a in alts2 if isinstance(a, FuncAlt)}
-        has_int = INT in alts2
-        ok = True
-        for alt in g1.rules[n1]:
-            if alt is ANY:
-                ok = False  # nothing but ANY covers all terms
-            elif alt is INT:
-                ok = has_int
-            else:
-                assert isinstance(alt, FuncAlt)
-                if alt.is_int and has_int:
-                    continue
-                other = by_key.get(alt.fkey)
-                if other is None:
-                    ok = False
-                else:
-                    ok = all(le(a, b) for a, b in zip(alt.args, other.args))
-            if not ok:
-                break
-        memo[key] = ok
-        return ok
-
-    if g1.is_bottom():
-        return True
-    if g2.is_bottom():
-        return False
-    return le(g1.root, g2.root)
+    return _REFERENCE.g_le_reference(g1, g2)
 
 
 def g_equiv(g1: Grammar, g2: Grammar) -> bool:
@@ -147,64 +112,7 @@ def _g_union_impl(g1: Grammar, g2: Grammar,
         if g_le(g2, g1):
             return normalize(g1, max_or_width)
         return arena.arena_union(g1, g2, max_or_width)
-    return _g_union_reference(g1, g2, max_or_width)
-
-
-def _g_union_reference(g1: Grammar, g2: Grammar,
-                       max_or_width: Optional[int]) -> Grammar:
-    builder = GrammarBuilder()
-    # keys: ('L', nt) from g1, ('R', nt) from g2, ('B', n1, n2) merged
-    memo: Dict[tuple, int] = {}
-
-    def visit(key: tuple) -> int:
-        if key in memo:
-            return memo[key]
-        nt = builder.fresh()
-        memo[key] = nt
-        if key[0] == "L":
-            alts: FrozenSet[Alt] = g1.rules[key[1]]
-            side = "L"
-            for alt in alts:
-                builder.add(nt, _map_alt(alt, side))
-            return nt
-        if key[0] == "R":
-            for alt in g2.rules[key[1]]:
-                builder.add(nt, _map_alt(alt, "R"))
-            return nt
-        _, n1, n2 = key
-        alts1, alts2 = g1.rules[n1], g2.rules[n2]
-        if ANY in alts1 or ANY in alts2:
-            builder.add(nt, ANY)
-            return nt
-        has_int = INT in alts1 or INT in alts2
-        if has_int:
-            builder.add(nt, INT)
-        by1 = {a.fkey: a for a in alts1 if isinstance(a, FuncAlt)}
-        by2 = {a.fkey: a for a in alts2 if isinstance(a, FuncAlt)}
-        for fkey in sorted(set(by1) | set(by2)):
-            if has_int and fkey[0] == "i":
-                continue  # literal absorbed by INT
-            a1, a2 = by1.get(fkey), by2.get(fkey)
-            if a1 is not None and a2 is not None:
-                children = tuple(visit(("B", c1, c2))
-                                 for c1, c2 in zip(a1.args, a2.args))
-                builder.add(nt, FuncAlt(a1.name, children, a1.is_int))
-            elif a1 is not None:
-                builder.add(nt, _map_alt(a1, "L"))
-            else:
-                assert a2 is not None
-                builder.add(nt, _map_alt(a2, "R"))
-        return nt
-
-    def _map_alt(alt: Alt, side: str) -> Alt:
-        if isinstance(alt, FuncAlt):
-            return FuncAlt(alt.name,
-                           tuple(visit((side, a)) for a in alt.args),
-                           alt.is_int)
-        return alt
-
-    root = visit(("B", g1.root, g2.root))
-    return builder.finish(root, max_or_width)
+    return _REFERENCE.g_union_reference(g1, g2, max_or_width)
 
 
 # -- intersection -----------------------------------------------------------
@@ -243,71 +151,7 @@ def _g_intersect_impl(g1: Grammar, g2: Grammar,
         if g_le(g2, g1):
             return normalize(g2, max_or_width)
         return arena.arena_intersect(g1, g2, max_or_width)
-    return _g_intersect_reference(g1, g2, max_or_width)
-
-
-def _g_intersect_reference(g1: Grammar, g2: Grammar,
-                           max_or_width: Optional[int]) -> Grammar:
-    builder = GrammarBuilder()
-    memo: Dict[tuple, int] = {}
-
-    def embed(grammar: Grammar, nt: int, side: str) -> int:
-        key = (side, nt)
-        if key in memo:
-            return memo[key]
-        new = builder.fresh()
-        memo[key] = new
-        for alt in grammar.rules[nt]:
-            if isinstance(alt, FuncAlt):
-                builder.add(new, FuncAlt(
-                    alt.name,
-                    tuple(embed(grammar, a, side) for a in alt.args),
-                    alt.is_int))
-            else:
-                builder.add(new, alt)
-        return new
-
-    def visit(n1: int, n2: int) -> int:
-        key = ("B", n1, n2)
-        if key in memo:
-            return memo[key]
-        nt = builder.fresh()
-        memo[key] = nt
-        alts1, alts2 = g1.rules[n1], g2.rules[n2]
-        if ANY in alts1:
-            builder.set_alts(nt, [
-                FuncAlt(a.name, tuple(embed(g2, x, "R") for x in a.args),
-                        a.is_int) if isinstance(a, FuncAlt) else a
-                for a in alts2])
-            return nt
-        if ANY in alts2:
-            builder.set_alts(nt, [
-                FuncAlt(a.name, tuple(embed(g1, x, "L") for x in a.args),
-                        a.is_int) if isinstance(a, FuncAlt) else a
-                for a in alts1])
-            return nt
-        int1, int2 = INT in alts1, INT in alts2
-        if int1 and int2:
-            builder.add(nt, INT)
-        by1 = {a.fkey: a for a in alts1 if isinstance(a, FuncAlt)}
-        by2 = {a.fkey: a for a in alts2 if isinstance(a, FuncAlt)}
-        for fkey in sorted(set(by1) & set(by2)):
-            a1, a2 = by1[fkey], by2[fkey]
-            children = tuple(visit(c1, c2)
-                             for c1, c2 in zip(a1.args, a2.args))
-            builder.add(nt, FuncAlt(a1.name, children, a1.is_int))
-        if int2 and not int1:
-            for alt in alts1:
-                if isinstance(alt, FuncAlt) and alt.is_int:
-                    builder.add(nt, alt)
-        if int1 and not int2:
-            for alt in alts2:
-                if isinstance(alt, FuncAlt) and alt.is_int:
-                    builder.add(nt, alt)
-        return nt
-
-    root = visit(g1.root, g2.root)
-    return builder.finish(root, max_or_width)
+    return _REFERENCE.g_intersect_reference(g1, g2, max_or_width)
 
 
 # -- split (unification helper) ----------------------------------------------
@@ -321,7 +165,6 @@ def g_split(grammar: Grammar, name: str, arity: int,
     Used by abstract unification ``X = f(X1..Xn)`` in Pat(Type): the
     type of each ``Xi`` becomes the i-th returned grammar.
     """
-    from .grammar import subgrammar
     alts = grammar.root_alts
     if ANY in alts:
         return tuple(g_any() for _ in range(arity))
@@ -340,7 +183,6 @@ def g_list_of(element: Grammar) -> Grammar:
     """The proper-list type ``T ::= [] | '.'(element, T)``."""
     builder = GrammarBuilder()
     root = builder.fresh()
-    from .grammar import _embed
     elem_nt = _embed(builder, element)
     builder.add(root, FuncAlt("[]"))
     builder.add(root, FuncAlt(".", (elem_nt, root)))

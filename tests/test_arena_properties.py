@@ -27,8 +27,8 @@ from repro.typegraph import (ANY, INT, FuncAlt, Grammar, arena, g_any,
                              g_intersect, g_widen, intern_grammar,
                              normalize, normalize_reference, opcache,
                              subgrammar)
-from repro.typegraph.ops import (_g_intersect_reference, _g_le_reference,
-                                 _g_union_reference)
+from repro.typegraph.reference import (g_intersect_reference,
+                                       g_le_reference, g_union_reference)
 
 # -- strategies (same shape as test_typegraph_properties's) ------------------
 
@@ -88,7 +88,7 @@ def _with_arena(enabled, fn):
 @settings(max_examples=200, deadline=None)
 @given(grammars, grammars)
 def test_le_bit_identical(g1, g2):
-    expected = _g_le_reference(g1, g2)
+    expected = g_le_reference(g1, g2)
     got = (True if g1.is_bottom()
            else False if g2.is_bottom()
            else arena.arena_le(g1, g2))
@@ -98,14 +98,14 @@ def test_le_bit_identical(g1, g2):
 @settings(max_examples=200, deadline=None)
 @given(grammars, grammars, widths)
 def test_union_bit_identical(g1, g2, w):
-    assert arena.arena_union(g1, g2, w) is _g_union_reference(g1, g2, w)
+    assert arena.arena_union(g1, g2, w) is g_union_reference(g1, g2, w)
 
 
 @settings(max_examples=200, deadline=None)
 @given(grammars, grammars, widths)
 def test_intersect_bit_identical(g1, g2, w):
     assert arena.arena_intersect(g1, g2, w) is \
-        _g_intersect_reference(g1, g2, w)
+        g_intersect_reference(g1, g2, w)
 
 
 @settings(max_examples=150, deadline=None)

@@ -61,11 +61,19 @@ def test_all_predicates_flag(tmp_path, capsys):
     assert "q/1:" in out
 
 
-def test_bad_query_format(tmp_path):
+def usage_error(capsys, argv) -> str:
+    """Run ``argv``, require exit status 2 and return the stderr line,
+    which must be one ``error: ...`` message."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_bad_query_format(tmp_path, capsys):
     source = tmp_path / "prog.pl"
     source.write_text("p(a).")
-    with pytest.raises(SystemExit):
-        main([str(source), "noarity"])
+    assert "name/arity" in usage_error(capsys, [str(source), "noarity"])
 
 
 def test_missing_arguments():
@@ -73,39 +81,54 @@ def test_missing_arguments():
         main([])
 
 
-def test_non_integer_arity_is_clean_error(tmp_path):
+def test_non_integer_arity_is_clean_error(tmp_path, capsys):
     # regression: this used to escape as a raw ValueError traceback
     source = tmp_path / "prog.pl"
     source.write_text("p(a).")
-    with pytest.raises(SystemExit) as exc_info:
-        main([str(source), "foo/bar"])
-    assert "arity must be an integer" in str(exc_info.value)
+    assert "arity must be an integer" in \
+        usage_error(capsys, [str(source), "foo/bar"])
 
 
-def test_negative_arity_is_clean_error(tmp_path):
+def test_negative_arity_is_clean_error(tmp_path, capsys):
     source = tmp_path / "prog.pl"
     source.write_text("p(a).")
-    with pytest.raises(SystemExit) as exc_info:
-        main([str(source), "foo/-1"])
-    assert "arity" in str(exc_info.value)
+    assert "arity" in usage_error(capsys, [str(source), "foo/-1"])
 
 
-def test_input_length_mismatch_is_clean_error(tmp_path):
+def test_input_length_mismatch_is_clean_error(tmp_path, capsys):
     source = tmp_path / "prog.pl"
     source.write_text("p(a).")
-    with pytest.raises(SystemExit) as exc_info:
-        main([str(source), "p/1", "--input", "list,any"])
-    message = str(exc_info.value)
+    message = usage_error(capsys, [str(source), "p/1", "--input",
+                                   "list,any"])
     assert "2 type(s)" in message and "p/1" in message
 
 
-def test_profile_input_length_mismatch_is_clean_error(tmp_path):
-    from repro.__main__ import profile_main
+def test_profile_input_length_mismatch_is_clean_error(tmp_path, capsys):
     source = tmp_path / "prog.pl"
     source.write_text("p(a).")
-    with pytest.raises(SystemExit) as exc_info:
-        profile_main([str(source), "p/1", "--input", "list,any"])
-    assert "2 type(s)" in str(exc_info.value)
+    assert "2 type(s)" in usage_error(
+        capsys, ["profile", str(source), "p/1", "--input", "list,any"])
+
+
+@pytest.mark.parametrize("command", [[], ["check"], ["profile"]],
+                         ids=["analyze", "check", "profile"])
+@pytest.mark.parametrize("args, message", [
+    (["p"], "name/arity"),
+    (["p/x"], "arity must be an integer"),
+    (["p/-1"], "arity must be >= 0"),
+    (["/1"], "name/arity"),
+    (["p/1", "--input", "any,any"], "2 type(s)"),
+    (["p/1", "--input", "tree"], "unknown input type 'tree'"),
+    (["q/1"], "undefined predicate: q/1"),
+    (["p/1", "--or-width", "-1"], "or-width"),
+], ids=["no-slash", "arity-text", "arity-negative", "no-name",
+        "input-count", "input-type", "undefined", "or-width"])
+def test_bad_arguments_are_usage_errors(tmp_path, capsys, command, args,
+                                        message):
+    source = tmp_path / "prog.pl"
+    source.write_text("p(a).")
+    argv = command + [str(source)] + args
+    assert message in usage_error(capsys, argv)
 
 
 def test_disjunction_fallback_warning(tmp_path, capsys):
@@ -119,7 +142,7 @@ def test_disjunction_fallback_warning(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
-@pytest.mark.parametrize("command", [[], ["check"]])
+@pytest.mark.parametrize("command", [[], ["check"], ["profile"]])
 def test_non_ascii_digit_is_a_clean_syntax_error(tmp_path, capsys,
                                                  digit, command):
     source = tmp_path / "prog.pl"

@@ -177,35 +177,84 @@ def test_benchmark_names_match_the_corpus():
     assert BENCHMARK_NAMES == tuple(sorted(BENCHMARKS))
 
 
-def test_one_shot_analysis_loads_only_what_it_uses(append_file):
-    """A fresh ``import repro.__main__`` plus one ``--json`` analysis
-    leaves the batch/cache/server stack, the interpreter, the
-    assertion checker, the benchmark corpus and the display/report
-    helpers unloaded."""
+#: Modules a ``--json`` analysis never needs on either tier.
+NEVER_LOADED = {
+    "repro.service.batch", "repro.service.cache",
+    "repro.prolog.interpreter",
+    "repro.assertions", "repro.benchprogs",
+    "repro.analysis.callgraph", "repro.analysis.report",
+    "repro.analysis.tags", "repro.typegraph.display",
+    "repro.typegraph.views", "repro.typegraph.depthbound",
+    "repro.commands", "dataclasses",
+}
+
+#: The python tier's code, which a native-tier analysis never runs.
+PYTHON_TIER = {
+    "repro.typegraph._python", "repro.typegraph.reference",
+    "repro.typegraph.widenloop", "repro.typegraph.graph",
+    "repro.domains.pybuilder",
+}
+
+
+def one_shot_modules(argv, tier):
+    """(exit code, loaded module names, stdout) of a fresh ``import
+    repro.__main__`` plus one ``main(argv)`` on kernel tier ``tier``;
+    the tier the child actually ran is the first loaded name."""
     code = (
-        "import os, sys\n"
+        "import io, os, sys\n"
         "import repro.__main__ as cli\n"
-        "sys.stdout = open(os.devnull, 'w')\n"
-        "code = cli.main([%r, 'app/3', '--json'])\n"
+        "out = io.StringIO()\n"
+        "sys.stdout = out\n"
+        "code = cli.main(%r)\n"
         "sys.stdout = sys.__stdout__\n"
-        "print(code, ' '.join(sorted(m for m in sys.modules\n"
-        "                            if m.startswith('repro'))))\n"
-        % append_file)
-    env = dict(os.environ)
+        "from repro.typegraph import arena\n"
+        "print(code, arena.kernel(), ' '.join(sorted(\n"
+        "    m for m in sys.modules\n"
+        "    if m.startswith('repro') or m == 'dataclasses')))\n"
+        "sys.stdout.write(out.getvalue())\n" % (argv,))
+    env = dict(os.environ, REPRO_ARENA_KERNEL=tier)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    code, loaded = proc.stdout.split(" ", 1)
-    assert code == "0"
-    loaded = set(loaded.split())
+    first, output = proc.stdout.split("\n", 1)
+    code, active, loaded = first.split(" ", 2)
+    return int(code), active, set(loaded.split()), output
+
+
+def test_one_shot_analysis_loads_only_what_it_uses(append_file):
+    """A fresh ``import repro.__main__`` plus one ``--json`` analysis
+    leaves the batch/cache/server stack, the interpreter, the
+    assertion checker, the benchmark corpus, the display/report
+    helpers, the other commands and ``dataclasses`` unloaded.  On the
+    native tier the python tier's code stays unloaded too: its
+    kernels, the widening loop with the graph view, the references
+    and the Python substitution builder."""
+    code, active, loaded, _ = one_shot_modules(
+        [append_file, "app/3", "--json"], "native")
+    assert code == 0
     assert "repro.fixpoint.engine" in loaded
-    forbidden = {
-        "repro.service.batch", "repro.service.cache",
-        "repro.prolog.interpreter",
-        "repro.assertions", "repro.benchprogs",
-        "repro.analysis.callgraph", "repro.analysis.report",
-        "repro.analysis.tags", "repro.typegraph.display",
-        "repro.typegraph.views", "repro.typegraph.depthbound",
-    }
+    forbidden = set(NEVER_LOADED)
+    if active == "native":
+        forbidden |= PYTHON_TIER
     assert not loaded & forbidden, sorted(loaded & forbidden)
+    if active != "native":
+        pytest.skip("the native tier is unavailable here")
+
+
+def test_python_tier_one_shot_analysis_matches_native(append_file):
+    """The same call on the python tier loads that tier's kernels, not
+    the native helper, and prints the payload the native tier
+    prints."""
+    from repro.service.serialize import payload_fingerprint
+
+    code, active, loaded, output = one_shot_modules(
+        [append_file, "app/3", "--json"], "python")
+    assert code == 0 and active == "python"
+    assert "repro.typegraph._python" in loaded
+    forbidden = NEVER_LOADED | {"repro.typegraph._native"}
+    assert not loaded & forbidden, sorted(loaded & forbidden)
+    _, _, _, native_output = one_shot_modules(
+        [append_file, "app/3", "--json"], "native")
+    assert payload_fingerprint(json.loads(output)["result"]) == \
+        payload_fingerprint(json.loads(native_output)["result"])

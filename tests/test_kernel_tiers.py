@@ -253,6 +253,48 @@ def test_analysis_fingerprint_identical_across_tiers():
     assert len(set(prints.values())) == 1, prints
 
 
+def test_negative_or_width_is_refused_on_every_tier(tmp_path):
+    """The C kernels read a negative or-width as "no cap" (their
+    sentinel for None) while the python tier caps, so the two tiers
+    used to compute different tables for one.  Every tier now refuses
+    it before a kernel runs: in the API with a ``ValueError``, in the
+    CLI with exit status 2.  Width 0 is valid and tier-oblivious."""
+    from repro import AnalysisConfig, analyze
+    from repro.domains.leaf import DepthBoundLeafDomain, TypeLeafDomain
+    from repro.service.serialize import result_fingerprint
+
+    source = tmp_path / "app.pl"
+    source.write_text("app([], X, X).\n"
+                      "app([F|T], S, [F|R]) :- app(T, S, R).\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src"),
+         env.get("PYTHONPATH", "")])
+    for tier in TIERS:
+        arena.configure(kernel=tier)
+        for width in (-1, -3, 2.0, "2"):
+            with pytest.raises(ValueError):
+                AnalysisConfig(max_or_width=width)
+            with pytest.raises(ValueError):
+                TypeLeafDomain(width)
+            with pytest.raises(ValueError):
+                DepthBoundLeafDomain(1, width)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", str(source), "app/3",
+             "--or-width", "-3", "--json"],
+            env=dict(env, REPRO_ARENA_KERNEL=tier), capture_output=True,
+            timeout=180)
+        assert proc.returncode == 2, (tier, proc.stderr)
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error: or-width must be"), \
+            proc.stderr
+    prints = per_tier(lambda: result_fingerprint(analyze(
+        source.read_text(), ("app", 3),
+        config=AnalysisConfig(max_or_width=0)).result))
+    assert len(set(prints.values())) == 1, prints
+
+
 # -- tier selection / status --------------------------------------------------
 
 def test_configure_rejects_unknown_tier():

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.domains.leaf import TrivialLeafDomain, TypeLeafDomain
-from repro.domains.pattern import (PAT_BOTTOM, SubstBuilder, subst_eq,
-                                   subst_join, subst_le, subst_top,
-                                   subst_widen, value_of)
+from repro.domains.pattern import (PAT_BOTTOM, subst_eq, subst_join,
+                                   subst_le, subst_top, subst_widen,
+                                   value_of)
+from repro.domains.pybuilder import SubstBuilder
 from repro.typegraph import (g_any, g_atom, g_equiv, g_functor, g_int,
                              g_le, g_list_of, g_union)
 

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.domains.leaf import TrivialLeafDomain, TypeLeafDomain
-from repro.domains.pattern import (PAT_BOTTOM, SubstBuilder, subst_eq,
-                                   subst_join, subst_le, subst_top,
-                                   subst_widen)
+from repro.domains.pattern import (PAT_BOTTOM, subst_eq, subst_join,
+                                   subst_le, subst_top, subst_widen)
+from repro.domains.pybuilder import SubstBuilder
 from repro.typegraph import g_any, g_atom, g_int, g_list_of, g_union
 
 TYPE_DOMAIN = TypeLeafDomain()

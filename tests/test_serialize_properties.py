@@ -7,7 +7,8 @@ import json
 from hypothesis import given, settings, strategies as st
 
 from repro.domains.leaf import TypeLeafDomain
-from repro.domains.pattern import PAT_BOTTOM, SubstBuilder
+from repro.domains.pattern import PAT_BOTTOM
+from repro.domains.pybuilder import SubstBuilder
 from repro.service.serialize import (canonical_json, content_hash,
                                      decode_grammar, decode_subst,
                                      encode_grammar, encode_subst)

@@ -167,6 +167,21 @@ def test_errors_keep_connection_usable(served):
         assert client.ping()["pong"]
 
 
+@pytest.mark.parametrize("width", [-1, -3, "abc", "5", 2.5, True])
+def test_bad_or_width_is_a_bad_request(served, width):
+    """A negative or non-integer ``or_width`` is refused up front:
+    the native kernels read a negative width as no cap at all while
+    the python tier caps, so it must never reach an analysis."""
+    host, port = served
+    with ServeClient(host, port) as client:
+        with pytest.raises(ServeError) as exc_info:
+            client.analyze(source="p(a).", query=("p", 1), or_width=width)
+        assert exc_info.value.code == "bad-request"
+        assert "or-width must be an integer >= 0" in str(exc_info.value)
+        assert client.analyze(source="p(a).", query=("p", 1),
+                              or_width=0)["payload"]["entries"]
+
+
 def test_non_ascii_digit_is_a_syntax_error_with_position(served):
     host, port = served
     with ServeClient(host, port) as client:
@@ -404,6 +419,36 @@ def test_worker_pool_mode_matches_oneshot():
         if process.poll() is None:
             process.terminate()
             process.wait(timeout=30)
+
+
+@pytest.mark.parametrize("command", ["serve", "router"])
+def test_served_shutdown_leaves_no_traceback(tmp_path, command):
+    """A ``shutdown`` while another client still holds a connection
+    ends every connection handler before the loop closes; on Python
+    < 3.12.1 the loop used to cancel the idle one mid-read and log a
+    ``CancelledError`` traceback."""
+    from repro.service.client import spawn_router
+    log = tmp_path / "stderr.log"
+    if command == "serve":
+        process, host, port = spawn_server(stderr_path=str(log))
+    else:
+        process, host, port = spawn_router("--spawn", "1",
+                                           stderr_path=str(log))
+    try:
+        with ServeClient(host, port) as idle, \
+                ServeClient(host, port) as client:
+            assert idle.ping()["pong"]
+            client.shutdown()
+            assert process.wait(timeout=60) == 0
+    finally:
+        if process.poll() is None:
+            process.terminate()
+            process.wait(timeout=30)
+        if process.stdout is not None:
+            process.stdout.close()
+    err = log.read_text()
+    assert "drained and stopped" in err
+    assert "Traceback" not in err, err
 
 
 # -- analyze responses framed from stored bytes -------------------------------

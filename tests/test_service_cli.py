@@ -53,6 +53,22 @@ def test_batch_file_jobs(tmp_path, capsys):
     assert "1 analyzed" in out
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("missing.pl:p/1", "No such file or directory"),
+    ("{source}:app", "name/arity"),
+], ids=["missing-file", "bad-query"])
+def test_batch_bad_file_jobs_are_usage_errors(tmp_path, capsys, spec,
+                                              message):
+    source = tmp_path / "prog.pl"
+    source.write_text(APP)
+    spec = spec.format(source=source)
+    if spec.startswith("missing"):
+        spec = str(tmp_path / spec)
+    assert main(["batch", "--file", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+
+
 def test_batch_rejects_unknown_benchmark(capsys):
     with pytest.raises(SystemExit):
         main(["batch", "NOPE"])
