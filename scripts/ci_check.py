@@ -162,7 +162,9 @@ def table_problems(oracle: Oracle, rows: dict) -> list:
 
 def table3() -> str:
     """All 10 Table-1 programs, analysed in-process on the active tier,
-    give the oracle's fingerprints and iteration counts."""
+    give the oracle's fingerprints and iteration counts, without ever
+    loading the Grammar-level references (they are test oracles only;
+    a production path that reached them would be a second path)."""
     rows = {}
     for name in ORACLE.programs:
         program = benchmark(name)
@@ -175,6 +177,8 @@ def table3() -> str:
         }
     problems = table_problems(ORACLE, rows)
     require(not problems, "; ".join(problems))
+    require("repro.typegraph.reference" not in sys.modules,
+            "the analyses loaded repro.typegraph.reference")
     return ("table3: %d programs equal the oracle on the %s tier"
             % (len(rows), arena.kernel()))
 

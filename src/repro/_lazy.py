@@ -7,9 +7,9 @@ below ``repro`` re-export through :func:`lazy_exports` instead: a name
 is imported on first access and then cached in the package namespace.
 
 :class:`LazyModule` does the same for a module that a process may
-never run, such as the python kernel tier or the reference
-implementations: code calls through the stand-in, and the module is
-imported on the first call.
+never run, such as the python kernel tier or the widening's Python
+loop: code calls through the stand-in, and the module is imported on
+the first call.
 """
 
 from __future__ import annotations

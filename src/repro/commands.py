@@ -177,9 +177,9 @@ def profile_main(argv) -> int:
 
     arena_now = arena.stats()
     print("\n== arena ==")
-    print("enabled=%s  grammar-compiles=%d (+%d this run)  "
+    print("grammar-compiles=%d (+%d this run)  "
           "step-indexes=%d  symbols=%d"
-          % (arena.enabled(), arena_now["compiles"],
+          % (arena_now["compiles"],
              arena_now["compiles"] - arena_before["compiles"],
              arena_now["index_builds"], arena_now["symbols"]))
 

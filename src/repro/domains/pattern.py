@@ -57,8 +57,7 @@ def _native_for(domain: LeafDomain):
     which inherits the meet/split/le primitives the C walks mirror;
     excludes leaf domains with different primitives)."""
     native = arena.NATIVE
-    if native is not None and arena.enabled() \
-            and isinstance(domain, TypeLeafDomain):
+    if native is not None and isinstance(domain, TypeLeafDomain):
         return native
     return None
 
@@ -369,7 +368,7 @@ def subst_join(s1, s2, domain: LeafDomain):
         return s1
     if s1 is s2 and domain.idempotent_joins:
         return s1  # x ⊔ x = x; the merge walk would rebuild s1
-    if s1.interned and s2.interned and opcache.enabled():
+    if s1.interned and s2.interned:
         # open-coded opcache.cached: this is one of the engine's
         # hottest call sites, so skip the closure per call
         cache = _JOIN_CACHE
@@ -394,7 +393,7 @@ def subst_widen(old, new, domain: LeafDomain, strict: bool = True):
         return old
     if old is new and domain.idempotent_joins:
         return old  # x V x = x for the leaf widening too
-    if old.interned and new.interned and opcache.enabled():
+    if old.interned and new.interned:
         cache = _WIDEN_CACHE
         key = (domain.did, old.sid, new.sid, strict)
         entry = cache.get(key)
@@ -421,7 +420,7 @@ def subst_le(s1, s2, domain: LeafDomain) -> bool:
         return False
     if s1.nvars != s2.nvars:
         raise ValueError("arity mismatch")
-    if s1.interned and s2.interned and opcache.enabled():
+    if s1.interned and s2.interned:
         cache = _LE_CACHE
         key = (domain.did, s1.sid, s2.sid)
         entry = cache.get(key)

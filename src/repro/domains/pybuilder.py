@@ -3,10 +3,9 @@
 merge and inclusion walks over frozen substitutions.
 
 :mod:`repro.domains.pattern` hands work here when the native tier
-cannot take it: on the python kernel tier, with the arena kernels off,
-for a leaf domain other than :class:`~repro.domains.leaf.TypeLeafDomain`
-(the ``--baseline`` principal-functor domain), and for non-interned
-substitutions.  The native tier runs the same walks in C, so a
+cannot take it: on the python kernel tier, for a leaf domain other
+than :class:`~repro.domains.leaf.TypeLeafDomain` (the ``--baseline``
+principal-functor domain), and for non-interned substitutions.  The native tier runs the same walks in C, so a
 native-tier analysis of a Type domain never loads this module.  Both
 freeze to identical interned :class:`~repro.domains.pattern.AbstractSubst`
 instances.

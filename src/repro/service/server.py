@@ -720,8 +720,7 @@ class AnalysisServer:
                 "hit_rate": (round(hits / lookups, 4) if lookups
                              else None),
             },
-            "opcache": {"enabled": opcache.enabled(),
-                        "hits": opcache_hits,
+            "opcache": {"hits": opcache_hits,
                         "misses": opcache_misses},
             "arena": arena.stats(),
             "heap": _heap_stats(),

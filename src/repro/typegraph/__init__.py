@@ -13,18 +13,19 @@ module                 contents
 ``_python``            the python tier's arena kernels
 ``widenloop``          the widening's Python transformation loop
 ``graph``              the tree + back-edge view the loop works on
-``reference``          Grammar-level references of the operations
+``reference``          Grammar-level references (test oracles only)
 ``opcache``            the bounded operation memo tables
 ``display``/``views``  text, tree-automaton and monadic-program views
 ``depthbound``         the depth-k finite subdomain (ablation)
 =====================  ==================================================
 
-The hot kernels run on the flat-int arena (:mod:`repro.typegraph.arena`)
-unless ``arena.configure(enabled=False)`` routes them back through the
-reference paths.  A native-tier analysis imports only ``grammar``,
-``ops``, ``widening``, ``arena``, ``_native`` and ``opcache``; the
-python tier, the widening loop, the graph view and the references load
-when something first asks for them.
+Every operation takes one path: a raw operand is normalized on entry,
+then the memo table, then the active tier's kernel on the flat-int
+arena (:mod:`repro.typegraph.arena`).  A native-tier analysis imports
+only ``grammar``, ``ops``, ``widening``, ``arena``, ``_native`` and
+``opcache``; the python tier, the widening loop and the graph view
+load when something first asks for them.  Only tests import
+``reference``.
 """
 
 from .._lazy import lazy_exports
@@ -34,7 +35,6 @@ __all__, __getattr__ = lazy_exports(__name__, {
                 "GrammarBuilder", "g_alternatives", "g_any", "g_atom",
                 "g_bottom", "g_functor", "g_int", "g_int_literal",
                 "intern_grammar", "member", "normalize", "subgrammar"),
-    "reference": ("normalize_reference",),
     "arena": ("arena",),
     "opcache": ("opcache",),
     "ops": ("g_equiv", "g_intersect", "g_is_list", "g_le", "g_list_of",

@@ -17,10 +17,9 @@ This module is the object published as ``arena.NATIVE``; the functions
 below are the dispatch surface the python-level call sites use.  The
 python tier's module, :mod:`repro.typegraph._python`, offers the same
 arena-op surface; a process on this tier never imports it, nor the
-Python widening loop (:mod:`repro.typegraph.widenloop`), the
-Grammar-level references or the Python substitution builder
-(:mod:`repro.domains.pybuilder`), since the C module serves the
-widening and the Pat(Type) walks itself.
+Python widening loop (:mod:`repro.typegraph.widenloop`) or the Python
+substitution builder (:mod:`repro.domains.pybuilder`), since the C
+module serves the widening and the Pat(Type) walks itself.
 """
 
 from __future__ import annotations

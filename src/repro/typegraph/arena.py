@@ -1,5 +1,5 @@
 """Arena-compiled type-graph kernel: flat integer grammars, bitset
-reachability, and iterative core operations.
+nonterminal sets, and iterative core operations.
 
 PRs 2–3 removed *redundant* type-graph operations (interning + memo
 caches, differential clause re-evaluation); what remains on the hot
@@ -15,9 +15,9 @@ worklist loops over plain ints:
   arrive pre-sorted in canonical (:func:`_alt_sort_key`) order.
 * **Nonterminals** — already dense (normalization renumbers in BFS
   order), so per-nonterminal data lives in flat tuples indexed by
-  position, and nonterminal *sets* (ANY/INT membership, nonemptiness,
-  reachability) are Python-int bitsets: one ``(mask >> nt) & 1`` per
-  test, one ``|`` per union.
+  position, and nonterminal *sets* (ANY/INT membership, nonemptiness)
+  are Python-int bitsets: one ``(mask >> nt) & 1`` per test, one
+  ``|`` per union.
 * **Operations** — inclusion is an iterative pair-worklist over the
   synchronized product (pairs encoded as ``n1 * n2 + n2``-style ints);
   union/intersection build their product rules directly as int tuples;
@@ -29,11 +29,11 @@ worklist loops over plain ints:
   ``FuncAlt`` objects only once to build the final interned result.
 
 Results are **bit-identical** to the Grammar-level reference
-implementations in :mod:`repro.typegraph.reference`
-(``tests/test_arena_properties.py`` proves it with hypothesis; the
-benchmark trajectory compares full-engine fingerprints).
-:func:`configure` (``enabled=False``) routes every operation back
-through the reference paths, which is how those tests reach them.
+implementations in :mod:`repro.typegraph.reference`, which only tests
+call (``tests/test_arena_properties.py`` compares each kernel with
+its reference under hypothesis; the benchmark trajectory compares
+full-engine fingerprints).  The arena is the one path every
+type-graph operation takes.
 
 This module holds what both tiers share: tier selection, the symbol
 table, the per-grammar arena, the flat-int intern probe the C tier
@@ -81,14 +81,10 @@ __all__ = [
     "SymbolTable", "SYMBOLS", "GrammarArena", "arena_of", "decompile",
     "arena_le", "arena_union", "arena_intersect", "arena_functor",
     "arena_subgrammar", "arena_normalize",
-    "enabled", "configure", "stats", "snapshot",
+    "configure", "stats", "snapshot",
     "kernel", "available_kernels", "kernel_status",
 ]
 
-
-#: Whether the arena kernels serve the type-graph operations; the
-#: oracle tests switch it off through :func:`configure`.
-_ENABLED = True
 
 #: Process-wide counters (the engine diffs :func:`snapshot` across a
 #: run to attribute compilation work to it).
@@ -185,7 +181,6 @@ def kernel_status() -> Dict[str, object]:
     return {
         "requested": _KERNEL_REQUESTED,
         "active": kernel(),
-        "enabled": _ENABLED,
         "fallbacks": dict(_KERNEL_REASONS),
     }
 
@@ -239,20 +234,12 @@ def _timed(op: str, impl, *args):
         cell[1] += perf_counter() - start
 
 
-def enabled() -> bool:
-    return _ENABLED
-
-
-def configure(enabled: Optional[bool] = None,
-              kernel: Optional[str] = None) -> None:
-    """Toggle the arena kernels at runtime (reference paths remain
-    available and bit-identical, so flipping mid-process is safe), and
-    select the execution tier (``python``/``native``/``auto``) with
-    the same fallback semantics as the ``REPRO_ARENA_KERNEL``
-    environment variable."""
-    global _ENABLED, _KERNEL_REQUESTED, _KERNEL_ACTIVE
-    if enabled is not None:
-        _ENABLED = bool(enabled)
+def configure(kernel: Optional[str] = None) -> None:
+    """Select the execution tier (``python``/``native``/``auto``) at
+    runtime, with the same fallback semantics as the
+    ``REPRO_ARENA_KERNEL`` environment variable.  Both tiers return the
+    identical interned objects, so switching mid-process is safe."""
+    global _KERNEL_REQUESTED, _KERNEL_ACTIVE
     if kernel is not None:
         kernel = kernel.strip().lower()
         if kernel not in _KERNEL_TIERS and kernel != "auto":
@@ -364,11 +351,10 @@ class GrammarArena:
     renumbering never sorts); ``by_sym[nt]`` maps symbol -> argument
     tuple for the product constructions; ``any_mask`` / ``int_mask``
     are bitsets of the nonterminals carrying ANY / INT alternatives.
-    ``reach`` (lazy) holds per-nonterminal reachability bitsets.
     """
 
     __slots__ = ("n", "any_mask", "int_mask", "syms", "args", "by_sym",
-                 "nt_index", "_reach")
+                 "nt_index")
 
     def __init__(self, n: int, any_mask: int, int_mask: int,
                  syms: tuple, args: tuple, by_sym: tuple,
@@ -382,41 +368,11 @@ class GrammarArena:
         #: original-nonterminal -> dense index, or None when identity
         #: (normalized grammars are already dense with root 0).
         self.nt_index = nt_index
-        self._reach: Optional[Tuple[int, ...]] = None
 
     def index_of(self, nt: int) -> int:
         if self.nt_index is None:
             return nt
         return self.nt_index[nt]
-
-    def reach(self) -> Tuple[int, ...]:
-        """``reach()[nt]`` is the bitset of nonterminals reachable from
-        ``nt`` (including itself) — fixpoint of bitset unions."""
-        if self._reach is None:
-            n = self.n
-            succ = [0] * n
-            for i in range(n):
-                mask = 0
-                for arg_tuple in self.args[i]:
-                    for child in arg_tuple:
-                        mask |= 1 << child
-                succ[i] = mask
-            reach = [(1 << i) | succ[i] for i in range(n)]
-            changed = True
-            while changed:
-                changed = False
-                for i in range(n):
-                    acc = reach[i]
-                    todo = succ[i]
-                    while todo:
-                        low = todo & -todo
-                        acc |= reach[low.bit_length() - 1]
-                        todo ^= low
-                    if acc != reach[i]:
-                        reach[i] = acc
-                        changed = True
-            self._reach = tuple(reach)
-        return self._reach
 
 
 def arena_of(grammar: Grammar) -> GrammarArena:
@@ -655,7 +611,8 @@ def _sym_f(name: str, arity: int) -> int:
 def arena_normalize(grammar: Grammar,
                     max_or_width: Optional[int]) -> Grammar:
     """Normalize an arbitrary raw grammar through the int pipeline
-    (bit-identical to the reference :func:`~.grammar.normalize`)."""
+    (bit-identical to
+    :func:`repro.typegraph.reference.normalize_reference`)."""
     if _KPROF and NATIVE is None:
         return _timed("normalize", _arena_normalize_impl, grammar,
                       max_or_width)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from .grammar import FuncAlt, Grammar, GrammarBuilder, normalize
-from .graph import Vertex, treeify
+from .graph import Vertex, treeify, vertex_rules
 from .ops import g_union
 
 __all__ = ["restrict_depth", "depth_bound_join", "path_functor_depth"]
@@ -61,10 +61,7 @@ def _fold_once(grammar: Grammar, k: int) -> Optional[Grammar]:
     graph = treeify(grammar)
     nts: Dict[int, int] = {}
     builder = GrammarBuilder()
-    from .graph import vertex_rules
-    root_nt = vertex_rules(graph.root, builder, nts)
-    raw = Grammar({nt: frozenset(alts)
-                   for nt, alts in builder._rules.items()}, root_nt)
+    raw = builder.raw(vertex_rules(graph.root, builder, nts))
 
     # Depth-first search for a violation; stacks[fkey] holds the
     # or-vertices that introduced each functor on the current path.

@@ -31,7 +31,6 @@ import threading
 import weakref
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .._lazy import LazyModule
 from ..prolog.terms import Atom, Int, Struct, Term, Var
 from . import opcache
 
@@ -41,11 +40,6 @@ __all__ = [
     "g_bottom", "g_int", "g_atom", "g_int_literal", "g_functor",
     "g_alternatives", "member", "pf_of",
 ]
-
-#: The object-walking reference implementations, imported on first use
-#: (the arena kernels serve every interned grammar).
-_REFERENCE = LazyModule("repro.typegraph.reference")
-
 
 class _AnyAlt:
     """The alternative recognizing every term (including variables)."""
@@ -151,7 +145,8 @@ class Grammar:
     results are the same object, ``==`` is an identity check on the
     hot path, and ``hash`` is a precomputed field.  ``interned`` marks
     canonical instances; raw intermediates (e.g. the widening's
-    vertex-view grammars) keep the structural slow paths.
+    vertex-view grammars) compare structurally, and every operation
+    normalizes them on entry.
     """
 
     __slots__ = ("rules", "root", "_hash", "_key_cache", "_obj_cache",
@@ -321,10 +316,14 @@ class GrammarBuilder:
     def set_alts(self, nt: int, alts: Iterable[Alt]) -> None:
         self._rules[nt] = list(alts)
 
+    def raw(self, root: int) -> Grammar:
+        """The staged rules as a raw (non-interned) grammar."""
+        return Grammar({nt: frozenset(alts)
+                        for nt, alts in self._rules.items()}, root)
+
     def finish(self, root: int,
                max_or_width: Optional[int] = None) -> Grammar:
-        rules = {nt: frozenset(alts) for nt, alts in self._rules.items()}
-        return normalize(Grammar(rules, root), max_or_width)
+        return normalize(self.raw(root), max_or_width)
 
 
 def _unpickle_grammar(rules: Dict[int, FrozenSet[Alt]], root: int,
@@ -401,17 +400,15 @@ def normalize(grammar: Grammar,
     (:func:`intern_grammar`); re-normalizing an interned grammar that
     already satisfies the width cap is free.
 
-    Runs on the flat-int arena pipeline
-    (:func:`repro.typegraph.arena.arena_normalize`) unless the arena
-    kernels are disabled, and then on
-    :func:`repro.typegraph.reference.normalize_reference`; both paths
-    are bit-identical."""
+    Runs on the active tier's flat-int pipeline
+    (:func:`repro.typegraph.arena.arena_normalize`).  It is also how
+    every public operation takes a raw (non-interned) operand: each
+    normalizes it once on entry, so the memo tables and the kernels
+    only ever see interned grammars."""
     if grammar.interned and (max_or_width is None
                              or _within_width(grammar, max_or_width)):
         return grammar
-    if arena.enabled():
-        return arena.arena_normalize(grammar, max_or_width)
-    return _REFERENCE.normalize_reference(grammar, max_or_width)
+    return arena.arena_normalize(grammar, max_or_width)
 
 
 # -- constructors -----------------------------------------------------------
@@ -491,26 +488,15 @@ def g_functor(name: str, children: Sequence[Grammar],
     the same functor types constantly.
     """
     children = tuple(children)
-    if all(c.interned for c in children) and opcache.enabled():
-        cache = opcache.cache_for("g_functor")
-        key = (name, tuple(c.gid for c in children), max_or_width)
-        value = cache.get(key)
-        if value is None:
-            value = _g_functor_impl(name, children, max_or_width)
-            cache.put(key, value)
-        return value
-    return _g_functor_impl(name, children, max_or_width)
-
-
-def _g_functor_impl(name: str, children: Tuple[Grammar, ...],
-                    max_or_width: Optional[int]) -> Grammar:
-    if arena.enabled() and all(c.interned for c in children):
-        return arena.arena_functor(name, children, max_or_width)
-    builder = GrammarBuilder()
-    root = builder.fresh()
-    child_nts = tuple(_embed(builder, c) for c in children)
-    builder.add(root, FuncAlt(name, child_nts))
-    return builder.finish(root, max_or_width)
+    if not all(c.interned for c in children):
+        children = tuple(map(normalize, children))
+    cache = opcache.cache_for("g_functor")
+    key = (name, tuple(c.gid for c in children), max_or_width)
+    value = cache.get(key)
+    if value is None:
+        value = arena.arena_functor(name, children, max_or_width)
+        cache.put(key, value)
+    return value
 
 
 def g_alternatives(grammars: Sequence[Grammar],
@@ -529,23 +515,21 @@ def subgrammar(grammar: Grammar, nt: int) -> Grammar:
 
     Memoized on interned grammars — abstract unification splits the
     same argument positions out of the same shared grammars on every
-    clause iteration.
+    clause iteration.  A raw grammar's ``nt`` names a nonterminal of
+    its own numbering, so the view rooted there is what gets
+    normalized.
     """
+    if not grammar.interned:
+        return normalize(Grammar(grammar.rules, nt))
     if nt == grammar.root:
         return grammar
-    if grammar.interned and opcache.enabled():
-        cache = opcache.cache_for("subgrammar")
-        key = (grammar.gid, nt)
-        value = cache.get(key)
-        if value is None:
-            value = (arena.arena_subgrammar(grammar, nt)
-                     if arena.enabled()
-                     else normalize(Grammar(grammar.rules, nt)))
-            cache.put(key, value)
-        return value
-    if grammar.interned and arena.enabled():
-        return arena.arena_subgrammar(grammar, nt)
-    return normalize(Grammar(grammar.rules, nt))
+    cache = opcache.cache_for("subgrammar")
+    key = (grammar.gid, nt)
+    value = cache.get(key)
+    if value is None:
+        value = arena.arena_subgrammar(grammar, nt)
+        cache.put(key, value)
+    return value
 
 
 # -- membership -------------------------------------------------------------

@@ -29,7 +29,7 @@ from .grammar import (ANY, INT, INT_FKEY, FuncAlt, Grammar, GrammarBuilder,
                       _alt_sort_key)
 
 __all__ = ["Vertex", "TypeGraph", "treeify", "to_grammar",
-           "graph_to_grammar", "vertex_rules"]
+           "vertex_rules"]
 
 _TREEIFY_VERTEX_LIMIT = 250000
 
@@ -160,7 +160,7 @@ def treeify(grammar: Grammar) -> TypeGraph:
     resolution matches the recursive formulation — without Python's
     recursion limit capping the unfold depth.
     """
-    use_arena = grammar.interned and arena.enabled()
+    use_arena = grammar.interned
     if use_arena:
         # Arena rows are pre-sorted in canonical alternative order, so
         # the unfold skips both the per-nonterminal sort and the
@@ -281,20 +281,10 @@ def to_grammar(graph: TypeGraph,
                max_or_width: Optional[int] = None) -> Grammar:
     """Convert back to a (normalized) grammar.  Vertices no longer
     reachable from the root are dropped — this is the paper's
-    ``removeUnconnected``."""
-    if arena.enabled():
-        return graph_to_grammar(graph.root, max_or_width)
-    builder = GrammarBuilder()
-    return builder.finish(vertex_rules(graph.root, builder, {}),
-                          max_or_width)
-
-
-def graph_to_grammar(root, max_or_width: Optional[int]) -> Grammar:
-    """Normalized grammar of a type-graph (``root`` is an or-vertex) —
-    the arena-side ``to_grammar``: or-vertices get dense ids on
-    discovery and the rules feed
-    :func:`repro.typegraph.arena._normalize_dense` directly,
-    with no ``GrammarBuilder``/``FuncAlt`` intermediates."""
+    ``removeUnconnected``.  Or-vertices get dense ids on discovery and
+    the rules feed :func:`repro.typegraph.arena._normalize_dense`
+    directly, with no ``GrammarBuilder``/``FuncAlt`` intermediates."""
+    root = graph.root
     sym = arena.SYMBOLS.sym
     ids: Dict[int, int] = {id(root): 0}
     queue = [root]

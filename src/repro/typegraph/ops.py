@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from .._lazy import LazyModule
 from . import arena, opcache
 from .grammar import (ANY, INT, FuncAlt, Grammar, GrammarBuilder, _embed,
                       g_any, g_bottom, normalize, subgrammar)
@@ -31,11 +30,6 @@ __all__ = ["g_le", "g_equiv", "g_union", "g_intersect", "g_split",
 _LE_CACHE = opcache.cache_for("g_le")
 _UNION_CACHE = opcache.cache_for("g_union")
 
-#: The Grammar-level reference implementations, imported on first use:
-#: they serve raw (non-interned) operands and the arena-off
-#: configuration, which a native-tier analysis never meets.
-_REFERENCE = LazyModule("repro.typegraph.reference")
-
 
 # -- inclusion --------------------------------------------------------------
 
@@ -43,29 +37,24 @@ def g_le(g1: Grammar, g2: Grammar) -> bool:
     """``Cc(g1) <= Cc(g2)`` — exact on normalized grammars.
 
     Memoized on interned operand identities (see
-    :mod:`repro.typegraph.opcache`); ``g1 is g2`` is free.
+    :mod:`repro.typegraph.opcache`); ``g1 is g2`` is free.  A raw
+    operand is normalized first, as in every operation here.
     """
     if g1 is g2:
         return True
-    if g1.interned and g2.interned and opcache.enabled():
-        cache = _LE_CACHE
-        key = (g1.gid, g2.gid)
-        value = cache.get(key)
-        if value is None:
-            value = _g_le_impl(g1, g2)
-            cache.put(key, value)
-        return value
-    return _g_le_impl(g1, g2)
-
-
-def _g_le_impl(g1: Grammar, g2: Grammar) -> bool:
-    if arena.enabled() and g1.interned and g2.interned:
+    if not (g1.interned and g2.interned):
+        g1, g2 = normalize(g1), normalize(g2)
+    key = (g1.gid, g2.gid)
+    value = _LE_CACHE.get(key)
+    if value is None:
         if g1.is_bottom():
-            return True
-        if g2.is_bottom():
-            return False
-        return arena.arena_le(g1, g2)
-    return _REFERENCE.g_le_reference(g1, g2)
+            value = True
+        elif g2.is_bottom():
+            value = False
+        else:
+            value = arena.arena_le(g1, g2)
+        _LE_CACHE.put(key, value)
+    return value
 
 
 def g_equiv(g1: Grammar, g2: Grammar) -> bool:
@@ -82,37 +71,28 @@ def g_union(g1: Grammar, g2: Grammar,
 
     Memoized on interned operand identities.
     """
+    if not (g1.interned and g2.interned):
+        g1, g2 = normalize(g1), normalize(g2)
     if g1.is_bottom():
         return normalize(g2, max_or_width)
-    if g2.is_bottom():
+    if g2.is_bottom() or g1 is g2:
         return normalize(g1, max_or_width)
-    if g1 is g2:
-        return normalize(g1, max_or_width)
-    if g1.interned and g2.interned and opcache.enabled():
-        cache = _UNION_CACHE
-        key = (g1.gid, g2.gid, max_or_width)
-        value = cache.get(key)
-        if value is None:
-            value = _g_union_impl(g1, g2, max_or_width)
-            cache.put(key, value)
-        return value
-    return _g_union_impl(g1, g2, max_or_width)
-
-
-def _g_union_impl(g1: Grammar, g2: Grammar,
-                  max_or_width: Optional[int]) -> Grammar:
-    if arena.enabled() and g1.interned and g2.interned:
+    key = (g1.gid, g2.gid, max_or_width)
+    value = _UNION_CACHE.get(key)
+    if value is None:
         # Comparable operands: the pointwise merge of a <= b is b —
         # every reachable product pair mirrors an inclusion pair, so
         # the construction rebuilds b node for node and normalization
         # folds the copies back onto b.  An iterative pair walk is far
         # cheaper than product construction + normalization.
         if g_le(g1, g2):
-            return normalize(g2, max_or_width)
-        if g_le(g2, g1):
-            return normalize(g1, max_or_width)
-        return arena.arena_union(g1, g2, max_or_width)
-    return _REFERENCE.g_union_reference(g1, g2, max_or_width)
+            value = normalize(g2, max_or_width)
+        elif g_le(g2, g1):
+            value = normalize(g1, max_or_width)
+        else:
+            value = arena.arena_union(g1, g2, max_or_width)
+        _UNION_CACHE.put(key, value)
+    return value
 
 
 # -- intersection -----------------------------------------------------------
@@ -123,35 +103,31 @@ def g_intersect(g1: Grammar, g2: Grammar,
 
     Memoized on interned operand identities.
     """
+    if not (g1.interned and g2.interned):
+        g1, g2 = normalize(g1), normalize(g2)
     if g1.is_bottom() or g2.is_bottom():
         return g_bottom()
     # The fast paths still apply the or-width cap, like every other
     # operation (a cap-violating operand must not leak through).
     if g1.is_any():
         return normalize(g2, max_or_width)
-    if g2.is_any():
+    if g2.is_any() or g1 is g2:
         return normalize(g1, max_or_width)
-    if g1 is g2:
-        return normalize(g1, max_or_width)
-    if g1.interned and g2.interned:
-        return opcache.cached(
-            "g_intersect", (g1.gid, g2.gid, max_or_width),
-            lambda: _g_intersect_impl(g1, g2, max_or_width))
-    return _g_intersect_impl(g1, g2, max_or_width)
+    return opcache.cached(
+        "g_intersect", (g1.gid, g2.gid, max_or_width),
+        lambda: _g_intersect_impl(g1, g2, max_or_width))
 
 
 def _g_intersect_impl(g1: Grammar, g2: Grammar,
                       max_or_width: Optional[int]) -> Grammar:
-    if arena.enabled() and g1.interned and g2.interned:
-        # Comparable operands: a <= b makes the product rebuild a
-        # (see the union shortcut; exact intersection of comparable
-        # languages is the smaller one, node for node).
-        if g_le(g1, g2):
-            return normalize(g1, max_or_width)
-        if g_le(g2, g1):
-            return normalize(g2, max_or_width)
-        return arena.arena_intersect(g1, g2, max_or_width)
-    return _REFERENCE.g_intersect_reference(g1, g2, max_or_width)
+    # Comparable operands: a <= b makes the product rebuild a (see the
+    # union shortcut; exact intersection of comparable languages is the
+    # smaller one, node for node).
+    if g_le(g1, g2):
+        return normalize(g1, max_or_width)
+    if g_le(g2, g1):
+        return normalize(g2, max_or_width)
+    return arena.arena_intersect(g1, g2, max_or_width)
 
 
 # -- split (unification helper) ----------------------------------------------

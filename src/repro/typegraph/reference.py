@@ -3,13 +3,13 @@ operations: inclusion, union, intersection and normalization written
 directly over ``Grammar``/``FuncAlt`` objects.
 
 They are the oracle the arena kernels are checked against
-(``tests/test_arena_properties.py``), the path every operation takes
-under ``arena.configure(enabled=False)``, and the fallback for raw
-(non-interned) operands such as the widening's vertex-view grammars.
-:mod:`repro.typegraph.ops` and :mod:`repro.typegraph.grammar` reach
-this module through a stand-in that imports it on first use, so a
-process that only ever meets interned grammars on the arena path never
-loads it.
+(``tests/test_arena_properties.py``), and only tests call them: every
+operation in :mod:`repro.typegraph.ops` and
+:mod:`repro.typegraph.grammar` normalizes a raw operand on entry and
+then runs on the arena kernels, and no module under ``repro`` imports
+this one.  The oracle shares no code with those kernels: union and
+intersection build their product with a ``GrammarBuilder`` and end in
+:func:`normalize_reference`, not in the arena normalization under test.
 """
 
 from __future__ import annotations
@@ -80,9 +80,8 @@ def _absorb(alts: FrozenSet[Alt]) -> FrozenSet[Alt]:
 
 def normalize_reference(grammar: Grammar,
                         max_or_width: Optional[int] = None) -> Grammar:
-    """The original object-walking normalization, kept as the
-    reference path (``arena.configure(enabled=False)``) and as the
-    oracle the arena property tests compare against."""
+    """The original object-walking normalization, kept as the oracle
+    the arena property tests compare against."""
     if grammar.interned and (max_or_width is None
                              or _within_width(grammar, max_or_width)):
         return grammar
@@ -279,7 +278,7 @@ def g_union_reference(g1: Grammar, g2: Grammar,
         return alt
 
     root = visit(("B", g1.root, g2.root))
-    return builder.finish(root, max_or_width)
+    return normalize_reference(builder.raw(root), max_or_width)
 
 
 def g_intersect_reference(g1: Grammar, g2: Grammar,
@@ -344,4 +343,4 @@ def g_intersect_reference(g1: Grammar, g2: Grammar,
         return nt
 
     root = visit(g1.root, g2.root)
-    return builder.finish(root, max_or_width)
+    return normalize_reference(builder.raw(root), max_or_width)

@@ -24,12 +24,14 @@ When neither rule applies the graph is allowed to grow — that growth
 adds a new pf-set along the branch, which is what makes the whole
 operator a widening (Theorem 7.1).
 
-This module holds the operator's entry point and its memo.  The native
-tier runs the whole transformation loop in C; everywhere else (the
-python kernel tier, the arena kernels off, raw operands, a type
-database) it runs in :mod:`repro.typegraph.widenloop`, which this
-module imports on first use, so a native-tier analysis never loads the
-loop or the graph view it works on.
+This module holds the operator's entry point and its memo.  Like every
+operation, ``g_widen`` normalizes a raw (non-interned) operand on
+entry, so the memo and both loops only see interned grammars.  The
+native tier runs the whole transformation loop in C; on the python
+kernel tier, and for a type database, it runs in
+:mod:`repro.typegraph.widenloop`, which this module imports on first
+use, so a native-tier analysis never loads the loop or the graph view
+it works on.
 
 ``g_widen`` also implements the extension the paper's conclusion
 proposes: an optional **type database** consulted when a vertex must be
@@ -44,7 +46,7 @@ from typing import List, Optional
 
 from .._lazy import LazyModule
 from . import arena, opcache
-from .grammar import Grammar
+from .grammar import Grammar, normalize
 from .ops import g_le
 
 __all__ = ["g_widen"]
@@ -68,27 +70,23 @@ def g_widen(g_old: Grammar, g_new: Grammar,
     (e.g. list of Any, character codes) to graft instead of Any when a
     replacement must shrink the graph.
     """
+    if not (g_old.interned and g_new.interned):
+        g_old, g_new = normalize(g_old), normalize(g_new)
     if g_new.is_bottom() or g_le(g_new, g_old):
         return g_old
-    if g_old.interned and g_new.interned:
-        db_key = (None if type_database is None
-                  else tuple(g.gid if g.interned else g
-                             for g in type_database))
-        return opcache.cached(
-            "g_widen", (g_old.gid, g_new.gid, max_or_width, strict, db_key),
-            lambda: _g_widen_impl(g_old, g_new, max_or_width, strict,
-                                  type_database))
-    return _g_widen_impl(g_old, g_new, max_or_width, strict,
-                         type_database)
+    db_key = (None if type_database is None
+              else tuple(g.gid if g.interned else g for g in type_database))
+    return opcache.cached(
+        "g_widen", (g_old.gid, g_new.gid, max_or_width, strict, db_key),
+        lambda: _g_widen_impl(g_old, g_new, max_or_width, strict,
+                              type_database))
 
 
 def _g_widen_impl(g_old: Grammar, g_new: Grammar,
                   max_or_width: Optional[int],
                   strict: bool,
                   type_database: Optional[List[Grammar]]) -> Grammar:
-    if (type_database is None and arena.enabled()
-            and arena.NATIVE is not None
-            and g_old.interned and g_new.interned):
+    if type_database is None and arena.NATIVE is not None:
         # The compiled tier runs the whole transformation loop —
         # unfold, clash scan, TRi/TRr, renormalize — and interns each
         # iterate through the same tables, so the result is the

@@ -2,10 +2,10 @@
 view (§7), in Python: unfold, collect the widening clashes
 (Definition 7.3), apply cycle introduction (TRi) or vertex
 replacement (TRr), renormalize, repeat.  :mod:`repro.typegraph.widening`
-describes the operator and hands a widening here when the native tier
-cannot run it: on the python kernel tier, with the arena kernels off,
-for raw (non-interned) operands, and for the type-database extension.
-A native-tier analysis never loads this module, nor the graph view in
+describes the operator and hands a widening here, with both operands
+interned, when the native tier cannot run it: on the python kernel
+tier and for the type-database extension.  A native-tier analysis
+never loads this module, nor the graph view in
 :mod:`repro.typegraph.graph` it works on.
 
 A step budget acts as an engineering safety net; on overflow the loop
@@ -22,8 +22,8 @@ from typing import Dict, List, Optional, Tuple
 
 from . import arena
 from .arena import SYMBOLS
-from .grammar import ANY, INT, FuncAlt, Grammar, GrammarBuilder, normalize
-from .graph import TypeGraph, Vertex, to_grammar, treeify, vertex_rules
+from .grammar import ANY, INT, FuncAlt, Grammar, normalize
+from .graph import TypeGraph, Vertex, to_grammar, treeify
 from .ops import g_le, g_union
 
 __all__ = ["widen", "widening_clashes", "RulesIndex"]
@@ -41,8 +41,6 @@ _TREEIFY_OLD_MAX = 256
 
 
 def _treeify_readonly(grammar: Grammar) -> TypeGraph:
-    if not grammar.interned:
-        return treeify(grammar)
     graph = _TREEIFY_OLD.get(grammar)
     if graph is None:
         graph = treeify(grammar)
@@ -52,21 +50,10 @@ def _treeify_readonly(grammar: Grammar) -> TypeGraph:
     return graph
 
 
-def _vertex_grammars(graph: TypeGraph) -> Tuple[Grammar, Dict[int, int]]:
-    """The grammar of ``graph`` plus the or-vertex -> nonterminal map,
-    *without* normalization (so the map stays valid)."""
-    builder = GrammarBuilder()
-    nts: Dict[int, int] = {}
-    root = vertex_rules(graph.root, builder, nts)
-    rules = {nt: frozenset(alts) for nt, alts in builder._rules.items()}
-    return Grammar(rules, root), nts
-
-
 def _raw_from_vertices(vertices, nts: Dict[int, int]) -> Grammar:
     """Raw (unnormalized) grammar of the or-vertices in ``vertices``,
-    numbered by ``nts`` — the lazy counterpart of
-    :func:`_vertex_grammars` for the arena path, built only when a
-    replacement rule actually needs grammar surgery."""
+    numbered by ``nts`` (so the numbering stays valid), built only
+    when a replacement rule actually needs grammar surgery."""
     rules: Dict[int, frozenset] = {}
     for vertex in vertices:
         alts = []
@@ -83,31 +70,6 @@ def _raw_from_vertices(vertices, nts: Dict[int, int]) -> Grammar:
                     successor.is_int))
         rules[nts[id(vertex)]] = frozenset(alts)
     return Grammar(rules, nts[id(vertices[0])])
-
-
-def _vertex_le(raw: Grammar, nts: Dict[int, int],
-               v1: Vertex, v2: Vertex,
-               memo: Optional[Dict[Tuple[int, int], bool]] = None,
-               index: Optional["RulesIndex"] = None) -> bool:
-    """Denotation inclusion between two or-vertices of the same graph.
-
-    With the arena kernels enabled, ``index`` is the step's raw rules
-    compiled once to flat ints (:class:`RulesIndex`), which memoizes
-    pair queries internally — the ancestor scans of both
-    transformation rules probe many overlapping vertex pairs.  ``memo`` (nonterminal-pair -> bool) is the
-    reference path's equivalent shared cache.
-    """
-    if index is not None:
-        return index.le(nts[id(v1)], nts[id(v2)])
-    key = (nts[id(v1)], nts[id(v2)])
-    if memo is not None:
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-    result = g_le(Grammar(raw.rules, key[0]), Grammar(raw.rules, key[1]))
-    if memo is not None:
-        memo[key] = result
-    return result
 
 
 def widening_clashes(g_old: TypeGraph,
@@ -152,12 +114,9 @@ def widening_clashes(g_old: TypeGraph,
     return clashes
 
 
-def _try_cycle_introduction(graph_new: TypeGraph, raw: Grammar,
-                            nts: Dict[int, int],
+def _try_cycle_introduction(graph_new: TypeGraph, nts: Dict[int, int],
                             clashes: List[Tuple[Vertex, Vertex]],
-                            strict: bool,
-                            le_memo: Optional[Dict] = None,
-                            le_index: Optional["RulesIndex"] = None
+                            strict: bool, le_index: "RulesIndex"
                             ) -> Optional[Grammar]:
     """Apply TRi (Definition 7.4) to the first eligible clash; the
     ancestor search is nearest-first.
@@ -182,7 +141,7 @@ def _try_cycle_introduction(graph_new: TypeGraph, raw: Grammar,
                     continue  # quick filter implied by va >= vn
             elif vn.pf() != va.pf():
                 continue
-            if not _vertex_le(raw, nts, vn, va, le_memo, le_index):
+            if not le_index.le(nts[id(vn)], nts[id(va)]):
                 continue
             parent = vn.parent
             parent.successors = [va if s is vn else s
@@ -198,10 +157,8 @@ def _try_replacement(graph_new: TypeGraph, raw_of,
                      current: Grammar,
                      max_or_width: Optional[int],
                      strict: bool,
-                     type_database: Optional[List[Grammar]] = None,
-                     le_memo: Optional[Dict] = None,
-                     le_index: Optional["RulesIndex"] = None
-                     ) -> Optional[Grammar]:
+                     type_database: Optional[List[Grammar]],
+                     le_index: "RulesIndex") -> Optional[Grammar]:
     """Apply TRr (Definition 7.5) to the first eligible clash.
 
     In gentle mode (``strict=False``) only the precise
@@ -212,22 +169,21 @@ def _try_replacement(graph_new: TypeGraph, raw_of,
     decrease, which Theorem 7.1's termination argument needs.
     """
     current_size = current.size()
-    # With an arena pair index the raw grammar view is only needed
-    # once a clash actually reaches grammar surgery; the reference
-    # path's _vertex_le needs it up front.
-    raw = None if le_index is not None else raw_of()
+    raw = None  # built once a clash actually reaches grammar surgery
     for vo, vn in clashes:
         for va in TypeGraph.or_ancestors(vn):
             if va.depth > vo.depth:
                 continue  # need depth(vo) >= depth(va)
             if not (vn.pf() <= va.pf() or vo.depth < vn.depth):
                 continue
-            if _vertex_le(raw, nts, vn, va, le_memo, le_index):
+            if le_index.le(nts[id(vn)], nts[id(va)]):
                 continue  # CI territory, not CR
             if raw is None:
                 raw = raw_of()  # grammar surgery ahead: build the view
             nt_va, nt_vn = nts[id(va)], nts[id(vn)]
             # Precise attempt: upper bound of va and vn grafted at va.
+            # g_union normalizes each raw vertex view on entry, as the
+            # native loop does before its union.
             upper = g_union(Grammar(raw.rules, nt_va),
                             Grammar(raw.rules, nt_vn), max_or_width)
             grafted = _graft(raw, nt_va, upper)
@@ -310,32 +266,22 @@ def widen(g_old: Grammar, g_new: Grammar, max_or_width: Optional[int],
         clashes = widening_clashes(graph_old, graph_new)
         if not clashes:
             return gn
-        # One inclusion memo per step: the vertex numbering is fixed
+        # One inclusion index per step: the vertex numbering is fixed
         # until the graph is transformed, so every ancestor scan below
-        # shares it.  With arena kernels on, the step compiles once
-        # into a flat-int pair index (straight from the graph) and the
-        # raw grammar view is built lazily, only if a replacement rule
-        # reaches grammar surgery.
-        if arena.enabled():
-            le_index, nts, vertices = \
-                RulesIndex.from_graph(graph_new.root)
-            raw = None
+        # shares it.  The step compiles once into a flat-int pair index
+        # (straight from the graph), and the raw grammar view is built
+        # lazily, only if a replacement rule reaches grammar surgery.
+        le_index, nts, vertices = RulesIndex.from_graph(graph_new.root)
 
-            def raw_of(vertices=vertices, nts=nts):
-                return _raw_from_vertices(vertices, nts)
-        else:
-            le_index = None
-            raw, nts = _vertex_grammars(graph_new)
+        def raw_of(vertices=vertices, nts=nts):
+            return _raw_from_vertices(vertices, nts)
 
-            def raw_of(raw=raw):
-                return raw
-        le_memo: Dict = {}
-        result = _try_cycle_introduction(graph_new, raw, nts, clashes,
-                                         strict, le_memo, le_index)
+        result = _try_cycle_introduction(graph_new, nts, clashes, strict,
+                                         le_index)
         if result is None:
             result = _try_replacement(graph_new, raw_of, nts, clashes,
                                       gn, max_or_width, strict,
-                                      type_database, le_memo, le_index)
+                                      type_database, le_index)
         if result is None:
             return gn
         gn = normalize(result, max_or_width)

@@ -3,11 +3,14 @@
 Three contracts:
 
 * **Bit-identity** — every arena kernel returns exactly what the
-  retained reference path returns: the *same interned object* for
-  grammar-valued operations (union, intersection, functor, subgrammar,
-  normalize, widening), the same boolean for inclusion.  Checked with
-  hypothesis over random grammars, with the operation caches disabled
-  so both paths really execute.
+  Grammar-level reference (:mod:`repro.typegraph.reference`, which
+  shares no code with the kernels) returns: the *same interned object*
+  for grammar-valued operations (union, intersection, functor,
+  subgrammar, normalize), the same boolean for inclusion.  Checked with
+  hypothesis over random grammars, on every tier, with the operation
+  caches emptied first.  The widening has no reference of its own;
+  ``tests/test_kernel_tiers.py`` checks the C loop against the Python
+  loop.
 * **Round-trips** — compile → decompile reproduces the grammar's rules
   verbatim, and the arena masks/rows agree with the rules they were
   compiled from.
@@ -21,14 +24,14 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.typegraph import (ANY, INT, FuncAlt, Grammar, arena, g_any,
-                             g_atom, g_bottom, g_functor, g_int,
-                             g_int_literal, g_list_of, g_union,
-                             g_intersect, g_widen, intern_grammar,
-                             normalize, normalize_reference, opcache,
-                             subgrammar)
+from repro.typegraph import (ANY, INT, FuncAlt, Grammar, GrammarBuilder,
+                             arena, g_any, g_atom, g_bottom, g_functor,
+                             g_int, g_int_literal, g_list_of, g_union,
+                             g_intersect, normalize, opcache, subgrammar)
+from repro.typegraph.grammar import _embed
 from repro.typegraph.reference import (g_intersect_reference,
-                                       g_le_reference, g_union_reference)
+                                       g_le_reference, g_union_reference,
+                                       normalize_reference)
 
 # -- strategies (same shape as test_typegraph_properties's) ------------------
 
@@ -61,26 +64,15 @@ widths = st.sampled_from([None, 1, 2, 5])
 
 
 @pytest.fixture(autouse=True, params=arena.available_kernels())
-def _uncached_and_arena_restored(request):
-    """Disable the op caches (so both paths really compute), sweep
-    every available kernel tier (PR 8: each tier must match the pure
-    reference bit-for-bit), and restore the knobs afterwards."""
-    was_cache = opcache.enabled()
-    was_arena = arena.enabled()
+def _tier_swept_and_restored(request):
+    """Sweep every available kernel tier (each must match the pure
+    reference bit-for-bit) with the op caches emptied, so the kernels
+    really compute, and restore the requested tier afterwards."""
     was_kernel = arena.kernel_status()["requested"]
-    opcache.configure(enabled=False)
-    arena.configure(enabled=True, kernel=request.param)
+    arena.configure(kernel=request.param)
+    opcache.clear()
     yield
-    opcache.configure(enabled=was_cache)
-    arena.configure(enabled=was_arena, kernel=was_kernel)
-
-
-def _with_arena(enabled, fn):
-    arena.configure(enabled=enabled)
-    try:
-        return fn()
-    finally:
-        arena.configure(enabled=True)
+    arena.configure(kernel=was_kernel)
 
 
 # -- bit-identity ------------------------------------------------------------
@@ -113,8 +105,12 @@ def test_intersect_bit_identical(g1, g2, w):
 def test_functor_bit_identical(g1, name_arity, g2, w):
     name, arity = name_arity
     children = (g1, g2)[:arity]
-    assert _with_arena(True, lambda: g_functor(name, children, w)) is \
-        _with_arena(False, lambda: g_functor(name, children, w))
+    builder = GrammarBuilder()
+    root = builder.fresh()
+    builder.add(root, FuncAlt(name, tuple(_embed(builder, c)
+                                          for c in children)))
+    assert g_functor(name, children, w) is \
+        normalize_reference(builder.raw(root), w)
 
 
 @settings(max_examples=200, deadline=None)
@@ -143,13 +139,6 @@ def test_normalize_bit_identical_on_raw_merge(g1, g2, w):
         normalize_reference(Grammar(dict(rules), raw.root), w)
 
 
-@settings(max_examples=100, deadline=None)
-@given(grammars, grammars, widths, st.booleans())
-def test_widen_bit_identical(g_old, g_new, w, strict):
-    assert _with_arena(True, lambda: g_widen(g_old, g_new, w, strict)) \
-        is _with_arena(False, lambda: g_widen(g_old, g_new, w, strict))
-
-
 # -- round-trips -------------------------------------------------------------
 
 @settings(max_examples=200, deadline=None)
@@ -164,29 +153,6 @@ def test_compile_decompile_round_trip(g):
         assert ((compiled.int_mask >> i) & 1) == (INT in alts)
         assert len(compiled.syms[i]) == \
             sum(1 for a in alts if isinstance(a, FuncAlt))
-
-
-@settings(max_examples=100, deadline=None)
-@given(grammars)
-def test_reachability_bitsets(g):
-    compiled = arena.arena_of(g)
-    reach = compiled.reach()
-    # reach agrees with a straightforward BFS over the rules
-    for nt in g.rules:
-        seen = {nt}
-        queue = [nt]
-        while queue:
-            current = queue.pop()
-            for alt in g.rules[current]:
-                if isinstance(alt, FuncAlt):
-                    for child in alt.args:
-                        if child not in seen:
-                            seen.add(child)
-                            queue.append(child)
-        mask = reach[compiled.index_of(nt)]
-        decoded = {nt2 for nt2 in g.rules
-                   if (mask >> compiled.index_of(nt2)) & 1}
-        assert decoded == seen
 
 
 # -- pickling / symbol-table stability ---------------------------------------
@@ -218,7 +184,6 @@ def test_symbol_table_is_per_process_only():
 
 
 def test_subgrammar_matches_reference_via_cache_too():
-    opcache.configure(enabled=True)
     g = g_list_of(g_functor("f", [g_int()]))
     for nt in g.rules:
         assert subgrammar(g, nt) is \
@@ -237,8 +202,8 @@ def test_arena_stats_counters_move():
 @settings(max_examples=100, deadline=None)
 @given(grammars, grammars)
 def test_full_normalize_dispatch_identical(g1, g2):
-    """public normalize (arena on) == normalize_reference on the union
-    of raw copies — the dispatcher itself is equivalence-checked."""
+    """public normalize == normalize_reference on the union of raw
+    copies — the dispatcher itself is equivalence-checked."""
     rules = {0: frozenset([FuncAlt("pair", (g1.root + 1,
                                             g2.root + 1 + len(g1.rules)))])}
     for nt, alts in g1.rules.items():
@@ -252,5 +217,4 @@ def test_full_normalize_dispatch_identical(g1, g2):
             if isinstance(a, FuncAlt) else a for a in alts)
     raw1 = Grammar(dict(rules), 0)
     raw2 = Grammar(dict(rules), 0)
-    assert _with_arena(True, lambda: normalize(raw1)) is \
-        normalize_reference(raw2)
+    assert normalize(raw1) is normalize_reference(raw2)

@@ -244,15 +244,16 @@ def test_one_shot_analysis_loads_only_what_it_uses(append_file):
 
 def test_python_tier_one_shot_analysis_matches_native(append_file):
     """The same call on the python tier loads that tier's kernels, not
-    the native helper, and prints the payload the native tier
-    prints."""
+    the native helper or the Grammar-level references (test oracles
+    only), and prints the payload the native tier prints."""
     from repro.service.serialize import payload_fingerprint
 
     code, active, loaded, output = one_shot_modules(
         [append_file, "app/3", "--json"], "python")
     assert code == 0 and active == "python"
     assert "repro.typegraph._python" in loaded
-    forbidden = NEVER_LOADED | {"repro.typegraph._native"}
+    forbidden = NEVER_LOADED | {"repro.typegraph._native",
+                                "repro.typegraph.reference"}
     assert not loaded & forbidden, sorted(loaded & forbidden)
     _, _, _, native_output = one_shot_modules(
         [append_file, "app/3", "--json"], "native")

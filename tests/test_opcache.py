@@ -1,20 +1,10 @@
 """Unit tests for grammar interning and the operation cache layer."""
 
-import pytest
-
-from repro.typegraph import (ANY, Grammar, g_any, g_atom, g_bottom,
+from repro.typegraph import (ANY, Grammar, arena, g_any, g_atom, g_bottom,
                              g_functor, g_int, g_int_literal, g_intersect,
                              g_le, g_list_of, g_union, g_widen, normalize)
 from repro.typegraph import opcache
 from repro.typegraph.grammar import intern_grammar
-
-
-@pytest.fixture
-def restore_opcache():
-    """Snapshot/restore the global cache configuration around a test."""
-    was_enabled = opcache.enabled()
-    yield
-    opcache.configure(enabled=was_enabled)
 
 
 # -- interning ---------------------------------------------------------------
@@ -79,37 +69,6 @@ def test_opcache_put_existing_key_updates():
     assert len(cache) == 1
 
 
-def test_configure_toggles_and_resizes(restore_opcache):
-    opcache.configure(enabled=False)
-    assert not opcache.enabled()
-    calls = []
-    result = opcache.cached("test-op", ("k",), lambda: calls.append(1) or 42)
-    assert result == 42 and calls == [1]
-    # disabled: computed again, nothing stored
-    opcache.cached("test-op", ("k",), lambda: calls.append(1) or 42)
-    assert calls == [1, 1]
-    opcache.configure(enabled=True)
-    opcache.cached("test-op", ("k",), lambda: calls.append(1) or 42)
-    opcache.cached("test-op", ("k",), lambda: calls.append(1) or 42)
-    assert calls == [1, 1, 1]  # second call was a hit
-
-
-def test_configure_maxsize_shrinks_tables(restore_opcache):
-    original = opcache.DEFAULT_MAXSIZE
-    opcache.configure(enabled=True)
-    cache = opcache.cache_for("shrink-op")
-    cache.reset()
-    for k in range(10):
-        cache.put(("k", k), k)
-    opcache.configure(maxsize=4)
-    try:
-        assert len(cache) <= 4
-    finally:
-        opcache.configure(maxsize=original)
-    with pytest.raises(ValueError):
-        opcache.configure(maxsize=0)
-
-
 def test_stats_and_snapshot_shapes():
     stats = opcache.stats()
     for record in stats.values():
@@ -120,8 +79,24 @@ def test_stats_and_snapshot_shapes():
 
 # -- cached operations agree with themselves ---------------------------------
 
-def test_cached_ops_return_interned_results(restore_opcache):
-    opcache.configure(enabled=True)
+def test_clear_empties_every_table_on_both_layers():
+    """``clear()`` empties the Python tables and, on the native tier,
+    every C memo too: tests rely on it to make each tier compute."""
+    a, b = g_atom("a"), g_atom("b")
+    lst = g_list_of(g_union(a, b))
+    g_widen(g_list_of(a), lst)
+    g_intersect(lst, g_list_of(a))
+    native = arena.NATIVE
+    if native is not None:
+        assert any(native.memo_stats().values())
+    opcache.clear()
+    assert all(table["size"] == 0 for table in opcache.stats().values())
+    if native is not None:
+        counts = native.memo_stats()
+        assert all(count == 0 for count in counts.values()), counts
+
+
+def test_cached_ops_return_interned_results():
     a, b = g_atom("a"), g_atom("b")
     u = g_union(a, b)
     assert u.interned
@@ -134,8 +109,7 @@ def test_cached_ops_return_interned_results(restore_opcache):
     assert g_widen(lst, g_union(lst, g_list_of(u))) is w
 
 
-def test_g_functor_memoized_on_interned_children(restore_opcache):
-    opcache.configure(enabled=True)
+def test_g_functor_memoized_on_interned_children():
     a = g_atom("a")
     f1 = g_functor("f", [a, a])
     f2 = g_functor("f", (a, a))

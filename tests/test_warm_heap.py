@@ -114,20 +114,17 @@ def test_concurrent_construction_gives_each_configuration_one_did():
 
 @pytest.fixture
 def kernel_tier():
-    """Switch the kernel tier for one test, with the op caches on and
-    empty, and put both back afterwards."""
+    """Switch the kernel tier for one test, with the op caches empty,
+    and put the requested tier back afterwards."""
     requested = arena.kernel_status()["requested"]
-    was_enabled = opcache.enabled()
 
     def switch(tier):
         if tier not in arena.available_kernels():
             pytest.skip("%s tier unavailable" % tier)
         arena.configure(kernel=tier)
-        opcache.configure(enabled=True)
         opcache.clear()
 
     yield switch
-    opcache.configure(enabled=was_enabled)
     arena.configure(kernel=requested)
 
 
