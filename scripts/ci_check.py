@@ -40,8 +40,10 @@ from repro import analyze  # noqa: E402
 from repro.benchprogs import benchmark  # noqa: E402
 from repro.service.client import (ServeClient, _repro_env,  # noqa: E402
                                   spawn_router, spawn_server)
-from repro.service.serialize import (payload_fingerprint,  # noqa: E402
+from repro.service.serialize import (canonical_json,  # noqa: E402
+                                     encode_result, payload_fingerprint,
                                      result_fingerprint)
+from repro.service.wire import encode_payload  # noqa: E402
 from repro.typegraph import arena  # noqa: E402
 
 ORACLE = Oracle()
@@ -164,12 +166,22 @@ def table3() -> str:
     """All 10 Table-1 programs, analysed in-process on the active tier,
     give the oracle's fingerprints and iteration counts, without ever
     loading the Grammar-level references (they are test oracles only;
-    a production path that reached them would be a second path)."""
+    a production path that reached them would be a second path).  The
+    served encoding of each result is the CLI's canonical JSON, and
+    its fingerprint is the oracle's too."""
     rows = {}
     for name in ORACLE.programs:
         program = benchmark(name)
         analysis = analyze(program.source, program.query,
                            input_types=program.input_types)
+        payload = encode_result(analysis.result)
+        encoded = encode_payload(analysis.result, payload)
+        require(encoded.wire == canonical_json(payload).encode("utf-8"),
+                "%s: the served bytes differ from the canonical JSON", name)
+        want = ORACLE.programs[name]["fingerprint"]
+        require(encoded.fingerprint == want,
+                "%s: encoded fingerprint %s, the oracle has %s", name,
+                encoded.fingerprint, want)
         rows[name] = {
             "fingerprint": result_fingerprint(analysis.result),
             "procedure_iterations": analysis.stats.procedure_iterations,

@@ -104,9 +104,10 @@ def _execute_spec(spec: dict, program: Optional[Program] = None
     next to the encoded table, so cached hits serve bit-identical
     verdicts.
 
-    The payload comes back as a :class:`~repro.service.wire.EncodedPayload`:
-    its JSON bytes and fingerprint are assembled here, in the executor,
-    so the caller never re-encodes it."""
+    The payload comes back as a :class:`~repro.service.wire.EncodedPayload`
+    whose canonical bytes (the CLI's ``--json`` form of the payload)
+    and fingerprint are assembled here, in the executor, so no caller
+    re-encodes it."""
     config = (None if spec["config"] is None
               else decode_config(spec["config"]))
     start = time.perf_counter()

@@ -15,12 +15,13 @@ Two layers:
 
 Payloads are the JSON-ready objects of :mod:`repro.service.serialize`;
 the cache never decodes them — it is a plain content-addressed blob
-store with an index by program hash.  A memory-tier entry may also
-hold its payload's JSON bytes (:meth:`ResultCache.payload_bytes`),
-encoded on first demand so a served hit is not re-encoded; they live
-and die with the entry.  A fresh result arrives as an
-:class:`~repro.service.wire.EncodedPayload` that carries its bytes
-already: hits and its disk record splice those instead.
+store with an index by program hash.  Every payload it holds is an
+:class:`~repro.service.wire.EncodedPayload`: a fresh result arrives
+as one with its canonical bytes already assembled, and a disk hit or
+a payload handed in as a plain dict is wrapped, encoding on first
+use.  The bytes live and die with the payload object, and the disk
+record, ``canonical_json({"key": ..., "payload": ...})``, splices them
+in.
 
 Concurrency model (PR 5's server hangs many readers and writers off
 one instance and many *processes* off one ``cache_dir``):
@@ -137,27 +138,11 @@ class CacheStats:
     invalidations: int = 0
 
 
-class _Entry:
-    """One memory-tier entry: its key, its payload, and the payload's
-    JSON bytes once a response has needed them."""
-
-    __slots__ = ("key", "payload", "encoded")
-
-    def __init__(self, key: CacheKey, payload: dict) -> None:
-        self.key = key
-        self.payload = payload
-        self.encoded: Optional[bytes] = None
-
-
-def _record_bytes(key: CacheKey, payload: dict) -> bytes:
-    """The on-disk record ``{"key": ..., "payload": ...}`` as
-    ``json.dumps`` writes it, splicing in an :class:`EncodedPayload`'s
-    bytes instead of encoding the payload again."""
-    if not isinstance(payload, EncodedPayload):
-        record = {"key": key.to_obj(), "payload": payload}
-        return json.dumps(record).encode("utf-8")
-    return b"".join((b'{"key": ', json.dumps(key.to_obj()).encode("utf-8"),
-                     b', "payload": ', payload.wire, b"}"))
+def _record_bytes(key: CacheKey, payload: EncodedPayload) -> bytes:
+    """The on-disk record, ``canonical_json({"key": ..., "payload":
+    ...})``, with the payload's own bytes spliced in."""
+    return b"".join((b'{"key":', canonical_json(key.to_obj()).encode(),
+                     b',"payload":', payload.wire, b"}"))
 
 
 class ResultCache:
@@ -181,7 +166,8 @@ class ResultCache:
         self.max_memory_entries = max_memory_entries
         self.fsync = (os.environ.get("REPRO_CACHE_FSYNC") == "1"
                       if fsync is None else bool(fsync))
-        self._memory: "OrderedDict[str, _Entry]" = OrderedDict()
+        #: digest -> (key, payload), least recently used first
+        self._memory: "OrderedDict[str, tuple]" = OrderedDict()
         self.stats = CacheStats()
         #: guards the memory layer and the stats counters; disk I/O
         #: happens outside it (atomic-rename protocol, see module doc).
@@ -202,7 +188,7 @@ class ResultCache:
 
     # -- core get/put --------------------------------------------------------
 
-    def get_memory(self, key: CacheKey) -> Optional[dict]:
+    def get_memory(self, key: CacheKey) -> Optional[EncodedPayload]:
         """Probe the in-memory layer only — a cheap, non-blocking
         lookup the server's event loop can afford to run inline.  A
         hit counts toward the stats; a miss counts nothing (the caller
@@ -216,9 +202,9 @@ class ResultCache:
             self._memory.move_to_end(digest)
             self.stats.hits += 1
             self.stats.memory_hits += 1
-            return entry.payload
+            return entry[1]
 
-    def get(self, key: CacheKey) -> Optional[dict]:
+    def get(self, key: CacheKey) -> Optional[EncodedPayload]:
         """The stored payload, or None.  Disk hits are promoted into
         the memory layer."""
         digest = key.digest
@@ -228,13 +214,13 @@ class ResultCache:
                 self._memory.move_to_end(digest)
                 self.stats.hits += 1
                 self.stats.memory_hits += 1
-                return entry.payload
+                return entry[1]
         if self.cache_dir is not None:
             path = self._entry_path(key)
             try:
                 with open(path, "r", encoding="utf-8") as handle:
                     record = json.load(handle)
-                payload = record["payload"]
+                payload = EncodedPayload(record["payload"])
             except (OSError, ValueError, KeyError, TypeError):
                 payload = None  # unreadable/truncated record: a miss
             if payload is not None:
@@ -247,17 +233,19 @@ class ResultCache:
             self.stats.misses += 1
         return None
 
-    def put(self, key: CacheKey, payload: dict) -> None:
-        """Store a payload under ``key`` in both layers.  Disk writes
-        are atomic (tempfile + rename), so a crashed writer never
-        leaves a half-written object behind and a concurrent reader
-        never observes a torn record."""
+    def put(self, key: CacheKey, payload: dict) -> EncodedPayload:
+        """Store a payload under ``key`` in both layers and return the
+        :class:`EncodedPayload` stored.  Disk writes are atomic
+        (tempfile + rename), so a crashed writer never leaves a
+        half-written object behind and a concurrent reader never
+        observes a torn record."""
+        payload = EncodedPayload.of(payload)
         with self._lock:
             self._remember(key, payload)
             self.stats.puts += 1
-        if self.cache_dir is None:
-            return
-        self._write_disk(key, payload)
+        if self.cache_dir is not None:
+            self._write_disk(key, payload)
+        return payload
 
     def seed(self, key: CacheKey, payload: dict) -> None:
         """Store a payload in the *memory* layer only — the replication
@@ -266,34 +254,10 @@ class ResultCache:
         the home shard (the store is shared, a second write would be
         redundant I/O for the same bytes)."""
         with self._lock:
-            self._remember(key, payload)
+            self._remember(key, EncodedPayload.of(payload))
             self.stats.seeds += 1
 
-    def payload_bytes(self, digest: str, payload: dict) -> bytes:
-        """``payload`` as JSON bytes (what ``encode_message`` writes
-        for it), encoded at most once per memory-tier entry.
-
-        The bytes are kept on the entry under ``digest`` only while it
-        holds this very payload object.  Eviction, invalidation,
-        ``clear`` and replacement each drop the entry, and its bytes
-        with it, so a recomputed result never comes back with the
-        bytes of the computation it replaced.  The encode runs outside
-        the lock, and an :class:`EncodedPayload` is never re-encoded."""
-        if isinstance(payload, EncodedPayload):
-            return payload.wire
-        with self._lock:
-            entry = self._memory.get(digest)
-            if (entry is not None and entry.payload is payload
-                    and entry.encoded is not None):
-                return entry.encoded
-        encoded = json.dumps(payload).encode("utf-8")
-        with self._lock:
-            entry = self._memory.get(digest)
-            if entry is not None and entry.payload is payload:
-                entry.encoded = encoded
-        return encoded
-
-    def _write_disk(self, key: CacheKey, payload: dict) -> None:
+    def _write_disk(self, key: CacheKey, payload: EncodedPayload) -> None:
         data = _record_bytes(key, payload)
         directory = self._program_dir(key.program_hash)
         # Two rounds: a concurrent invalidate_program/clear may remove
@@ -345,9 +309,9 @@ class ResultCache:
         finally:
             os.close(fd)
 
-    def _remember(self, key: CacheKey, payload: dict) -> None:
+    def _remember(self, key: CacheKey, payload: EncodedPayload) -> None:
         digest = key.digest
-        self._memory[digest] = _Entry(key, payload)
+        self._memory[digest] = (key, payload)
         self._memory.move_to_end(digest)
         while len(self._memory) > self.max_memory_entries:
             self._memory.popitem(last=False)
@@ -360,9 +324,9 @@ class ResultCache:
         keys: Dict[str, CacheKey] = {}
         with self._lock:
             memory_items = list(self._memory.items())
-        for digest, entry in memory_items:
-            if entry.key.program_hash == prog_hash:
-                keys[digest] = entry.key
+        for digest, (key, _) in memory_items:
+            if key.program_hash == prog_hash:
+                keys[digest] = key
         for key in self._disk_keys(prog_hash):
             keys.setdefault(key.digest, key)
         return list(keys.values())
@@ -424,9 +388,9 @@ class ResultCache:
         with self._lock:
             entries = list(self._memory.values())
         written = 0
-        for entry in entries:
-            if not os.path.exists(self._entry_path(entry.key)):
-                self._write_disk(entry.key, entry.payload)
+        for key, payload in entries:
+            if not os.path.exists(self._entry_path(key)):
+                self._write_disk(key, payload)
                 written += 1
         return written
 

@@ -39,10 +39,10 @@ if TYPE_CHECKING:
 __all__ = [
     "FORMAT_VERSION", "canonical_json", "content_hash",
     "encode_grammar", "decode_grammar", "grammar_content_hash",
-    "encode_subst", "decode_subst",
+    "encode_subst", "decode_subst", "subst_json",
     "encode_entry", "decode_entry",
-    "encode_result", "decode_result", "result_fingerprint",
-    "payload_fingerprint",
+    "encode_result", "decode_result", "tuple_json", "table_fingerprint",
+    "result_fingerprint", "payload_fingerprint",
     "encode_config", "decode_config", "config_hash",
     "encode_check", "decode_check", "check_fingerprint",
     "encode_input_types", "decode_input_types",
@@ -126,6 +126,25 @@ def encode_subst(subst, domain: LeafDomain):
         else:
             nodes.append(["f", node.name, list(node.args)])
     return {"nvars": subst.nvars, "sv": list(subst.sv), "nodes": nodes}
+
+
+def subst_json(subst, domain: LeafDomain) -> str:
+    """``canonical_json(encode_subst(subst, domain))``, memoized on
+    interned substitutions of a domain whose did names its
+    configuration (``AbstractSubst.text_memo``, one text per did), so
+    a warm process encodes only the substitutions an edit created."""
+    if subst is PAT_BOTTOM:
+        return '"bottom"'
+    if not (subst.interned and domain.shared_did):
+        return canonical_json(encode_subst(subst, domain))
+    memo = subst.text_memo
+    if memo is None:
+        memo = subst.text_memo = {}
+    text = memo.get(domain.did)
+    if text is None:
+        text = memo[domain.did] = canonical_json(encode_subst(subst,
+                                                              domain))
+    return text
 
 
 def decode_subst(data, domain: LeafDomain):
@@ -220,63 +239,58 @@ def encode_result(result: AnalysisResult) -> dict:
     }
 
 
+def tuple_json(pred: str, beta_in: str, beta_out: str) -> str:
+    """Canonical text of one fingerprinted (predicate, β_in, β_out)
+    tuple, from the canonical texts of its three parts."""
+    return '{"beta_in":%s,"beta_out":%s,"pred":%s,"seeded":false}' % (
+        beta_in, beta_out, pred)
+
+
+def table_fingerprint(domain: dict, tuples: Dict[int, str], root: int,
+                      unknown_predicates: list) -> str:
+    """The one table fingerprint: the content hash of the *semantic*
+    table, built from the :func:`tuple_json` text of each entry id.
+    It covers the multiset of (predicate, β_in, β_out) tuples, the
+    root tuple by value, the leaf domain, and the unknown predicates.
+    Scheduling provenance — dependency edges, update/iteration counts,
+    timing, and entry *ids* (creation order) — is deliberately
+    excluded: two runs that compute the same types through different
+    work or discovery order (differential re-evaluation on/off, a
+    future worklist tweak) fingerprint identically, which is what the
+    benchmark trajectory and the equivalence property tests compare."""
+    text = '{"domain":%s,"entries":[%s],"root":%s,' \
+        '"unknown_predicates":%s}' % (
+            canonical_json(domain), ",".join(sorted(tuples.values())),
+            tuples[root], canonical_json(unknown_predicates))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def result_fingerprint(result: AnalysisResult) -> str:
-    """Content hash of the *semantic* table: the multiset of
-    (predicate, β_in, β_out) tuples, the root tuple by value,
-    the leaf domain, and the unknown predicates.  Scheduling
-    provenance — dependency edges, update/iteration counts, timing,
-    and entry *ids* (creation order) — is deliberately excluded: two
-    runs that compute the same types through different work or
-    discovery order (operation caches on/off, differential
-    re-evaluation on/off, a future worklist tweak) fingerprint
-    identically, which is what the benchmark trajectory and the
-    equivalence property tests compare."""
+    """:func:`table_fingerprint` of an :class:`AnalysisResult`."""
     domain = result.domain
-
-    def tuple_of(entry: Entry) -> dict:
-        return {
-            "pred": list(entry.pred),
-            "beta_in": encode_subst(entry.beta_in, domain),
-            "beta_out": encode_subst(entry.beta_out, domain),
-            "seeded": False,
-        }
-
-    return content_hash({
-        "domain": domain.descriptor(),
-        "root": tuple_of(result.root_entry),
-        "entries": sorted((tuple_of(e) for e in result.entries),
-                          key=canonical_json),
-        "unknown_predicates": [list(p)
-                               for p in result.unknown_predicates],
-    })
+    return table_fingerprint(
+        domain.descriptor(),
+        {e.id: tuple_json(canonical_json(list(e.pred)),
+                          subst_json(e.beta_in, domain),
+                          subst_json(e.beta_out, domain))
+         for e in result.entries},
+        result.root_entry.id,
+        [list(p) for p in result.unknown_predicates])
 
 
 def payload_fingerprint(payload: dict) -> str:
-    """:func:`result_fingerprint` computed directly from an
-    :func:`encode_result` payload, without decoding it back into an
-    ``AnalysisResult``.  The entry encodings already *are* the
-    canonical forms the fingerprint hashes, so the two functions agree
-    by construction (asserted in ``tests/test_serialize.py``) — this is
-    what lets the server, the client, and the load generator compare
+    """:func:`table_fingerprint` of an :func:`encode_result` payload,
+    without decoding it back into an ``AnalysisResult`` — what lets
+    the server, the client, and the load generator compare
     fingerprints of cached/remote payloads against a one-shot run."""
-    by_id = {int(entry["id"]): entry for entry in payload["entries"]}
-    root = by_id[int(payload["root"])]
-
-    def tuple_of(entry: dict) -> dict:
-        return {
-            "pred": entry["pred"],
-            "beta_in": entry["beta_in"],
-            "beta_out": entry["beta_out"],
-            "seeded": False,
-        }
-
-    return content_hash({
-        "domain": payload["domain"],
-        "root": tuple_of(root),
-        "entries": sorted((tuple_of(e) for e in payload["entries"]),
-                          key=canonical_json),
-        "unknown_predicates": payload["unknown_predicates"],
-    })
+    return table_fingerprint(
+        payload["domain"],
+        {int(e["id"]): canonical_json({"pred": e["pred"],
+                                       "beta_in": e["beta_in"],
+                                       "beta_out": e["beta_out"],
+                                       "seeded": False})
+         for e in payload["entries"]},
+        int(payload["root"]), payload["unknown_predicates"])
 
 
 def decode_result(data: dict, program=None,

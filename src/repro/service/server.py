@@ -84,8 +84,7 @@ from .batch import WorkerPool, _execute_spec, _settled
 from .cache import CacheKey, ResultCache, make_key
 from .serialize import (canonical_json, check_fingerprint, decode_config,
                         decode_input_types, encode_config,
-                        encode_input_types, payload_fingerprint,
-                        program_hash)
+                        encode_input_types, program_hash)
 from .transport import (LINE_LIMIT as _LINE_LIMIT, LineServer,
                         ProtocolError, decode_message, error_envelope,
                         frame_analyze, ok_envelope)
@@ -190,8 +189,6 @@ class AnalysisServer:
         self._draining = False
         self._server: Optional[LineServer] = None
         self._shutdown_event: Optional[asyncio.Event] = None
-        #: digest -> fingerprint memo (payload hashing is not free).
-        self._fingerprints: "OrderedDict[str, str]" = OrderedDict()
         #: request signature -> (spec, CacheKey) memo.  ``make_key``
         #: parses the program to compute its canonical hash — paying
         #: that per *request* (instead of per distinct workload) used
@@ -479,28 +476,18 @@ class AnalysisServer:
             outcome["payload"] = payload
         return outcome
 
-    def _fingerprint(self, digest: str, payload: dict) -> str:
-        memo = self._fingerprints
-        fingerprint = memo.get(digest)
-        if fingerprint is None:
-            # a fresh result brings the fingerprint its executor took
-            fingerprint = (payload.fingerprint
-                           if isinstance(payload, EncodedPayload)
-                           else payload_fingerprint(payload))
-            memo[digest] = fingerprint
-            if len(memo) > 4096:
-                memo.popitem(last=False)
-        return fingerprint
-
     async def _analyze(self, spec: dict, key: CacheKey,
                        timeout: Optional[float],
                        program: Optional[Program] = None
-                       ) -> Tuple[dict, dict]:
+                       ) -> Tuple[dict, EncodedPayload]:
         """Serve one workload from the cache, a computation already in
         flight, or a new one; returns the result fields and the
         payload separately, since each op ships the payload its own
-        way.  ``program`` is the parsed source, when the caller has
-        it, for a new computation to reuse."""
+        way.  Whichever way it came, the payload is the cache's
+        :class:`EncodedPayload`, so its fingerprint and canonical
+        bytes are computed at most once per object.  ``program`` is
+        the parsed source, when the caller has it, for a new
+        computation to reuse."""
         start = time.perf_counter()
         self.stats.requests += 1
         digest = key.digest
@@ -562,7 +549,7 @@ class AnalysisServer:
         seconds = time.perf_counter() - start
         self.stats.latencies.append(seconds)
         result = {
-            "fingerprint": self._fingerprint(digest, payload),
+            "fingerprint": payload.fingerprint,
             "key": digest,
             "cached": cached,
             "coalesced": coalesced,
@@ -583,8 +570,8 @@ class AnalysisServer:
                 _, payload, _ = await loop.run_in_executor(
                     self._executor, _settled, _execute_spec, spec, program)
             # disk write off the event loop (ResultCache is locked)
-            await loop.run_in_executor(None, self.cache.put, key,
-                                       payload)
+            payload = await loop.run_in_executor(None, self.cache.put,
+                                                 key, payload)
             self.stats.analyses_executed += 1
         except BaseException as error:
             if not future.done():
@@ -610,18 +597,16 @@ class AnalysisServer:
     # -- ops -----------------------------------------------------------------
 
     async def _op_analyze(self, request: dict) -> bytes:
-        """Answered as a framed line: the payload travels as the bytes
-        its cache entry keeps, and a fresh result is marked for the
-        router's replicate gate (``transport.frame_analyze``)."""
+        """Answered as a framed line: the payload travels as its
+        canonical bytes, and a fresh result is marked for the router's
+        replicate gate (``transport.frame_analyze``)."""
         spec, key, program = self._spec_of(request)
         result, payload = await self._analyze(
             spec, key, self._timeout_of(request), program)
-        digest = key.digest
         fresh = not (result["cached"] or result["coalesced"])
         return frame_analyze(
-            request.get("id"), result, fresh=digest if fresh else None,
-            payload=(self.cache.payload_bytes(digest, payload)
-                     if request.get("payload", True) else None))
+            request.get("id"), result, fresh=key.digest if fresh else None,
+            payload=payload.wire if request.get("payload", True) else None)
 
     async def _op_check(self, request: dict) -> dict:
         """Assertion verdicts for the workload's own ``assert_*``

@@ -103,8 +103,8 @@ def frame_analyze(request_id: Any, result: dict,
                   payload: Optional[bytes] = None) -> bytes:
     """One framed analyze response, built around bytes already encoded.
 
-    ``payload`` is the JSON encoding of the result's payload (a shard
-    keeps it next to its cache entry, so a hit is not re-encoded); it
+    ``payload`` is the result payload's canonical JSON bytes (a shard
+    keeps them on the cached payload, so a hit is not re-encoded); it
     is spliced in as the last field of ``result``.  ``fresh`` is the
     cache-key digest of a result this very request computed: it leads
     the line as ``"fresh": "<digest>"``, so a router finds the results

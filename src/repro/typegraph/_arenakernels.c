@@ -3704,14 +3704,15 @@ static PyObject *py_clear_memos(PyObject *self, PyObject *args) {
 static PyObject *py_memo_stats(PyObject *self, PyObject *args) {
     (void)self; (void)args;
     return Py_BuildValue(
-        "{s:n,s:n,s:n,s:n,s:n,s:n,s:n}",
+        "{s:n,s:n,s:n,s:n,s:n,s:n,s:n,s:n}",
         "le", (Py_ssize_t)memo_le.count,
         "union", PyDict_Size(memo_union),
         "intersect", PyDict_Size(memo_intersect),
         "functor", PyDict_Size(memo_functor),
         "widen", PyDict_Size(memo_widen),
         "subgrammar", (Py_ssize_t)memo_sub.count,
-        "flat", PyDict_Size(flat_cache));
+        "flat", PyDict_Size(flat_cache),
+        "freeze", PyDict_Size(freeze_cache));
 }
 
 static PyObject *py_init(PyObject *self, PyObject *args) {

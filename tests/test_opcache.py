@@ -1,5 +1,6 @@
 """Unit tests for grammar interning and the operation cache layer."""
 
+from repro import analyze
 from repro.typegraph import (ANY, Grammar, arena, g_any, g_atom, g_bottom,
                              g_functor, g_int, g_int_literal, g_intersect,
                              g_le, g_list_of, g_union, g_widen, normalize)
@@ -81,14 +82,19 @@ def test_stats_and_snapshot_shapes():
 
 def test_clear_empties_every_table_on_both_layers():
     """``clear()`` empties the Python tables and, on the native tier,
-    every C memo too: tests rely on it to make each tier compute."""
+    every C memo too, the substitution freeze table included: tests
+    rely on it to make each tier compute."""
     a, b = g_atom("a"), g_atom("b")
     lst = g_list_of(g_union(a, b))
     g_widen(g_list_of(a), lst)
     g_intersect(lst, g_list_of(a))
+    analyze("app([], L, L).\napp([H|T], L, [H|R]) :- app(T, L, R).\n",
+            ("app", 3), input_types=["list", "list", "any"])
     native = arena.NATIVE
     if native is not None:
-        assert any(native.memo_stats().values())
+        counts = native.memo_stats()
+        assert counts["freeze"] > 0, counts
+        assert any(counts.values())
     opcache.clear()
     assert all(table["size"] == 0 for table in opcache.stats().values())
     if native is not None:

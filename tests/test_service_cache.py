@@ -293,7 +293,7 @@ def test_reader_never_sees_partial_record(tmp_path, append_source,
     old complete record or the new complete record, never a prefix."""
     cache = ResultCache(tmp_path)
     key = make_key(append_source, ("append", 3))
-    cache.put(key, payload)
+    stored = cache.put(key, payload)
     path = cache._entry_path(key)
     stop = threading.Event()
     errors = []
@@ -301,7 +301,7 @@ def test_reader_never_sees_partial_record(tmp_path, append_source,
     def rewrite():
         try:
             while not stop.is_set():
-                cache._write_disk(key, payload)
+                cache._write_disk(key, stored)
         except BaseException as error:  # pragma: no cover
             errors.append(error)
 
@@ -391,48 +391,71 @@ def test_seed_is_memory_only(tmp_path, append_source, payload):
 
 # -- stored payload bytes ----------------------------------------------------
 
-def test_payload_bytes_encoded_once_per_entry(append_source, payload):
-    import json
+def test_payload_bytes_encoded_once_per_entry(monkeypatch, append_source,
+                                              payload):
+    """A stored payload is one EncodedPayload whose canonical bytes
+    and fingerprint are computed once, on first use, and kept on it."""
+    from repro.service import wire
+    from repro.service.serialize import canonical_json, payload_fingerprint
+    calls = []
+
+    def counting(obj):
+        calls.append(obj)
+        return canonical_json(obj)
+
+    monkeypatch.setattr(wire, "canonical_json", counting)
     key = make_key(append_source, ("append", 3))
     cache = ResultCache()
     cache.put(key, payload)
     stored = cache.get_memory(key)
-    first = cache.payload_bytes(key.digest, stored)
-    assert first == json.dumps(payload).encode("utf-8")
-    assert cache.payload_bytes(key.digest, stored) is first
+    assert isinstance(stored, wire.EncodedPayload) and stored == payload
+    assert calls == []                          # nothing encoded yet
+    first = stored.wire
+    assert first == canonical_json(payload).encode("utf-8")
+    assert cache.get(key) is stored
+    assert stored.wire is first and len(calls) == 1
+    assert stored.fingerprint == payload_fingerprint(payload)
+    assert stored.fingerprint is stored.fingerprint
+    assert wire.EncodedPayload.of(stored) is stored
 
 
 def test_payload_bytes_follow_a_recompute(tmp_path, append_source,
                                           payload):
     """Invalidate, then put a recomputed payload: the bytes served are
-    the new computation's, never the ones cached for the old one."""
-    import json
+    the new computation's, never the ones kept for the old one."""
     key = make_key(append_source, ("append", 3))
     cache = ResultCache(tmp_path)
     cache.put(key, payload)
-    old = cache.payload_bytes(key.digest, cache.get_memory(key))
+    old = cache.get_memory(key).wire
     assert cache.invalidate(key)
     recomputed = dict(payload, stats={"recomputed": True})
     cache.put(key, recomputed)
-    new = cache.payload_bytes(key.digest, cache.get_memory(key))
+    new = cache.get_memory(key).wire
     assert new != old
     assert json.loads(new)["stats"] == {"recomputed": True}
-    # a replacing put without an invalidate drops the bytes as well
+    # a replacing put without an invalidate replaces the bytes as well,
+    # in memory and on disk
     replaced = dict(payload, stats={"replaced": True})
     cache.put(key, replaced)
-    assert json.loads(cache.payload_bytes(
-        key.digest, cache.get_memory(key)))["stats"] == {"replaced": True}
+    assert json.loads(cache.get_memory(key).wire)["stats"] == \
+        {"replaced": True}
+    assert ResultCache(tmp_path).get(key).wire == cache.get(key).wire
 
 
 def test_payload_bytes_of_another_object_are_not_stored(append_source,
                                                         payload):
+    """An equal payload object encodes on its own; the stored one
+    neither shares nor receives its bytes."""
+    from repro.service.wire import EncodedPayload
     key = make_key(append_source, ("append", 3))
     cache = ResultCache()
-    cache.put(key, payload)
-    stale = dict(payload)  # equal, but not the object the entry holds
-    first = cache.payload_bytes(key.digest, stale)
-    assert cache.payload_bytes(key.digest, stale) is not first
-    assert cache.payload_bytes("no-such-digest", payload) == first
+    stored = cache.put(key, payload)
+    other = EncodedPayload(payload)
+    assert other == stored and other is not stored
+    first = other.wire
+    assert getattr(stored, "_wire", None) is None
+    assert stored.wire == first and stored.wire is not first
+    assert cache.get_memory(key) is stored
 
 
 def test_eviction_and_clear_release_payload_bytes(append_source,
@@ -441,13 +464,12 @@ def test_eviction_and_clear_release_payload_bytes(append_source,
     cache = ResultCache(max_memory_entries=1)
     keys = [make_key(append_source + "\np%d(a).\n" % i, ("append", 3))
             for i in range(2)]
-    cache.put(keys[0], payload)
-    encoded = cache.payload_bytes(keys[0].digest, payload)
+    encoded = cache.put(keys[0], payload).wire
     held = sys.getrefcount(encoded)
     cache.put(keys[1], payload)  # evicts keys[0]
     assert cache.stats.evictions == 1
     assert sys.getrefcount(encoded) == held - 1
-    encoded = cache.payload_bytes(keys[1].digest, payload)
+    encoded = cache.get_memory(keys[1]).wire
     held = sys.getrefcount(encoded)
     cache.clear()
     assert sys.getrefcount(encoded) == held - 1

@@ -1,24 +1,30 @@
 """Encode-once result payloads (:mod:`repro.service.wire`).
 
-A fresh result's JSON bytes and fingerprint are assembled once, in the
-executor that ran the analysis, from per-substitution texts memoized
-on the interned substitution.  The contract pinned here:
+A fresh result's bytes and fingerprint are assembled once, in the
+executor that ran the analysis, from per-substitution canonical texts
+memoized on the interned substitution.  The contract pinned here
+(``json_dumps`` in a test name means the canonical ``json.dumps`` of
+``serialize.canonical_json``: sorted keys, no whitespace):
 
-* the bytes equal ``json.dumps(payload)`` and the fingerprint equals
-  both ``payload_fingerprint`` and ``result_fingerprint`` — on every
-  benchprog (CHK as a check payload) and on random programs, on the
-  native and python kernel tiers, with the text memo cold or warm;
+* the bytes equal ``canonical_json(payload)`` — the CLI's ``--json``
+  form — and the fingerprint equals both ``payload_fingerprint`` and
+  ``result_fingerprint``, on every benchprog (CHK as a check payload),
+  on random programs and on the baseline domain, on the native and
+  python kernel tiers, with the text memo cold or warm;
 * every consumer uses that one encoding: the served response, the
-  memory tier, the ``--cache-dir`` record and the fingerprint memo; a
-  pool worker's result carries it across the process boundary; and a
-  payload that arrives as a plain dict still gets correct bytes;
-* the memo lives on the substitution and dies with it, and repeated
-  edits do not grow it.
+  memory tier, the ``--cache-dir`` record, a ``seed``-ed replica and
+  the fingerprint; a pool worker's result carries it across the
+  process boundary; and a payload that arrives as a plain dict still
+  gets correct bytes;
+* the memo holds one text per domain did, lives on the substitution
+  and dies with it, and repeated edits do not grow it.
 """
 
 import gc
 import json
 import os
+import re
+import subprocess
 import sys
 import weakref
 
@@ -35,15 +41,16 @@ from repro.fixpoint.engine import AnalysisConfig
 from repro.service import server as server_module
 from repro.service.batch import Job, WorkerPool, _execute_spec, run_batch
 from repro.service.cache import ResultCache
-from repro.service.serialize import (encode_check, encode_result,
+from repro.service.serialize import (canonical_json, encode_check,
+                                     encode_result, encode_subst,
                                      payload_fingerprint,
-                                     result_fingerprint)
+                                     result_fingerprint, subst_json)
 from repro.service.server import AnalysisServer
-from repro.service.wire import EncodedPayload, encode_payload, subst_texts
+from repro.service.wire import EncodedPayload, encode_payload
 from repro.typegraph import g_list_of, g_int
 
 from test_differential_properties import programs
-from test_server import run_scenario, send_raw
+from test_server import run_scenario, send, send_raw
 from test_warm_heap import kernel_tier  # noqa: F401  (fixture)
 
 
@@ -63,9 +70,13 @@ def _assert_encodes(result, payload):
         encoded = encode_payload(result, payload)
         assert isinstance(encoded, EncodedPayload)
         assert encoded == payload
-        assert encoded.wire == json.dumps(payload).encode("utf-8")
+        assert encoded.wire == canonical_json(payload).encode("utf-8")
         assert encoded.fingerprint == payload_fingerprint(payload)
         assert encoded.fingerprint == result_fingerprint(result)
+        # a payload wrapped from the plain dict encodes the same
+        plain = EncodedPayload(payload)
+        assert plain.wire == encoded.wire
+        assert plain.fingerprint == encoded.fingerprint
 
 
 def _analyzed(name):
@@ -108,7 +119,7 @@ def test_execute_spec_returns_the_encoding():
     spec = AnalysisServer()._check_spec_of({"benchmark": "CHK"})[0]
     _, payload, _ = _execute_spec(spec)
     assert "check" in payload
-    assert payload.wire == json.dumps(payload).encode("utf-8")
+    assert payload.wire == canonical_json(payload).encode("utf-8")
     assert payload.fingerprint == payload_fingerprint(payload)
 
 
@@ -117,7 +128,7 @@ def test_pool_worker_result_carries_the_bytes():
     with WorkerPool(1) as pool:
         _, payload, _ = pool.submit_spec(spec).result(timeout=120)
     assert isinstance(payload, EncodedPayload)
-    assert payload.wire == json.dumps(payload).encode("utf-8")
+    assert payload.wire == canonical_json(payload).encode("utf-8")
     assert payload.fingerprint == payload_fingerprint(payload)
 
 
@@ -132,24 +143,52 @@ def test_disk_record_is_json_dumps_of_the_record(tmp_path):
         written = handle.read()
     plain = dict(fresh.payload)
     record = {"key": key.to_obj(), "payload": plain}
-    assert written == json.dumps(record).encode("utf-8")
+    assert written == canonical_json(record).encode("utf-8")
     # the plain-dict path writes the same bytes
     other = ResultCache(tmp_path / "plain")
     other.put(key, plain)
     with open(other._entry_path(key), "rb") as handle:
         assert handle.read() == written
-    # and a second process reads it back as a hit
-    assert ResultCache(tmp_path).get(key) == plain
+    # and a second process reads it back as a hit, with the same bytes
+    hit = ResultCache(tmp_path).get(key)
+    assert isinstance(hit, EncodedPayload)
+    assert hit == plain and hit.wire == fresh.payload.wire
+
+
+def test_record_in_the_older_spaced_form_still_decodes(tmp_path):
+    """Records written before the bytes were canonical (``json.dumps``
+    with spaces) are the same format version and still hit."""
+    bp = benchmark("QU")
+    job = Job(bp.name, bp.source, bp.query, bp.input_types)
+    fresh = run_batch([job]).results[0].payload
+    cache = ResultCache(tmp_path)
+    key = job.key()
+    os.makedirs(os.path.dirname(cache._entry_path(key)))
+    with open(cache._entry_path(key), "w", encoding="utf-8") as handle:
+        json.dump({"key": key.to_obj(), "payload": dict(fresh)}, handle)
+    hit = cache.get(key)
+    assert hit.wire == fresh.wire
+    assert hit.fingerprint == fresh.fingerprint
 
 
 # -- the served path ----------------------------------------------------------
 
 def _payload_tail(line):
-    """The payload bytes a framed analyze line ends with."""
+    """The payload a framed analyze line ends with, checked to travel
+    as its canonical bytes."""
     payload = json.loads(line)["result"]["payload"]
-    tail = b'"payload": ' + json.dumps(payload).encode("utf-8") + b"}}\n"
+    tail = b'"payload": ' + canonical_json(payload).encode("utf-8") \
+        + b"}}\n"
     assert line.endswith(tail)
     return payload
+
+
+def _masked(text):
+    """``text`` with the stats that depend on the process, not on the
+    workload, blanked: the timing and the counters of the warm
+    operation caches and arena."""
+    return re.sub(r'"(arena_compiles|cpu_time|opcache_hits|opcache_misses)"'
+                  r':[-+.eE0-9]+', r'"\1":0', text)
 
 
 def test_served_fresh_and_hit_lines_carry_identical_bytes(tmp_path):
@@ -170,6 +209,58 @@ def test_served_fresh_and_hit_lines_carry_identical_bytes(tmp_path):
     assert fresh.split(b'"payload": ')[1] == hit.split(b'"payload": ')[1]
     assert fresh_result["fingerprint"] == hit_result["fingerprint"] \
         == payload_fingerprint(payload)
+
+
+def _cli_env():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=src)
+
+
+def test_every_path_serves_the_cli_result_bytes(tmp_path):
+    """One workload served fresh, as a memory hit, as a disk hit in a
+    new cache and from a ``seed``-ed replica carries one payload text,
+    and it is the ``"result"`` text ``repro FILE QUERY --json`` prints
+    (up to the stats a warm process counts differently)."""
+    bp = benchmark("QU")
+    request = {"op": "analyze", "benchmark": "QU", "id": 1}
+
+    async def fresh_then_hit(server):
+        return [await send_raw(server, request) for _ in range(2)]
+
+    async def disk_hit(server):
+        line = await send_raw(server, request)
+        assert server.cache.stats.disk_hits == 1
+        return line
+
+    lines = run_scenario(fresh_then_hit, cache=ResultCache(tmp_path))
+    lines.append(run_scenario(disk_hit, cache=ResultCache(tmp_path)))
+    payload = json.loads(lines[0])["result"]["payload"]
+
+    async def seeded(server):
+        seed = {"op": "seed", "benchmark": "QU", "payload": payload}
+        assert (await send(server, seed))["ok"]
+        line = await send_raw(server, request)
+        assert server.cache.stats.seeds == 1
+        assert server.stats.analyses_executed == 0
+        return line
+
+    lines.append(run_scenario(seeded))
+    results = [json.loads(line)["result"] for line in lines]
+    assert [r["cached"] for r in results] == [False, True, True, True]
+    # each line ends in its payload's canonical bytes, and the payloads
+    # are equal, so the bytes are too
+    assert all(_payload_tail(line) == payload for line in lines)
+    assert len({r["fingerprint"] for r in results}) == 1
+    served = canonical_json(payload)
+
+    source = tmp_path / "qu.pl"
+    source.write_text(bp.source)
+    cli = subprocess.run(
+        [sys.executable, "-m", "repro", str(source), "queens/2", "--json"],
+        env=_cli_env(), capture_output=True, text=True, timeout=120)
+    assert cli.returncode == 0, cli.stderr
+    assert '"result":%s,' % _masked(served) in _masked(cli.stdout)
 
 
 def test_plain_dict_from_the_executor_gets_correct_bytes(monkeypatch):
@@ -206,24 +297,24 @@ def _unique_subst():
 def test_memo_dies_with_its_substitution():
     domain = TypeLeafDomain()
     subst = _unique_subst()
-    texts = subst_texts(subst, domain)
-    assert subst.text_memo == {domain.did: texts}
-    assert subst_texts(subst, domain) is texts
+    text = subst_json(subst, domain)
+    assert subst.text_memo == {domain.did: text}
+    assert subst_json(subst, domain) is text
     ref = weakref.ref(subst)
     del subst
     gc.collect()
     assert ref() is None
-    # nothing process-wide kept the texts: only the local name does
-    assert sys.getrefcount(texts) == 2
+    # nothing process-wide kept the text: only the local name does
+    assert sys.getrefcount(text) == 2
 
 
 def test_bottom_and_non_interned_substs_are_not_memoized():
     domain = TypeLeafDomain()
-    assert subst_texts(PAT_BOTTOM, domain) == ('"bottom"', '"bottom"')
+    assert subst_json(PAT_BOTTOM, domain) == '"bottom"'
     loose = AbstractSubst(1, (0,), (PatNode(value=g_int()),))
     assert not loose.interned
-    canonical, wire = subst_texts(loose, domain)
-    assert json.loads(canonical) == json.loads(wire)
+    assert subst_json(loose, domain) == \
+        canonical_json(encode_subst(loose, domain))
     assert loose.text_memo is None
 
 
@@ -231,7 +322,7 @@ def test_type_database_domains_do_not_memoize():
     domain = TypeLeafDomain(type_database=[g_list_of(g_int())])
     assert not domain.shared_did
     subst = _unique_subst()
-    subst_texts(subst, domain)
+    subst_json(subst, domain)
     assert subst.text_memo is None
 
 
@@ -251,7 +342,8 @@ def test_repeated_edits_do_not_grow_the_memo():
             for subst in (entry.beta_in, entry.beta_out):
                 if subst is not PAT_BOTTOM:
                     substs.append(subst)
-                    assert result.domain.did in subst.text_memo
+                    assert isinstance(
+                        subst.text_memo[result.domain.did], str)
                     size = sizes.setdefault(id(subst),
                                             len(subst.text_memo))
                     assert len(subst.text_memo) == size
@@ -259,7 +351,6 @@ def test_repeated_edits_do_not_grow_the_memo():
 
 
 def test_the_one_shot_cli_does_not_import_the_module(tmp_path):
-    import subprocess
     source = tmp_path / "prog.pl"
     source.write_text("p(a).\n")
     code = ("import sys\n"
@@ -267,9 +358,6 @@ def test_the_one_shot_cli_does_not_import_the_module(tmp_path):
             "assert main([%r, 'p/1', '--json']) == 0\n"
             "assert 'repro.service.wire' not in sys.modules\n"
             % str(source))
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
