@@ -30,6 +30,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -162,19 +163,39 @@ def table_problems(oracle: Oracle, rows: dict) -> list:
     return problems
 
 
+def leaf_table_problems(payload: dict) -> list:
+    """How a result payload breaks the one-leaf-table rule: a leaf
+    value listed twice in ``leaves``, or a leaf node that holds a
+    value inline instead of an index into ``leaves``."""
+    counts = Counter(canonical_json(leaf) for leaf in payload["leaves"])
+    problems = ["leaf %s is listed %d times" % (text[:60], count)
+                for text, count in sorted(counts.items()) if count > 1]
+    inline = sum(type(node[1]) is not int
+                 for entry in payload["entries"]
+                 for subst in (entry["beta_in"], entry["beta_out"])
+                 if subst != "bottom"
+                 for node in subst["nodes"] if node[0] == "l")
+    if inline:
+        problems.append("%d leaf nodes hold their value inline" % inline)
+    return problems
+
+
 def table3() -> str:
     """All 10 Table-1 programs, analysed in-process on the active tier,
     give the oracle's fingerprints and iteration counts, without ever
     loading the Grammar-level references (they are test oracles only;
     a production path that reached them would be a second path).  The
     served encoding of each result is the CLI's canonical JSON, and
-    its fingerprint is the oracle's too."""
+    its fingerprint is the oracle's too; each payload lists every leaf
+    value once and references it by index."""
     rows = {}
     for name in ORACLE.programs:
         program = benchmark(name)
         analysis = analyze(program.source, program.query,
                            input_types=program.input_types)
         payload = encode_result(analysis.result)
+        problems = leaf_table_problems(payload)
+        require(not problems, "%s: %s", name, "; ".join(problems))
         encoded = encode_payload(analysis.result, payload)
         require(encoded.wire == canonical_json(payload).encode("utf-8"),
                 "%s: the served bytes differ from the canonical JSON", name)

@@ -196,10 +196,10 @@ class AbstractSubst:
         #: outputs on every join/compare, so the memo pays across
         #: calls (and analyses), not just within one merge walk.
         self._collapse: Optional[Dict] = None
-        #: per-instance canonical JSON text of interned substitutions,
-        #: one ``str`` per domain did (filled by
-        #: :func:`repro.service.serialize.subst_json`); it dies with the
-        #: substitution, like ``Grammar.to_obj``'s memo.
+        #: per-instance canonical JSON texts of interned substitutions,
+        #: one ``(inline, leaf-slot template, leaf texts)`` tuple per
+        #: domain did (filled by :mod:`repro.service.serialize`); it
+        #: dies with the substitution, like ``Grammar.to_obj``'s memo.
         self.text_memo: Optional[Dict] = None
         #: interning marker + dense per-process id (see
         #: :func:`intern_subst`); -1 until interned, never reused.

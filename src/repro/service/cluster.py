@@ -99,8 +99,8 @@ from .serialize import program_hash
 from .server import RequestError, ServerStats
 from .transport import (LINE_LIMIT, AsyncLineConnection, ConnectError,
                         LineServer, ProtocolError, decode_message,
-                        encode_message, error_envelope, fresh_digest,
-                        ok_envelope)
+                        encode_message, error_envelope, framed_payload,
+                        fresh_digest, ok_envelope, splice_payload)
 
 __all__ = ["HashRing", "ShardState", "ClusterRouter", "MembershipJournal",
            "DEFAULT_ROUTER_PORT", "load_fleet", "router_main"]
@@ -1195,13 +1195,14 @@ class ClusterRouter:
 
     async def _replicate(self, home: str, preference: Tuple[str, ...],
                          request: dict, response: bytes) -> None:
+        """Push one fresh result to the replicas.  The ``seed`` line is
+        built around the payload bytes of the fresh analyze line
+        (``transport.framed_payload``), which are neither decoded nor
+        re-encoded here."""
         spec = {field: request[field] for field in self._SPEC_FIELDS
                 if request.get(field) is not None}
-        try:
-            payload = decode_message(response)["result"].get("payload")
-        except ProtocolError:
-            self.stats.replication_failures += 1
-            return
+        payload = (framed_payload(response) if request.get("payload", True)
+                   else None)
         if payload is None:
             # Most clients ask payload=False, so the forwarded bytes
             # carry no tables; re-fetch from the home shard — a memory
@@ -1210,22 +1211,18 @@ class ClusterRouter:
             if home_shard is None:
                 return
             try:
-                envelope = await home_shard.request(
-                    dict(spec, id=None, op="analyze", payload=True),
+                line = await home_shard.request_raw(encode_message(
+                    dict(spec, id=None, op="analyze", payload=True)),
                     timeout=30.0)
-            except (asyncio.TimeoutError, ProtocolError,
-                    *_FORWARD_ERRORS):
+            except (asyncio.TimeoutError, *_FORWARD_ERRORS):
                 self.stats.replication_failures += 1
                 return
-            if not envelope.get("ok"):
-                self.stats.replication_failures += 1
-                return
-            payload = envelope["result"].get("payload")
+            payload = framed_payload(line)
             if payload is None:
                 self.stats.replication_failures += 1
                 return
-        seed_line = encode_message(
-            dict(spec, id=None, op="seed", payload=payload))
+        seed_line = splice_payload(dict(spec, id=None, op="seed"),
+                                   payload) + b"\n"
         replicas = [node for node in preference if node != home]
         for node in replicas[:self.replicate - 1]:
             shard = self.shards.get(node)

@@ -13,6 +13,14 @@ content address (the substrate of :mod:`repro.service.cache`).
 Program hashing works on the parsed form (``format_term`` of each
 clause), so whitespace and comment edits do not change any hash.
 
+A result payload holds each distinct leaf value once: its top-level
+``"leaves"`` list encodes every distinct leaf in first-use order
+(entries in order, β_in before β_out, nodes in order), and a leaf node
+is a reference ``["l", k]`` into it.  A substitution encoded on its
+own (:func:`encode_subst`, :func:`subst_json`) and every tuple a
+fingerprint hashes keep the leaf value inline, so fingerprints do not
+depend on the leaf table.
+
 Every entry encoding, and each tuple a fingerprint hashes, carries a
 constant ``"seeded": false``: a member of the format since its first
 version, kept so that table fingerprints stay byte-identical.
@@ -22,10 +30,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import weakref
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
 
-from ..domains.leaf import LeafDomain, domain_from_descriptor
+from ..domains.leaf import (LeafDomain, TypeLeafDomain,
+                            domain_from_descriptor)
 from ..domains.pattern import PAT_BOTTOM, AbstractSubst, PatNode
 from ..fixpoint.engine import (AnalysisConfig, AnalysisResult,
                                AnalysisStats, Entry)
@@ -39,8 +49,8 @@ if TYPE_CHECKING:
 __all__ = [
     "FORMAT_VERSION", "canonical_json", "content_hash",
     "encode_grammar", "decode_grammar", "grammar_content_hash",
-    "encode_subst", "decode_subst", "subst_json",
-    "encode_entry", "decode_entry",
+    "encode_subst", "decode_subst", "subst_json", "subst_texts",
+    "encode_entry", "decode_entry", "LeafTable",
     "encode_result", "decode_result", "tuple_json", "table_fingerprint",
     "result_fingerprint", "payload_fingerprint",
     "encode_config", "decode_config", "config_hash",
@@ -62,7 +72,9 @@ __all__ = [
 #: payloads embed a ``check`` section (assertion verdicts + blame
 #: slices).
 #: v7: AnalysisStats lost its seeded-entry counter (table seeding removed).
-FORMAT_VERSION = 7
+#: v8: result payloads gained a ``leaves`` table holding each distinct
+#: leaf value once; a leaf node is a reference ``["l", k]`` into it.
+FORMAT_VERSION = 8
 
 
 # -- canonical JSON and hashing ----------------------------------------------
@@ -80,25 +92,32 @@ def content_hash(obj) -> str:
 
 # -- grammars ----------------------------------------------------------------
 
-#: Per-instance content-hash memo for interned grammars: interning
-#: makes structurally equal grammars one shared object, so the hash of
-#: its canonical encoding is computed once per process instead of once
-#: per cache-key/batch-job that mentions it.  Weak keys, so the memo
-#: never outlives the intern table.
-_GRAMMAR_HASH_MEMO: "weakref.WeakKeyDictionary[Grammar, str]" = \
+#: Per-instance canonical-JSON memo for interned grammars: interning
+#: makes structurally equal grammars one shared object, so its text
+#: (and the content hash of it) is computed once per process instead
+#: of once per cache key, batch job or leaf table that mentions it.
+#: Weak keys, so the memo never outlives the intern table.
+_GRAMMAR_TEXT_MEMO: "weakref.WeakKeyDictionary[Grammar, str]" = \
     weakref.WeakKeyDictionary()
 
 
-def grammar_content_hash(grammar: Grammar) -> str:
-    """``content_hash(encode_grammar(grammar))``, memoized on interned
-    instances (their encodings are immutable)."""
+def _grammar_json(grammar: Grammar) -> str:
+    """``canonical_json(encode_grammar(grammar))``, memoized on
+    interned instances (their encodings are immutable)."""
     if not grammar.interned:
-        return content_hash(grammar.to_obj())
-    digest = _GRAMMAR_HASH_MEMO.get(grammar)
-    if digest is None:
-        digest = content_hash(grammar.to_obj())
-        _GRAMMAR_HASH_MEMO[grammar] = digest
-    return digest
+        return canonical_json(grammar.to_obj())
+    text = _GRAMMAR_TEXT_MEMO.get(grammar)
+    if text is None:
+        text = _GRAMMAR_TEXT_MEMO[grammar] = canonical_json(
+            grammar.to_obj())
+    return text
+
+
+def grammar_content_hash(grammar: Grammar) -> str:
+    """``content_hash(encode_grammar(grammar))``, from the memoized
+    text."""
+    return hashlib.sha256(_grammar_json(grammar).encode("utf-8")
+                          ).hexdigest()
 
 
 def encode_grammar(grammar: Grammar) -> dict:
@@ -111,16 +130,29 @@ def decode_grammar(data: dict) -> Grammar:
 
 # -- abstract substitutions --------------------------------------------------
 
-def encode_subst(subst, domain: LeafDomain):
+def _leaf_json(value, domain: LeafDomain) -> str:
+    """``canonical_json(domain.encode_leaf(value))``.  A type domain
+    encodes a leaf as its grammar's :meth:`Grammar.to_obj`, so the
+    text of an interned grammar comes from :func:`_grammar_json`'s
+    memo."""
+    if isinstance(domain, TypeLeafDomain):
+        return _grammar_json(value)
+    return canonical_json(domain.encode_leaf(value))
+
+
+def encode_subst(subst, domain: LeafDomain, leaf_ref=None):
     """Encode a frozen substitution (or PAT_BOTTOM) against its leaf
-    domain; leaf values go through :meth:`LeafDomain.encode_leaf`."""
+    domain.  A leaf node holds its value, through
+    :meth:`LeafDomain.encode_leaf`, or, given ``leaf_ref``, the index
+    ``leaf_ref(value)`` of that value in a payload's leaf table."""
     if subst is PAT_BOTTOM:
         return "bottom"
     assert isinstance(subst, AbstractSubst)
     nodes = []
     for node in subst.nodes:
         if node.is_leaf:
-            nodes.append(["l", domain.encode_leaf(node.value)])
+            nodes.append(["l", domain.encode_leaf(node.value)
+                          if leaf_ref is None else leaf_ref(node.value)])
         elif node.is_int:
             nodes.append(["i", node.name])
         else:
@@ -128,33 +160,81 @@ def encode_subst(subst, domain: LeafDomain):
     return {"nvars": subst.nvars, "sv": list(subst.sv), "nodes": nodes}
 
 
-def subst_json(subst, domain: LeafDomain) -> str:
-    """``canonical_json(encode_subst(subst, domain))``, memoized on
-    interned substitutions of a domain whose did names its
-    configuration (``AbstractSubst.text_memo``, one text per did), so
-    a warm process encodes only the substitutions an edit created."""
+#: A leaf node while a substitution's template is encoded: ``NaN`` is
+#: no value a payload holds, and a quote inside a JSON string is always
+#: escaped, so this token stands only where a leaf node is.
+_SLOT_TOKEN = '["l",NaN]'
+
+
+def _slot(value) -> float:
+    return math.nan
+
+
+def _subst_texts(subst: AbstractSubst, domain: LeafDomain) -> tuple:
+    """``(inline, template, leaves)`` of one substitution: its
+    canonical text with the leaf values inline, the same text as a
+    ``%``-template with a ``%s`` slot where each leaf's value or index
+    goes, and the :func:`_leaf_json` texts of its leaves in node
+    order."""
+    template = canonical_json(encode_subst(subst, domain, _slot)).replace(
+        "%", "%%").replace(_SLOT_TOKEN, '["l",%s]')
+    leaves = tuple(_leaf_json(node.value, domain)
+                   for node in subst.nodes if node.is_leaf)
+    return template % leaves, template, leaves
+
+
+_BOTTOM_TEXTS = ('"bottom"', '"bottom"', ())
+
+
+def subst_texts(subst, domain: LeafDomain) -> tuple:
+    """``(inline, template, leaves)`` of a substitution (see
+    :func:`_subst_texts`): ``template % refs`` is its payload text when
+    its leaves, the texts ``leaves``, sit at indices ``refs`` of the
+    payload's :class:`LeafTable`.  Memoized on interned substitutions
+    of a domain whose did names its configuration
+    (``AbstractSubst.text_memo``, one entry per did), so a warm process
+    encodes only the substitutions an edit created."""
     if subst is PAT_BOTTOM:
-        return '"bottom"'
+        return _BOTTOM_TEXTS
     if not (subst.interned and domain.shared_did):
-        return canonical_json(encode_subst(subst, domain))
+        return _subst_texts(subst, domain)
     memo = subst.text_memo
     if memo is None:
         memo = subst.text_memo = {}
-    text = memo.get(domain.did)
-    if text is None:
-        text = memo[domain.did] = canonical_json(encode_subst(subst,
-                                                              domain))
-    return text
+    texts = memo.get(domain.did)
+    if texts is None:
+        texts = memo[domain.did] = _subst_texts(subst, domain)
+    return texts
 
 
-def decode_subst(data, domain: LeafDomain):
+def subst_json(subst, domain: LeafDomain) -> str:
+    """``canonical_json(encode_subst(subst, domain))``: the leaf
+    values inline, as every fingerprinted tuple holds them."""
+    return subst_texts(subst, domain)[0]
+
+
+def _leaf_at(leaves: list, ref):
+    """``leaves[ref]`` for a leaf reference read from a payload, which
+    must be an in-range, non-negative integer."""
+    if type(ref) is not int or not 0 <= ref < len(leaves):
+        raise ValueError("bad leaf reference %r (the payload has %d "
+                         "leaves)" % (ref, len(leaves)))
+    return leaves[ref]
+
+
+def decode_subst(data, domain: LeafDomain, leaves: Optional[list] = None):
+    """Inverse of :func:`encode_subst`: a leaf node's value is decoded
+    inline, or, given ``leaves`` (a payload's leaf table, decoded), is
+    the table entry it references."""
     if data == "bottom":
         return PAT_BOTTOM
     nodes = []
     for node in data["nodes"]:
         kind = node[0]
         if kind == "l":
-            nodes.append(PatNode(value=domain.decode_leaf(node[1])))
+            nodes.append(PatNode(value=domain.decode_leaf(node[1])
+                                 if leaves is None
+                                 else _leaf_at(leaves, node[1])))
         elif kind == "i":
             nodes.append(PatNode(node[1], True, ()))
         elif kind == "f":
@@ -170,12 +250,12 @@ def decode_subst(data, domain: LeafDomain):
 
 # -- table entries and whole results -----------------------------------------
 
-def encode_entry(entry: Entry, domain: LeafDomain) -> dict:
+def encode_entry(entry: Entry, domain: LeafDomain, leaf_ref=None) -> dict:
     return {
         "id": entry.id,
         "pred": list(entry.pred),
-        "beta_in": encode_subst(entry.beta_in, domain),
-        "beta_out": encode_subst(entry.beta_out, domain),
+        "beta_in": encode_subst(entry.beta_in, domain, leaf_ref),
+        "beta_out": encode_subst(entry.beta_out, domain, leaf_ref),
         "dependents": sorted(entry.dependents),
         "updates": entry.updates,
         "iterations": entry.iterations,
@@ -183,12 +263,13 @@ def encode_entry(entry: Entry, domain: LeafDomain) -> dict:
     }
 
 
-def decode_entry(data: dict, domain: LeafDomain) -> Entry:
+def decode_entry(data: dict, domain: LeafDomain,
+                 leaves: Optional[list] = None) -> Entry:
     return Entry(
         id=int(data["id"]),
         pred=(data["pred"][0], int(data["pred"][1])),
-        beta_in=decode_subst(data["beta_in"], domain),
-        beta_out=decode_subst(data["beta_out"], domain),
+        beta_in=decode_subst(data["beta_in"], domain, leaves),
+        beta_out=decode_subst(data["beta_out"], domain, leaves),
         dependents=set(data.get("dependents", ())),
         updates=int(data.get("updates", 0)),
         iterations=int(data.get("iterations", 0)),
@@ -224,19 +305,46 @@ def _decode_stats(data: dict) -> AnalysisStats:
     return stats
 
 
+class LeafTable(dict):
+    """A payload's leaf table while it is encoded: each distinct leaf
+    (a value, or its canonical text; the encoding is canonical, so
+    either names it) -> its index, numbered in first-use order by
+    looking it up."""
+
+    __slots__ = ()
+
+    def __missing__(self, leaf) -> int:
+        ref = self[leaf] = len(self)
+        return ref
+
+
 def encode_result(result: AnalysisResult) -> dict:
     """Whole polyvariant table as a JSON-ready payload.  The program
     itself is *not* embedded — results are stored content-addressed by
-    program hash, so the caller already has the source."""
+    program hash, so the caller already has the source.  Each distinct
+    leaf value is encoded once, in the ``leaves`` table, in first-use
+    order; leaf nodes reference it by index."""
     domain = result.domain
+    table = LeafTable()
+    entries = [encode_entry(e, domain, table.__getitem__)
+               for e in result.entries]
     return {
         "version": FORMAT_VERSION,
         "domain": domain.descriptor(),
         "root": result.root_entry.id,
-        "entries": [encode_entry(e, domain) for e in result.entries],
+        "entries": entries,
+        "leaves": [domain.encode_leaf(value) for value in table],
         "unknown_predicates": [list(p) for p in result.unknown_predicates],
         "stats": _encode_stats(result.stats),
     }
+
+
+def _payload_leaves(payload: dict) -> list:
+    """A payload's ``leaves`` list, which it must have."""
+    leaves = payload.get("leaves")
+    if not isinstance(leaves, list):
+        raise ValueError("the payload has no 'leaves' list")
+    return leaves
 
 
 def tuple_json(pred: str, beta_in: str, beta_out: str) -> str:
@@ -282,12 +390,24 @@ def payload_fingerprint(payload: dict) -> str:
     """:func:`table_fingerprint` of an :func:`encode_result` payload,
     without decoding it back into an ``AnalysisResult`` — what lets
     the server, the client, and the load generator compare
-    fingerprints of cached/remote payloads against a one-shot run."""
+    fingerprints of cached/remote payloads against a one-shot run.
+    Each leaf reference is expanded to its value first, so the tuples
+    hashed are the inline ones :func:`result_fingerprint` hashes; a
+    bad reference or a missing leaf table raises ``ValueError``."""
+    leaves = _payload_leaves(payload)
+
+    def inline(subst):
+        if subst == "bottom":
+            return subst
+        return dict(subst, nodes=[
+            ["l", _leaf_at(leaves, node[1])] if node[0] == "l" else node
+            for node in subst["nodes"]])
+
     return table_fingerprint(
         payload["domain"],
         {int(e["id"]): canonical_json({"pred": e["pred"],
-                                       "beta_in": e["beta_in"],
-                                       "beta_out": e["beta_out"],
+                                       "beta_in": inline(e["beta_in"]),
+                                       "beta_out": inline(e["beta_out"]),
                                        "seeded": False})
          for e in payload["entries"]},
         int(payload["root"]), payload["unknown_predicates"])
@@ -296,14 +416,18 @@ def payload_fingerprint(payload: dict) -> str:
 def decode_result(data: dict, program=None,
                   domain: Optional[LeafDomain] = None) -> AnalysisResult:
     """Rebuild an :class:`AnalysisResult` from :func:`encode_result`
-    output.  ``program`` (a :class:`NormProgram`) is optional; cache
-    consumers that only read the table can leave it ``None``."""
+    output, decoding each distinct leaf once.  ``program`` (a
+    :class:`NormProgram`) is optional; cache consumers that only read
+    the table can leave it ``None``.  A payload of another format
+    version, without a leaf table, or with a leaf reference that is
+    not an index into it raises ``ValueError``."""
     if data.get("version") != FORMAT_VERSION:
         raise ValueError("unsupported result format version: %r"
                          % data.get("version"))
     if domain is None:
         domain = domain_from_descriptor(data["domain"])
-    entries = [decode_entry(e, domain) for e in data["entries"]]
+    leaves = [domain.decode_leaf(leaf) for leaf in _payload_leaves(data)]
+    entries = [decode_entry(e, domain, leaves) for e in data["entries"]]
     by_id = {e.id: e for e in entries}
     root = by_id[int(data["root"])]
     unknown = [(p[0], int(p[1])) for p in data["unknown_predicates"]]

@@ -82,12 +82,13 @@ from ..fixpoint.engine import AnalysisConfig
 from ..prolog.program import Program, parse_program
 from .batch import WorkerPool, _execute_spec, _settled
 from .cache import CacheKey, ResultCache, make_key
-from .serialize import (canonical_json, check_fingerprint, decode_config,
-                        decode_input_types, encode_config,
+from .serialize import (FORMAT_VERSION, canonical_json, check_fingerprint,
+                        decode_config, decode_input_types, encode_config,
                         encode_input_types, program_hash)
 from .transport import (LINE_LIMIT as _LINE_LIMIT, LineServer,
                         ProtocolError, decode_message, error_envelope,
-                        frame_analyze, ok_envelope)
+                        frame_analyze, frame_ok, ok_envelope,
+                        splice_payload)
 from .wire import EncodedPayload
 
 __all__ = ["AnalysisServer", "ServerStats", "RequestError",
@@ -279,7 +280,7 @@ class AnalysisServer:
                 raise RequestError("unknown op %r (expected one of %s)"
                                    % (op, ", ".join(sorted(self._OPS))))
             result = await handler(self, request)
-            if isinstance(result, bytes):  # analyze frames its own line
+            if isinstance(result, bytes):  # an op that frames its line
                 return result
             return ok_envelope(request_id, result)
         except RequestError as error:
@@ -451,11 +452,13 @@ class AnalysisServer:
                 memo.popitem(last=False)
         return spec, key, program
 
-    async def _check(self, request: dict, want_slices: bool) -> dict:
+    async def _check(self, request: dict,
+                     want_slices: bool) -> Union[dict, bytes]:
         """Shared body of the ``check`` and ``slice`` ops: one cached
         payload (the encoded table plus its ``check`` section) serves
         both; they differ only in whether the blame slices travel back
-        to the client."""
+        to the client.  A requested payload travels as its canonical
+        bytes, as in ``analyze``, in the framed line returned."""
         spec, key, program = self._check_spec_of(request)
         outcome, payload = await self._analyze(
             spec, key, self._timeout_of(request), program)
@@ -472,9 +475,10 @@ class AnalysisServer:
         outcome["check_fingerprint"] = check_fingerprint(check)
         if want_slices:
             outcome["slices"] = check.get("slices", [])
-        if bool(request.get("payload", False)):
-            outcome["payload"] = payload
-        return outcome
+        if not request.get("payload"):
+            return outcome
+        return frame_analyze(request.get("id"), outcome,
+                             payload=payload.wire)
 
     async def _analyze(self, spec: dict, key: CacheKey,
                        timeout: Optional[float],
@@ -608,20 +612,21 @@ class AnalysisServer:
             request.get("id"), result, fresh=key.digest if fresh else None,
             payload=payload.wire if request.get("payload", True) else None)
 
-    async def _op_check(self, request: dict) -> dict:
+    async def _op_check(self, request: dict) -> Union[dict, bytes]:
         """Assertion verdicts for the workload's own ``assert_*``
         directives; the analysis runs (or is served cached) with the
         assertions folded into its config."""
         return await self._check(request, want_slices=False)
 
-    async def _op_slice(self, request: dict) -> dict:
+    async def _op_slice(self, request: dict) -> Union[dict, bytes]:
         """Like ``check``, plus the blame slices for every violated
         assertion — the same cached payload serves both ops."""
         return await self._check(request, want_slices=True)
 
-    async def _op_batch(self, request: dict) -> dict:
+    async def _op_batch(self, request: dict) -> bytes:
         """Many analyze requests in one round trip, answered when all
-        are done; duplicates coalesce exactly like separate clients."""
+        are done; duplicates coalesce exactly like separate clients.
+        Requested payloads travel as their canonical bytes."""
         raw_jobs = request.get("jobs")
         if raw_jobs is None and request.get("benchmarks") is not None:
             raw_jobs = [{"benchmark": name}
@@ -634,21 +639,22 @@ class AnalysisServer:
         prepared = [self._spec_of(job) for job in raw_jobs]
 
         async def one(spec: dict, key: CacheKey,
-                      program: Optional[Program]) -> dict:
+                      program: Optional[Program]) -> bytes:
             try:
                 result, payload = await self._analyze(spec, key, timeout,
                                                       program)
             except RequestError as error:
-                return {"name": spec["name"], "ok": False,
-                        "error": str(error), "code": error.code}
-            if want_payload:
-                result["payload"] = payload
+                return splice_payload({"name": spec["name"], "ok": False,
+                                       "error": str(error),
+                                       "code": error.code}, None)
             result["name"] = spec["name"]
             result["ok"] = True
-            return result
+            return splice_payload(result,
+                                  payload.wire if want_payload else None)
 
         jobs = await asyncio.gather(*(one(*job) for job in prepared))
-        return {"jobs": list(jobs)}
+        return frame_ok(request.get("id"),
+                        b'{"jobs": [' + b", ".join(jobs) + b"]}")
 
     async def _op_seed(self, request: dict) -> dict:
         """Replication push: store an already-encoded payload under
@@ -658,11 +664,24 @@ class AnalysisServer:
         does this when started with ``--replicate R``, for every fresh
         result).  The request carries the analyze spec (``source``/
         ``benchmark`` + friends); re-deriving the key here proves the
-        pushed payload matches the workload."""
+        pushed payload matches the workload.  A payload of another
+        format version, or one whose leaf table does not resolve, is
+        refused with ``bad-request`` before anything is stored (its
+        fingerprint, computed here, expands every leaf reference)."""
         payload = request.get("payload")
         if not isinstance(payload, dict):
             raise RequestError("'seed' needs a 'payload' object")
         spec, key, _ = self._spec_of(request)
+        payload = EncodedPayload(payload)
+        if payload.get("version") != FORMAT_VERSION:
+            raise RequestError("'seed' payload has format version %r, "
+                               "not %d" % (payload.get("version"),
+                                           FORMAT_VERSION))
+        try:
+            payload.fingerprint
+        except (ValueError, KeyError, TypeError, IndexError) as error:
+            raise RequestError("malformed 'seed' payload: %s: %s"
+                               % (type(error).__name__, error))
         self.cache.seed(key, payload)
         self.stats.seeds += 1
         return {"seeded": True, "key": key.digest, "name": spec["name"]}

@@ -14,7 +14,8 @@ a third copy:
   ``{"id", "ok", "result" | "error"+"code"}`` response shape, and the
   analyze response framed from already-encoded payload bytes
   (:func:`frame_analyze`), whose optional leading ``fresh`` field a
-  router reads without parsing the line (:func:`fresh_digest`);
+  router reads without parsing the line (:func:`fresh_digest`), as it
+  reads the payload bytes (:func:`framed_payload`);
 * **connection lifecycle** — :class:`LineServer` (asyncio accept loop,
   per-connection read/dispatch/write cycle, oversized-line recovery,
   connection tracking for graceful drain), :class:`AsyncLineConnection`
@@ -37,9 +38,9 @@ from typing import Any, Awaitable, Callable, Optional, Union
 
 __all__ = ["LINE_LIMIT", "ProtocolError", "ConnectError",
            "encode_message", "decode_message",
-           "ok_envelope", "error_envelope", "frame_analyze",
-           "fresh_digest", "LineServer", "AsyncLineConnection",
-           "BlockingLineConnection"]
+           "ok_envelope", "error_envelope", "splice_payload", "frame_ok",
+           "frame_analyze", "framed_payload", "fresh_digest",
+           "LineServer", "AsyncLineConnection", "BlockingLineConnection"]
 
 #: Maximum request/response line length (program sources travel
 #: inline, so this is deliberately generous: 16 MiB).
@@ -97,6 +98,34 @@ def error_envelope(request_id: Any, message: str,
 #: How a line carrying a fresh analyze result begins.
 _FRESH_PREFIX = b'{"fresh": "'
 
+#: The name of the field a payload is spliced in as.
+_PAYLOAD_FIELD = b'"payload": '
+
+
+def splice_payload(obj: dict, payload: Optional[bytes]) -> bytes:
+    """``json.dumps(obj)``, with ``payload`` (a result payload's
+    canonical JSON bytes, when given) spliced in as its last field,
+    ``"payload"``, without decoding or re-encoding it."""
+    body = json.dumps(obj).encode("utf-8")
+    if payload is None:
+        return body
+    return b"".join((body[:-1], b", " if obj else b"", _PAYLOAD_FIELD,
+                     payload, b"}"))
+
+
+def frame_ok(request_id: Any, result: bytes,
+             fresh: Optional[str] = None) -> bytes:
+    """One framed ok response around ``result``, a JSON object already
+    encoded: byte for byte the line ``encode_message(ok_envelope(
+    request_id, ...))`` writes for that object when ``result`` is in
+    its form, after the optional leading ``fresh`` field (see
+    :func:`frame_analyze`)."""
+    head = (b'{"id": ' if fresh is None
+            else b"".join((_FRESH_PREFIX, fresh.encode("ascii"),
+                           b'", "id": ')))
+    return b"".join((head, json.dumps(request_id).encode("utf-8"),
+                     b', "ok": true, "result": ', result, b"}\n"))
+
 
 def frame_analyze(request_id: Any, result: dict,
                   fresh: Optional[str] = None,
@@ -105,7 +134,8 @@ def frame_analyze(request_id: Any, result: dict,
 
     ``payload`` is the result payload's canonical JSON bytes (a shard
     keeps them on the cached payload, so a hit is not re-encoded); it
-    is spliced in as the last field of ``result``.  ``fresh`` is the
+    is spliced in as the last field of ``result``, where
+    :func:`framed_payload` finds it again.  ``fresh`` is the
     cache-key digest of a result this very request computed: it leads
     the line as ``"fresh": "<digest>"``, so a router finds the results
     it must replicate by their first bytes (:func:`fresh_digest`) and
@@ -113,16 +143,21 @@ def frame_analyze(request_id: Any, result: dict,
     which clients ignore, the line decodes to the same object as
     ``encode_message(ok_envelope(request_id, result + payload))``.
     """
-    body = json.dumps(result).encode("utf-8")
-    if payload is not None:
-        body = b"".join((body[:-1],
-                         b', "payload": ' if result else b'"payload": ',
-                         payload, b"}"))
-    head = (b'{"id": ' if fresh is None
-            else b"".join((_FRESH_PREFIX, fresh.encode("ascii"),
-                           b'", "id": ')))
-    return b"".join((head, json.dumps(request_id).encode("utf-8"),
-                     b', "ok": true, "result": ', body, b"}\n"))
+    return frame_ok(request_id, splice_payload(result, payload), fresh)
+
+
+def framed_payload(line: bytes) -> Optional[bytes]:
+    """The payload bytes a :func:`frame_analyze` line carries, read by
+    position: they follow the line's last ``"payload": `` and end
+    before its two closing braces.  Canonical JSON has no space after
+    a colon, so the payload itself never holds that field name.  None
+    for a line that does not end like an ok response with a payload;
+    the caller must know the line answers a request that asked for
+    one, since a request id may hold the field name too."""
+    start = line.rfind(_PAYLOAD_FIELD)
+    if start < 0 or not line.endswith(b"}}}\n"):
+        return None
+    return line[start + len(_PAYLOAD_FIELD):-3]
 
 
 def fresh_digest(line: bytes) -> Optional[str]:

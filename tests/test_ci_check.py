@@ -45,6 +45,25 @@ def test_table_check_fails_on_a_missing_program():
     assert ci_check.table_problems(ORACLE, rows) == ["RE: not measured"]
 
 
+def test_leaf_table_check_fails_on_a_repeated_or_inline_leaf():
+    from repro import analyze
+    from repro.service.serialize import encode_result
+    bp = ci_check.benchmark("QU")
+    payload = encode_result(analyze(bp.source, bp.query,
+                                    input_types=bp.input_types).result)
+    assert ci_check.leaf_table_problems(payload) == []
+    repeated = copy.deepcopy(payload)
+    repeated["leaves"].append(repeated["leaves"][0])
+    [problem] = ci_check.leaf_table_problems(repeated)
+    assert problem.endswith("is listed 2 times")
+    inline = copy.deepcopy(payload)
+    node = next(node for entry in inline["entries"]
+                for node in entry["beta_in"]["nodes"] if node[0] == "l")
+    node[1] = inline["leaves"][node[1]]
+    assert ci_check.leaf_table_problems(inline) == [
+        "1 leaf nodes hold their value inline"]
+
+
 def test_history_fails_on_a_changed_oracle_fingerprint():
     oracle = copy.deepcopy(ORACLE)
     oracle.programs["QU"]["fingerprint"] = "0" * 64

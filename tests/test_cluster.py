@@ -698,8 +698,10 @@ def test_replication_skips_cached_results():
 
 def test_router_forwards_cached_reads_undecoded(monkeypatch):
     """The replicate gate reads the shard's ``fresh`` marker: cached
-    reads pass the router as bytes (no response is decoded), while
-    every fresh analyze is still decoded once and replicated."""
+    reads pass the router as bytes (no response is decoded), and every
+    fresh analyze is replicated with its payload bytes spliced into
+    the seed line, so the only responses the router decodes are the
+    replicas' seed acknowledgements."""
     from repro.service import cluster as cluster_module
     decoded = []
     real_decode = cluster_module.decode_message
@@ -720,7 +722,7 @@ def test_router_forwards_cached_reads_undecoded(monkeypatch):
             assert fresh["ok"] and not fresh["result"]["cached"]
         assert await wait_until(lambda: router.stats.replications >= 2)
         await wait_until(lambda: not router._replication_tasks)
-        fresh_decodes = len(decoded)
+        fresh_decodes = list(decoded)
         del decoded[:]
         for request_id in range(3):
             for name in ("QU", "RE"):
@@ -737,7 +739,8 @@ def test_router_forwards_cached_reads_undecoded(monkeypatch):
     fresh_decodes, cached_decodes, replications, executed = run_cluster(
         scenario, router_kwargs={"replicate": 2})
     assert cached_decodes == []
-    assert fresh_decodes >= 2
+    assert [message["result"]["seeded"] for message in fresh_decodes] \
+        == [True, True]
     assert replications == executed == 2
 
 

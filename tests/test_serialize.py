@@ -1,5 +1,6 @@
 """Tests for the canonical serialization and content-hashing layer."""
 
+import copy
 import json
 
 import pytest
@@ -15,9 +16,10 @@ from repro.service.serialize import (FORMAT_VERSION, canonical_json,
                                      decode_subst, encode_config,
                                      encode_grammar, encode_input_types,
                                      encode_result, encode_subst,
-                                     predicate_hashes, program_hash)
-from repro.typegraph.grammar import (g_any, g_atom, g_bottom, g_int,
-                                     g_int_literal)
+                                     payload_fingerprint, predicate_hashes,
+                                     program_hash)
+from repro.typegraph.grammar import (Grammar, g_any, g_atom, g_bottom,
+                                     g_int, g_int_literal)
 from repro.typegraph.ops import g_list_of, g_union
 
 
@@ -106,6 +108,57 @@ def test_result_rejects_unknown_version(nreverse_source):
     payload["version"] = FORMAT_VERSION + 1
     with pytest.raises(ValueError):
         decode_result(payload)
+
+
+#: Each way a hostile peer can break a payload's leaf table.
+LEAF_TABLE_BREAKAGES = ("dangling", "negative", "fraction", "string",
+                        "boolean", "no-leaves", "inline")
+
+
+def break_leaf_table(payload, breakage):
+    """A copy of ``payload`` with its leaf table broken as named in
+    :data:`LEAF_TABLE_BREAKAGES`: the first leaf reference made
+    dangling, negative, non-integer or an inline (v7-style) leaf, or
+    the ``leaves`` list removed."""
+    broken = copy.deepcopy(payload)
+    if breakage == "no-leaves":
+        del broken["leaves"]
+        return broken
+    node = next(node for entry in broken["entries"]
+                for subst in (entry["beta_in"], entry["beta_out"])
+                if subst != "bottom"
+                for node in subst["nodes"] if node[0] == "l")
+    node[1] = {"dangling": len(broken["leaves"]), "negative": -1,
+               "fraction": 0.5, "string": "0", "boolean": False,
+               "inline": broken["leaves"][0]}[breakage]
+    return broken
+
+
+@pytest.mark.parametrize("breakage", LEAF_TABLE_BREAKAGES)
+def test_result_rejects_a_broken_leaf_table(nreverse_source, breakage):
+    payload = json_rt(encode_result(
+        analyze(nreverse_source, ("nreverse", 2)).result))
+    broken = break_leaf_table(payload, breakage)
+    with pytest.raises(ValueError):
+        decode_result(broken)
+    with pytest.raises(ValueError):
+        payload_fingerprint(broken)
+
+
+def test_result_decodes_each_distinct_leaf_once(nreverse_source,
+                                                monkeypatch):
+    payload = json_rt(encode_result(
+        analyze(nreverse_source, ("nreverse", 2)).result))
+    uses = sum(node[0] == "l" for entry in payload["entries"]
+               for subst in (entry["beta_in"], entry["beta_out"])
+               if subst != "bottom" for node in subst["nodes"])
+    assert uses > len(payload["leaves"]) > 1
+    decoded = []
+    real = Grammar.from_obj.__func__
+    monkeypatch.setattr(Grammar, "from_obj", classmethod(
+        lambda cls, data: decoded.append(data) or real(cls, data)))
+    decode_result(payload)
+    assert decoded == payload["leaves"]
 
 
 # -- domain descriptors ------------------------------------------------------

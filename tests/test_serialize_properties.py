@@ -1,20 +1,28 @@
 """Property-based round-trip tests for the serialization layer:
-``deserialize(serialize(x)) == x`` for random grammars and abstract
-substitutions, and content-hash stability under re-encoding."""
+``deserialize(serialize(x)) == x`` for random grammars, abstract
+substitutions and whole result payloads, and content-hash stability
+under re-encoding."""
 
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import analyze
 from repro.domains.leaf import TypeLeafDomain
 from repro.domains.pattern import PAT_BOTTOM
 from repro.domains.pybuilder import SubstBuilder
 from repro.service.serialize import (canonical_json, content_hash,
-                                     decode_grammar, decode_subst,
-                                     encode_grammar, encode_subst)
+                                     decode_grammar, decode_result,
+                                     decode_subst, encode_grammar,
+                                     encode_result, encode_subst,
+                                     payload_fingerprint, result_fingerprint)
 from repro.typegraph.grammar import (g_any, g_atom, g_int, g_int_literal,
                                      g_functor)
 from repro.typegraph.ops import g_list_of, g_union
+
+from test_differential_properties import programs
+from test_warm_heap import kernel_tier  # noqa: F401  (fixture)
 
 _ATOMS = ("a", "b", "[]", "foo")
 _FUNCTORS = (("f", 1), ("g", 2), (".", 2), ("s", 1))
@@ -106,3 +114,41 @@ def test_subst_encoding_is_canonical(subst):
     first = encode_subst(subst, _DOMAIN)
     second = encode_subst(decode_subst(first, _DOMAIN), _DOMAIN)
     assert canonical_json(first) == canonical_json(second)
+
+
+# -- whole results: the leaf table -------------------------------------------
+
+@pytest.mark.parametrize("tier", ["native", "python"])
+@pytest.mark.parametrize("baseline", [False, True])
+def test_result_payload_round_trips_through_its_leaf_table(kernel_tier,
+                                                           tier, baseline):
+    """On random programs, both kernel tiers and both leaf domains: a
+    payload decodes to the table it encodes, fingerprints like the
+    result, and holds each distinct leaf value once, referenced by
+    index from every leaf node."""
+    kernel_tier(tier)
+
+    @given(programs())
+    @settings(max_examples=25, deadline=None)
+    def check(program):
+        source, query = program
+        result = analyze(source, query, baseline=baseline).result
+        payload = json.loads(canonical_json(encode_result(result)))
+        leaves = [canonical_json(leaf) for leaf in payload["leaves"]]
+        assert len(set(leaves)) == len(leaves)
+        assert all(type(node[1]) is int
+                   for entry in payload["entries"]
+                   for subst in (entry["beta_in"], entry["beta_out"])
+                   if subst != "bottom"
+                   for node in subst["nodes"] if node[0] == "l")
+        assert payload_fingerprint(payload) == result_fingerprint(result)
+        decoded = decode_result(payload)
+        assert type(decoded.domain) is type(result.domain)
+        assert decoded.root_entry.id == result.root_entry.id
+        assert [(e.id, e.pred, e.beta_in, e.beta_out)
+                for e in decoded.entries] == \
+            [(e.id, e.pred, e.beta_in, e.beta_out)
+             for e in result.entries]
+        assert result_fingerprint(decoded) == result_fingerprint(result)
+
+    check()

@@ -18,7 +18,8 @@ import pytest
 from repro.service.transport import (
     AsyncLineConnection, BlockingLineConnection, ConnectError,
     LineServer, ProtocolError, decode_message, encode_message,
-    error_envelope, frame_analyze, fresh_digest, ok_envelope)
+    error_envelope, frame_analyze, framed_payload, fresh_digest,
+    ok_envelope, splice_payload)
 
 
 # -- framing and envelopes ---------------------------------------------------
@@ -88,6 +89,29 @@ def test_frame_analyze_fresh_marker_leads_the_line(request_id):
 def test_frame_analyze_empty_result():
     line = frame_analyze(1, {}, payload=b"[1]")
     assert decode_message(line) == ok_envelope(1, {"payload": [1]})
+
+
+@pytest.mark.parametrize("request_id", [7, {"payload": 1}, None])
+@pytest.mark.parametrize("fresh", [None, "ab12" * 16])
+def test_framed_payload_reads_the_spliced_bytes_back(request_id, fresh):
+    """A payload in canonical form comes back byte for byte from its
+    position in the line, whatever the id and marker before it."""
+    canonical = json.dumps(PAYLOAD, sort_keys=True,
+                           separators=(",", ":")).encode()
+    line = frame_analyze(request_id, RESULT, fresh=fresh,
+                         payload=canonical)
+    assert framed_payload(line) == canonical
+    assert framed_payload(frame_analyze(7, RESULT)) is None
+    assert framed_payload(encode_message(error_envelope(
+        request_id, "boom"))) is None
+
+
+def test_splice_payload_is_json_dumps_with_the_payload_last():
+    assert splice_payload(RESULT, None) == json.dumps(RESULT).encode()
+    spliced = splice_payload(RESULT, b'{"a":1}')
+    assert json.loads(spliced) == dict(RESULT, payload={"a": 1})
+    assert spliced.endswith(b', "payload": {"a":1}}')
+    assert json.loads(splice_payload({}, b"[]")) == {"payload": []}
 
 
 def test_fresh_digest_ignores_other_lines():

@@ -41,7 +41,8 @@ from repro.fixpoint.engine import AnalysisConfig
 from repro.service import server as server_module
 from repro.service.batch import Job, WorkerPool, _execute_spec, run_batch
 from repro.service.cache import ResultCache
-from repro.service.serialize import (canonical_json, encode_check,
+from repro.service.serialize import (FORMAT_VERSION, canonical_json,
+                                     encode_check,
                                      encode_result, encode_subst,
                                      payload_fingerprint,
                                      result_fingerprint, subst_json)
@@ -49,7 +50,9 @@ from repro.service.server import AnalysisServer
 from repro.service.wire import EncodedPayload, encode_payload
 from repro.typegraph import g_list_of, g_int
 
+from test_cluster import run_cluster, shard_owning, wait_until
 from test_differential_properties import programs
+from test_serialize import LEAF_TABLE_BREAKAGES, break_leaf_table
 from test_server import run_scenario, send, send_raw
 from test_warm_heap import kernel_tier  # noqa: F401  (fixture)
 
@@ -156,11 +159,13 @@ def test_disk_record_is_json_dumps_of_the_record(tmp_path):
 
 
 def test_record_in_the_older_spaced_form_still_decodes(tmp_path):
-    """Records written before the bytes were canonical (``json.dumps``
-    with spaces) are the same format version and still hit."""
+    """A record of the current format (with its leaf table) written in
+    the spaced ``json.dumps`` form still hits, with the canonical
+    bytes and fingerprint of a fresh result."""
     bp = benchmark("QU")
     job = Job(bp.name, bp.source, bp.query, bp.input_types)
     fresh = run_batch([job]).results[0].payload
+    assert fresh["version"] == FORMAT_VERSION and fresh["leaves"]
     cache = ResultCache(tmp_path)
     key = job.key()
     os.makedirs(os.path.dirname(cache._entry_path(key)))
@@ -219,9 +224,9 @@ def _cli_env():
 
 def test_every_path_serves_the_cli_result_bytes(tmp_path):
     """One workload served fresh, as a memory hit, as a disk hit in a
-    new cache and from a ``seed``-ed replica carries one payload text,
-    and it is the ``"result"`` text ``repro FILE QUERY --json`` prints
-    (up to the stats a warm process counts differently)."""
+    new cache and from a replica the router seeded carries one payload
+    text, and it is the ``"result"`` text ``repro FILE QUERY --json``
+    prints (up to the stats a warm process counts differently)."""
     bp = benchmark("QU")
     request = {"op": "analyze", "benchmark": "QU", "id": 1}
 
@@ -235,24 +240,31 @@ def test_every_path_serves_the_cli_result_bytes(tmp_path):
 
     lines = run_scenario(fresh_then_hit, cache=ResultCache(tmp_path))
     lines.append(run_scenario(disk_hit, cache=ResultCache(tmp_path)))
-    payload = json.loads(lines[0])["result"]["payload"]
 
-    async def seeded(server):
-        seed = {"op": "seed", "benchmark": "QU", "payload": payload}
-        assert (await send(server, seed))["ok"]
-        line = await send_raw(server, request)
-        assert server.cache.stats.seeds == 1
-        assert server.stats.analyses_executed == 0
-        return line
+    async def seeded(router, servers):
+        # a fresh result through the router, then the replica the
+        # router pushed it to, read directly
+        fresh = await send_raw(router, request)
+        replica = servers[1 - shard_owning(router, "QU")[1]]
+        assert await wait_until(lambda: replica.cache.stats.seeds == 1)
+        line = await send_raw(replica, request)
+        assert replica.stats.analyses_executed == 0
+        return fresh, line
 
-    lines.append(run_scenario(seeded))
+    routed, replicated = run_cluster(seeded,
+                                     router_kwargs={"replicate": 2})
+    lines.append(replicated)
     results = [json.loads(line)["result"] for line in lines]
     assert [r["cached"] for r in results] == [False, True, True, True]
-    # each line ends in its payload's canonical bytes, and the payloads
-    # are equal, so the bytes are too
-    assert all(_payload_tail(line) == payload for line in lines)
+    assert not json.loads(routed)["result"]["cached"]
+    # each line ends in its payload's canonical bytes; the shard's own
+    # lines carry one payload, and the replica the router's
+    payload = _payload_tail(lines[0])
+    assert all(_payload_tail(line) == payload for line in lines[1:3])
+    assert _payload_tail(replicated) == _payload_tail(routed)
     assert len({r["fingerprint"] for r in results}) == 1
-    served = canonical_json(payload)
+    served = _masked(canonical_json(payload))
+    assert _masked(canonical_json(_payload_tail(replicated))) == served
 
     source = tmp_path / "qu.pl"
     source.write_text(bp.source)
@@ -260,7 +272,7 @@ def test_every_path_serves_the_cli_result_bytes(tmp_path):
         [sys.executable, "-m", "repro", str(source), "queens/2", "--json"],
         env=_cli_env(), capture_output=True, text=True, timeout=120)
     assert cli.returncode == 0, cli.stderr
-    assert '"result":%s,' % _masked(served) in _masked(cli.stdout)
+    assert '"result":%s,' % served in _masked(cli.stdout)
 
 
 def test_plain_dict_from_the_executor_gets_correct_bytes(monkeypatch):
@@ -284,6 +296,69 @@ def test_plain_dict_from_the_executor_gets_correct_bytes(monkeypatch):
             payload_fingerprint(payload)
 
 
+def _spliced(line, payload):
+    """``payload``'s canonical bytes, checked to sit in ``line`` as a
+    spliced ``"payload"`` field."""
+    wire = canonical_json(payload).encode("utf-8")
+    assert b'"payload": ' + wire + b"}" in line
+    return wire
+
+
+def test_batch_check_and_slice_splice_the_stored_payload_bytes():
+    """``batch``, ``check`` and ``slice`` with ``"payload": true`` carry
+    the cached payload's canonical bytes, as ``analyze`` does."""
+
+    async def scenario(server):
+        analyze = await send_raw(server, {"op": "analyze", "id": 1,
+                                          "benchmark": "QU"})
+        batch = await send_raw(server, {"op": "batch", "id": 2,
+                                        "benchmarks": ["QU", "AR"],
+                                        "payload": True})
+        checks = [await send_raw(server, {"op": op, "id": 3,
+                                          "benchmark": "CHK",
+                                          "payload": True})
+                  for op in ("check", "slice")]
+        stored = [payload.wire for _, payload
+                  in server.cache._memory.values() if "check" in payload]
+        return analyze, batch, checks, stored
+
+    analyze, batch, checks, stored = run_scenario(scenario)
+    qu = _payload_tail(analyze)
+    jobs = json.loads(batch)["result"]["jobs"]
+    assert [job["name"] for job in jobs] == ["QU", "AR"]
+    assert _spliced(batch, jobs[0]["payload"]) == \
+        canonical_json(qu).encode("utf-8")
+    _spliced(batch, jobs[1]["payload"])
+    results = [json.loads(line)["result"] for line in checks]
+    assert results[1]["cached"] and results[1]["slices"]
+    assert [_payload_tail(line) for line in checks] == \
+        [results[0]["payload"]] * 2
+    assert [canonical_json(results[0]["payload"]).encode("utf-8")] == stored
+
+
+@pytest.mark.parametrize("breakage", LEAF_TABLE_BREAKAGES)
+def test_seed_of_a_broken_leaf_table_is_a_bad_request(breakage):
+    """A ``seed`` whose leaf table is broken is refused with
+    ``bad-request``, stores nothing, and the shard keeps serving."""
+    payload = _payload_tail(run_scenario(
+        lambda server: send_raw(server, {"op": "analyze", "id": 1,
+                                         "benchmark": "QU"})))
+
+    async def scenario(server):
+        refused = await send(server, {
+            "op": "seed", "benchmark": "QU",
+            "payload": break_leaf_table(payload, breakage)})
+        served = await send(server, {"op": "analyze", "benchmark": "QU",
+                                     "payload": False})
+        return refused, served, server.cache.stats.seeds
+
+    refused, served, seeds = run_scenario(scenario)
+    assert not refused["ok"] and refused["code"] == "bad-request", refused
+    assert "Traceback" not in refused["error"]
+    assert seeds == 0
+    assert served["ok"] and not served["result"]["cached"]
+
+
 # -- the memo's lifetime ------------------------------------------------------
 
 def _unique_subst():
@@ -298,7 +373,8 @@ def test_memo_dies_with_its_substitution():
     domain = TypeLeafDomain()
     subst = _unique_subst()
     text = subst_json(subst, domain)
-    assert subst.text_memo == {domain.did: text}
+    assert list(subst.text_memo) == [domain.did]
+    assert subst.text_memo[domain.did][0] is text
     assert subst_json(subst, domain) is text
     ref = weakref.ref(subst)
     del subst
@@ -343,7 +419,7 @@ def test_repeated_edits_do_not_grow_the_memo():
                 if subst is not PAT_BOTTOM:
                     substs.append(subst)
                     assert isinstance(
-                        subst.text_memo[result.domain.did], str)
+                        subst.text_memo[result.domain.did], tuple)
                     size = sizes.setdefault(id(subst),
                                             len(subst.text_memo))
                     assert len(subst.text_memo) == size
