@@ -182,6 +182,13 @@ def profile_main(argv) -> int:
           % (arena_now["compiles"],
              arena_now["compiles"] - arena_before["compiles"],
              arena_now["index_builds"], arena_now["symbols"]))
+    delta = {name: arena_now[name] - arena_before[name]
+             for name in arena.BOUNDARY_COUNTERS}
+    print("boundary (this run): grammar handles=%d decoded=%d  "
+          "subst handles=%d decoded=%d  callbacks=%d (%.3fs)"
+          % (delta["grammar_handles"], delta["grammar_decodes"],
+             delta["subst_handles"], delta["subst_decodes"],
+             delta["callbacks"], delta["callback_seconds"]))
 
     status = arena.kernel_status()
     print("\n== kernel tier ==")

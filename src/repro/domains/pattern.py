@@ -30,12 +30,15 @@ and replaced by an equivalent type graph.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .._lazy import LazyModule
 from ..typegraph import arena, opcache
+from ..typegraph.grammar import (_COUNTS, SYMBOLS, Grammar, _pack,
+                                 _unpack, normalize)
 from .leaf import LeafDomain, TypeLeafDomain
 
 __all__ = [
@@ -142,54 +145,143 @@ def _unpickle_subst(nvars, sv, nodes, was_interned):
     return subst
 
 
-#: Process-wide weak intern table for frozen substitutions, mirroring
-#: the grammar intern table: the engine's tables, clause-output caches,
-#: and differential joins circulate the same frozen substitutions over
-#: and over, and interning makes their equality an identity check and
-#: the pattern-level operations memoizable by id pair.
-_SUBST_INTERN: "weakref.WeakValueDictionary[tuple, AbstractSubst]" = \
+# -- canonical keys ----------------------------------------------------------
+#
+# A substitution's canonical key is the flat int encoding
+# ``[nvars, sv..., per node: sym, args... | -1 - gid]`` packed as
+# ``int32`` bytes: a pattern node is its functor's symbol id followed by
+# its argument indices (arity from the symbol table), a leaf node is
+# its interned grammar's gid.  The native tier builds the same bytes
+# from its freeze and merge walks, so a repeat result costs one probe
+# and no object.  A substitution with a leaf value that is no interned
+# grammar (a non-type leaf domain's) keys on its structural tuple
+# ``(nvars, sv, nodes)`` instead; the kernels never see those.
+
+def _subst_key(nvars: int, sv: tuple, nodes: tuple):
+    """``(key, leaves)``: the canonical key and the leaf values in node
+    order (None for a structural key)."""
+    flat = [nvars]
+    flat.extend(sv)
+    leaves = []
+    sym = SYMBOLS.sym
+    for node in nodes:
+        args = node.args
+        if args is None:
+            value = node.value
+            if isinstance(value, Grammar) and not value.interned:
+                canonical = normalize(value)
+                if canonical == value:
+                    value = canonical
+            if not (isinstance(value, Grammar) and value.interned):
+                return (nvars, sv, nodes), None
+            flat.append(-1 - value.gid)
+            leaves.append(value)
+        else:
+            flat.append(sym("i" if node.is_int else "f", node.name,
+                            len(args)))
+            flat.extend(args)
+    return _pack(flat), tuple(leaves)
+
+
+def _rows_of_key(key: bytes, leaves: tuple) -> list:
+    """``(name, is_int, args, value)`` per node of a canonical key."""
+    flat = _unpack(key)
+    fkeys = SYMBOLS.fkeys
+    leaf_values = iter(leaves)
+    rows = []
+    p = 1 + flat[0]
+    while p < len(flat):
+        sym = flat[p]
+        if sym < 0:
+            rows.append((None, False, None, next(leaf_values)))
+            p += 1
+        else:
+            kind, name, arity = fkeys[sym]
+            rows.append((name, kind == "i",
+                         tuple(flat[p + 1:p + 1 + arity]), None))
+            p += 1 + arity
+    return rows
+
+
+def _nodes_of_key(key: bytes, leaves: tuple) -> tuple:
+    return tuple(PatNode(name, is_int, args, value)
+                 for name, is_int, args, value in _rows_of_key(key, leaves))
+
+
+#: The one process-wide intern table for frozen substitutions, keyed
+#: by canonical key (the native tier probes ``_SUBST_INTERN.data`` from
+#: C): the engine's tables, clause-output caches, and differential
+#: joins circulate the same frozen substitutions over and over, and
+#: interning makes their equality an identity check and the
+#: pattern-level operations memoizable by id pair.  Weak values, like
+#: the grammar intern table.
+_SUBST_INTERN: "weakref.WeakValueDictionary[bytes, AbstractSubst]" = \
     weakref.WeakValueDictionary()
-#: Guards probe-then-insert and the sid counter — same identity
-#: invariant (and the same reasoning) as
-#: ``repro.typegraph.grammar._INTERN_LOCK``.
+#: Guards probe-then-insert — same identity invariant (and the same
+#: reasoning) as ``repro.typegraph.grammar._INTERN_LOCK``.
 _SUBST_INTERN_LOCK = threading.Lock()
-_NEXT_SID = 0
+_SIDS = itertools.count()
+_new_subst = object.__new__
 
 
 def intern_subst(subst: "AbstractSubst") -> "AbstractSubst":
     """Canonical shared instance of a frozen substitution (structural
     hash-consing; semantically-equal-but-structurally-different
     substitutions stay distinct, exactly like `==`).  Thread-safe."""
-    global _NEXT_SID
     if subst.interned:
         return subst
-    key = (subst.nvars, subst.sv, subst.nodes)
+    key = subst._key()
     with _SUBST_INTERN_LOCK:
-        # setdefault hashes the key once; the subst's own memoized
-        # hash fills in lazily from the same tuple.
-        canonical = _SUBST_INTERN.setdefault(key, subst)
-        if canonical is subst:
+        canonical = _SUBST_INTERN.get(key)
+        if canonical is None:
+            canonical = subst
             subst.interned = True
-            subst.sid = _NEXT_SID
-            _NEXT_SID += 1
+            subst.sid = next(_SIDS)
+            _SUBST_INTERN[key] = subst
     return canonical
+
+
+def subst_of_key(sv: tuple, key: bytes, leaves: tuple) -> "AbstractSubst":
+    """The interned substitution of a canonical key, born as a handle
+    (nodes not yet built) on a miss — the native tier's one door into
+    the intern table."""
+    with _SUBST_INTERN_LOCK:
+        subst = _SUBST_INTERN.get(key)
+        if subst is None:
+            subst = _new_subst(AbstractSubst)
+            subst.nvars = len(sv)
+            subst.sv = sv
+            subst._nodes = None
+            subst._hash = None
+            subst._collapse = None
+            subst.text_memo = None
+            subst._ckey = key
+            subst._leaves = leaves
+            subst.interned = True
+            subst.sid = next(_SIDS)
+            _SUBST_INTERN[key] = subst
+            _COUNTS["subst_handles"] += 1
+    return subst
 
 
 class AbstractSubst:
     """Frozen abstract substitution.  Nodes are numbered in DFS order
     from ``sv`` (canonical), so structurally equal substitutions
-    compare equal.  The hash is memoized: with leaf grammars interned,
-    it reduces to combining precomputed grammar hashes, which is what
-    makes the engine's hash-indexed table lookups cheap."""
+    compare equal.  The hash is the canonical key's.
 
-    __slots__ = ("nvars", "sv", "nodes", "_hash", "_collapse",
-                 "text_memo", "interned", "sid", "__weakref__")
+    A substitution the native tier built is born as a *handle*: ``sv``,
+    its canonical key and its leaf values, with ``nodes`` decoded on
+    first use (display, tags, the wire encoder)."""
+
+    __slots__ = ("nvars", "sv", "_nodes", "_hash", "_collapse",
+                 "text_memo", "interned", "sid", "_ckey", "_leaves",
+                 "__weakref__")
 
     def __init__(self, nvars: int, sv: Tuple[int, ...],
                  nodes: Tuple[PatNode, ...]) -> None:
         self.nvars = nvars
         self.sv = sv
-        self.nodes = nodes
+        self._nodes = nodes
         self._hash: Optional[int] = None
         #: per-instance :func:`value_of` memo, keyed (domain did,
         #: index) — the engine collapses the same cached clause
@@ -205,6 +297,35 @@ class AbstractSubst:
         #: :func:`intern_subst`); -1 until interned, never reused.
         self.interned = False
         self.sid = -1
+        #: canonical key and leaf values (see :func:`_subst_key`),
+        #: computed on first need.
+        self._ckey = None
+        self._leaves: Optional[tuple] = None
+
+    @property
+    def nodes(self) -> Tuple[PatNode, ...]:
+        nodes = self._nodes
+        if nodes is None:
+            nodes = self._nodes = _nodes_of_key(self._ckey, self._leaves)
+            _COUNTS["subst_decodes"] += 1
+        return nodes
+
+    def node_rows(self) -> list:
+        """``(name, is_int, args, value)`` per node, in order — read
+        off the canonical key while ``nodes`` is not decoded, so the
+        wire encoder builds no PatNode."""
+        if self._nodes is None:
+            return _rows_of_key(self._ckey, self._leaves)
+        return [(node.name, node.is_int, node.args, node.value)
+                for node in self._nodes]
+
+    def _key(self):
+        key = self._ckey
+        if key is None:
+            key, self._leaves = _subst_key(self.nvars, self.sv,
+                                           self._nodes)
+            self._ckey = key
+        return key
 
     def __reduce__(self):
         # Like grammars, canonical identity is per-process: unpickled
@@ -218,12 +339,13 @@ class AbstractSubst:
             return True
         if not isinstance(other, AbstractSubst):
             return NotImplemented
-        return (self.nvars == other.nvars and self.sv == other.sv
-                and self.nodes == other.nodes)
+        if self.interned and other.interned:
+            return False  # interning makes structural equality identity
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.nvars, self.sv, self.nodes))
+            self._hash = hash(self._key())
         return self._hash
 
     def refcounts(self) -> List[int]:
@@ -242,30 +364,6 @@ class AbstractSubst:
             parts.append("X%d->s%d" % (k, self.sv[k]))
         return "<subst %s over %d nodes>" % (" ".join(parts),
                                              len(self.nodes))
-
-
-# -- callbacks of the C substitution engine into the object layer -----------
-
-def _freeze_build(sv: tuple, descs: list) -> "AbstractSubst":
-    """Intern callback for the native builder's freeze: node
-    descriptors (``(value,)`` leaf / ``(name, is_int, args)`` pattern,
-    already in first-visit order) to the canonical frozen form."""
-    nodes = []
-    append = nodes.append
-    for desc in descs:
-        if len(desc) == 1:
-            append(PatNode(value=desc[0]))
-        else:
-            append(PatNode(desc[0], desc[1], tuple(desc[2])))
-    return intern_subst(AbstractSubst(len(sv), tuple(sv), tuple(nodes)))
-
-
-def _subst_rows(subst: "AbstractSubst") -> tuple:
-    """Flat per-node rows handed to the C tier on first sight of a
-    sid: ``(name, is_int, args_or_None, value)`` per node."""
-    rows = [(node.name, node.is_int, node.args, node.value)
-            for node in subst.nodes]
-    return (subst.sv, rows)
 
 
 def make_builder(domain: LeafDomain):

@@ -130,19 +130,30 @@ def _execute_spec(spec: dict, program: Optional[Program] = None
 
 
 def _settled(execute, *args):
-    """Run one fresh analysis, ``execute(*args)``, then settle the
-    executor's heap: collect the cyclic garbage the analysis left and
-    move every survivor out of the cyclic collector's scan set
-    (``gc.freeze``).  Later full collections then walk only what the
-    next analysis allocates, not the warm heap of interned grammars,
-    substitutions and memo tables.  Frozen objects still die by
-    refcount, so evicting a cached result still frees its memory.
+    """Run one fresh analysis, ``execute(*args)``, with the cyclic
+    collector paused, then settle the executor's heap: collect the
+    cyclic garbage the analysis left and move every survivor out of
+    the cyclic collector's scan set (``gc.freeze``).  An analysis
+    leaves almost no cyclic garbage, so collections during it would
+    only re-walk the heap it is building; later full collections walk
+    only what the next analysis allocates, not the warm heap of
+    interned grammars, substitutions and memo tables.  Frozen objects
+    still die by refcount, so evicting a cached result still frees its
+    memory.
 
-    The heap is settled only after a successful return: while an
-    analysis error propagates, its traceback still reaches the
-    analysis frames, and freezing them would keep them for good.  The
-    next successful call's collection reclaims them instead."""
-    result = execute(*args)
+    The collector is switched back on (if it was on) however the
+    analysis ends.  The heap is settled only after a successful
+    return: while an analysis error propagates, its traceback still
+    reaches the analysis frames, and freezing them would keep them for
+    good.  The next successful call's collection reclaims them
+    instead."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = execute(*args)
+    finally:
+        if was_enabled:
+            gc.enable()
     gc.collect()
     gc.freeze()
     return result
@@ -262,7 +273,7 @@ def run_batch(jobs: Sequence[Job],
             with WorkerPool(workers) as pool:
                 outcomes = pool.map_specs(specs)
         else:
-            outcomes = [_execute_spec(spec) for spec in specs]
+            outcomes = [_settled(_execute_spec, spec) for spec in specs]
         for (index, job, key), (name, payload, seconds) in \
                 zip(pending, outcomes):
             slots[index] = JobResult(name, key, payload,

@@ -149,14 +149,14 @@ def encode_subst(subst, domain: LeafDomain, leaf_ref=None):
         return "bottom"
     assert isinstance(subst, AbstractSubst)
     nodes = []
-    for node in subst.nodes:
-        if node.is_leaf:
-            nodes.append(["l", domain.encode_leaf(node.value)
-                          if leaf_ref is None else leaf_ref(node.value)])
-        elif node.is_int:
-            nodes.append(["i", node.name])
+    for name, is_int, args, value in subst.node_rows():
+        if args is None:
+            nodes.append(["l", domain.encode_leaf(value)
+                          if leaf_ref is None else leaf_ref(value)])
+        elif is_int:
+            nodes.append(["i", name])
         else:
-            nodes.append(["f", node.name, list(node.args)])
+            nodes.append(["f", name, list(args)])
     return {"nvars": subst.nvars, "sv": list(subst.sv), "nodes": nodes}
 
 
@@ -178,8 +178,9 @@ def _subst_texts(subst: AbstractSubst, domain: LeafDomain) -> tuple:
     order."""
     template = canonical_json(encode_subst(subst, domain, _slot)).replace(
         "%", "%%").replace(_SLOT_TOKEN, '["l",%s]')
-    leaves = tuple(_leaf_json(node.value, domain)
-                   for node in subst.nodes if node.is_leaf)
+    leaves = tuple(_leaf_json(value, domain)
+                   for _, _, args, value in subst.node_rows()
+                   if args is None)
     return template % leaves, template, leaves
 
 

@@ -146,9 +146,13 @@ class ServerStats:
 
 def _heap_stats() -> dict:
     """The ``heap`` section of ``stats``: what the cyclic collector
-    scans and has run, and how large the warm memo tables are."""
+    scans and has run, how large the warm memo tables are, and the
+    C↔Python boundary (handles created and decoded, callbacks)."""
     from ..typegraph import arena, opcache
+    counters = arena.stats()
     return {
+        "boundary": {name: counters[name]
+                     for name in arena.BOUNDARY_COUNTERS},
         "frozen": gc.get_freeze_count(),
         "collections": [gen["collections"] for gen in gc.get_stats()],
         "opcache": {name: table["size"]

@@ -3,17 +3,22 @@
  * Compiled lazily by repro/typegraph/_native.py with the system C
  * compiler; everything here mirrors the pure-Python kernels in
  * _python.py / widenloop.py / pybuilder.py step for step, so results are
- * bit-identical: all Grammar / AbstractSubst construction funnels
- * through Python callbacks into the process-wide intern tables, and
- * this module only ever hands back the canonical interned objects.
+ * bit-identical.  Every result is identified by its canonical key
+ * (flat int32 bytes, see repro.typegraph.grammar and
+ * repro.domains.pattern) and probed in the one process-wide intern
+ * table of its kind straight from C; only a miss calls back into
+ * Python, to mint the handle (gid/sid + key, Python form decoded
+ * lazily), and this module only ever hands back the canonical
+ * interned objects.
  *
  * Layout:
  *   1. int64 open-addressing map (registries, memo tables, worklists)
- *   2. symbol registry mirroring repro.typegraph.arena.SYMBOLS
- *   3. per-grammar arena structs (CSR rows keyed by gid)
+ *   2. symbol registry mirroring repro.typegraph.grammar.SYMBOLS
+ *   3. per-grammar arena structs (CSR rows keyed by gid, built from
+ *      the canonical key)
  *   4. dense normalization (nonempty / prune / absorb / cap /
- *      partition refinement / BFS renumber -> flat int key ->
- *      intern-table callback)
+ *      partition refinement / BFS renumber -> canonical key ->
+ *      intern-table probe)
  *   5. grammar operations: le / union / intersect / functor /
  *      subgrammar / split, with C-side memo tables
  *   6. pattern-layer walks: value_of / subst_le over frozen
@@ -134,19 +139,37 @@ static void ivec_free(IVec *v) { free(v->data); v->data = NULL; v->len = v->cap 
 /* module state                                                        */
 
 /* callbacks + canonical objects, filled by init() */
-static PyObject *cb_from_flat;     /* flat int tuple -> interned Grammar */
-static PyObject *cb_arena_flat;    /* Grammar -> flat list of ints */
+static PyObject *cb_grammar_of_key; /* key bytes -> interned Grammar */
+static PyObject *cb_pattern;       /* () -> repro.domains.pattern (lazy) */
+static PyObject *cb_subst_of_key;  /* (sv, key, leaves) -> AbstractSubst */
 static PyObject *cb_sym_rows;      /* start -> [(kind, name, arity), ...] */
-static PyObject *cb_sym_f;         /* (name, arity) -> dense symbol id */
-static PyObject *cb_int_literal;   /* name str -> Grammar */
-static PyObject *cb_freeze_build;  /* (sv tuple, descs list) -> AbstractSubst */
-static PyObject *cb_subst_rows;    /* AbstractSubst -> (sv, rows) */
+static PyObject *cb_sym;           /* (kind, name, arity) -> symbol id */
+static PyObject *obj_grammar_table; /* key bytes -> KeyedRef(Grammar) */
+static PyObject *obj_subst_table;  /* key bytes -> KeyedRef(AbstractSubst) */
+static PyObject *obj_pat_bottom;   /* PAT_BOTTOM */
+static PyObject *obj_sym_ids;      /* (kind, name, arity) -> symbol id */
 static PyObject *obj_any;          /* the interned Any grammar */
 static PyObject *obj_bottom;       /* the interned bottom grammar */
-static PyObject *cb_pat_bottom;    /* () -> PAT_BOTTOM (lazy) */
-static PyObject *obj_pat_bottom;   /* cached PAT_BOTTOM */
 static PyObject *s_gid;            /* "gid" */
 static PyObject *s_sid;            /* "sid" */
+static PyObject *s_ckey;           /* "_ckey" */
+static PyObject *s_leaves;         /* "_leaves" */
+static PyObject *s_kind_f;         /* "f" */
+static PyObject *s_kind_i;         /* "i" */
+
+/* The C->Python boundary: every call back into Python goes through
+ * CALLBACK, which counts it and, while profiling, times it. */
+static long g_cb_calls = 0;
+static double g_cb_secs = 0.0;
+static int g_profile = 0;
+static long g_compiles = 0;
+
+#define CALLBACK(var, expr) do { \
+    double _cb0 = g_profile ? now_seconds() : 0.0; \
+    var = (expr); \
+    g_cb_calls++; \
+    if (g_profile) g_cb_secs += now_seconds() - _cb0; \
+} while (0)
 
 /* symbol registry (mirrors arena.SYMBOLS, synced lazily) */
 typedef struct {
@@ -177,7 +200,8 @@ static int fkey_cmp(int a, int b) {
 /* pull rows [start..) from the Python symbol table */
 static int ensure_syms(int sym) {
     if (sym < g_nsyms) return 0;
-    PyObject *rows = PyObject_CallFunction(cb_sym_rows, "i", g_nsyms);
+    PyObject *rows;
+    CALLBACK(rows, PyObject_CallFunction(cb_sym_rows, "i", g_nsyms));
     if (!rows) return -1;
     Py_ssize_t n = PyList_Size(rows);
     if (n < 0) { Py_DECREF(rows); return -1; }
@@ -214,6 +238,38 @@ static int ensure_syms(int sym) {
     return 0;
 }
 
+/* the symbol id of (kind, name, arity): a probe of SYMBOLS._ids,
+ * allocating through SYMBOLS.sym on a miss; -1 on error */
+static int sym_lookup(int is_int, PyObject *name, int arity) {
+    PyObject *key = Py_BuildValue("(OOi)", is_int ? s_kind_i : s_kind_f,
+                                  name, arity);
+    if (!key) return -1;
+    PyObject *o = PyDict_GetItemWithError(obj_sym_ids, key);  /* borrowed */
+    if (o) {
+        Py_INCREF(o);
+    } else if (!PyErr_Occurred()) {
+        CALLBACK(o, PyObject_CallObject(cb_sym, key));
+    }
+    Py_DECREF(key);
+    if (!o) return -1;
+    long sym = PyLong_AsLong(o);
+    Py_DECREF(o);
+    if (sym == -1 && PyErr_Occurred()) return -1;
+    if (ensure_syms((int)sym) < 0) return -1;
+    return (int)sym;
+}
+
+/* probe an intern table (the dict behind a WeakValueDictionary) for a
+ * live entry: a NEW reference, or NULL (error set only on failure) */
+static PyObject *table_probe(PyObject *table, PyObject *key) {
+    PyObject *ref = PyDict_GetItemWithError(table, key);  /* borrowed */
+    if (!ref) return NULL;
+    PyObject *obj = PyWeakref_GetObject(ref);              /* borrowed */
+    if (!obj || obj == Py_None) return NULL;
+    Py_INCREF(obj);
+    return obj;
+}
+
 /* per-grammar arena (dense rows, fkey-sorted, like GrammarArena) */
 typedef struct {
     int n;
@@ -245,47 +301,47 @@ static long get_gid(PyObject *g) {
     return gid;
 }
 
-/* register an arena struct for `gid` from a flat int sequence
- * [n, root, then per nt: flags, nrows, (sym, nargs, args...)...] */
-static CArena *register_arena_from_flat(long gid, PyObject *grammar,
-                                        const int64_t *flat,
-                                        Py_ssize_t flat_len) {
+/* register the arena struct of interned grammar `gid` from its
+ * canonical key [n, per nt: flags, nrows, (sym, args...)...] (root 0,
+ * argument counts implied by the symbol table) */
+static CArena *register_arena(long gid, PyObject *grammar,
+                              const int *ik, Py_ssize_t len) {
     CArena *a = (CArena *)calloc(1, sizeof(CArena));
     if (!a) { PyErr_NoMemory(); return NULL; }
     Py_ssize_t p = 0;
-    a->n = (int)flat[p++];
-    a->root = (int)flat[p++];
+    int ok = len > 0;
+    a->n = ok ? ik[p++] : 0;
+    a->root = 0;
     a->flags = (unsigned char *)calloc((size_t)a->n + 1, 1);
     a->row_start = (int *)malloc(((size_t)a->n + 1) * sizeof(int));
     if (!a->flags || !a->row_start) { carena_free(a); PyErr_NoMemory(); return NULL; }
     IVec syms = {0}, argst = {0}, argv = {0};
-    int ok = 1;
     for (int i = 0; ok && i < a->n; i++) {
-        a->flags[i] = (unsigned char)flat[p++];
+        ok = p + 2 <= len;
+        if (!ok) break;
+        a->flags[i] = (unsigned char)ik[p++];
         a->row_start[i] = syms.len;
-        int nrows = (int)flat[p++];
+        int nrows = ik[p++];
         for (int r = 0; ok && r < nrows; r++) {
-            int sym = (int)flat[p++];
-            int nargs = (int)flat[p++];
-            if (ensure_syms(sym) < 0) { ok = 0; break; }
-            ok = ivec_push(&syms, sym) == 0 && ivec_push(&argst, argv.len) == 0;
+            int sym = p < len ? ik[p++] : -1;
+            if (sym < 0 || ensure_syms(sym) < 0) { ok = 0; break; }
+            int nargs = g_syms[sym].arity;
+            ok = p + nargs <= len && ivec_push(&syms, sym) == 0
+                 && ivec_push(&argst, argv.len) == 0;
             for (int k = 0; ok && k < nargs; k++)
-                ok = ivec_push(&argv, (int)flat[p++]) == 0;
+                ok = ivec_push(&argv, ik[p++]) == 0;
         }
     }
-    if (ok && p != flat_len) {
-        PyErr_SetString(PyExc_RuntimeError, "bad arena flat encoding");
-        ok = 0;
-    }
+    if (ok) ok = p == len && ivec_push(&argst, argv.len) == 0;
     if (!ok) {
         ivec_free(&syms); ivec_free(&argst); ivec_free(&argv);
         carena_free(a);
-        if (!PyErr_Occurred()) PyErr_NoMemory();
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_RuntimeError, "bad canonical grammar key");
         return NULL;
     }
     a->row_start[a->n] = syms.len;
     a->nalts = syms.len;
-    ivec_push(&argst, argv.len);
     a->alt_sym = syms.data;
     a->arg_start = argst.data;
     a->args = argv.data;
@@ -294,9 +350,12 @@ static CArena *register_arena_from_flat(long gid, PyObject *grammar,
     if (imap_put(&g_arena_map, gid, (int64_t)(intptr_t)a) < 0) {
         carena_free(a); PyErr_NoMemory(); return NULL;
     }
+    g_compiles++;
     return a;
 }
 
+/* the arena of an interned grammar, registered from its `_ckey` on
+ * first sight (a grammar born here is registered at birth) */
 static CArena *get_arena(PyObject *g) {
     long gid = get_gid(g);
     if (gid == -2) return NULL;
@@ -308,74 +367,18 @@ static CArena *get_arena(PyObject *g) {
     int64_t val;
     if (imap_get(&g_arena_map, gid, &val))
         return (CArena *)(intptr_t)val;
-    PyObject *flat = PyObject_CallFunctionObjArgs(cb_arena_flat, g, NULL);
-    if (!flat) return NULL;
-    Py_ssize_t n = PyList_Size(flat);
-    if (n < 0) { Py_DECREF(flat); return NULL; }
-    int64_t *buf = (int64_t *)malloc((size_t)n * sizeof(int64_t));
-    if (!buf) { Py_DECREF(flat); PyErr_NoMemory(); return NULL; }
-    for (Py_ssize_t i = 0; i < n; i++) {
-        buf[i] = PyLong_AsLongLong(PyList_GET_ITEM(flat, i));
-        if (buf[i] == -1 && PyErr_Occurred()) {
-            free(buf); Py_DECREF(flat); return NULL;
-        }
+    PyObject *key = PyObject_GetAttr(g, s_ckey);
+    if (!key) return NULL;
+    if (!PyBytes_Check(key)) {
+        Py_DECREF(key);
+        PyErr_SetString(PyExc_TypeError, "grammar without a canonical key");
+        return NULL;
     }
-    Py_DECREF(flat);
-    CArena *a = register_arena_from_flat(gid, g, buf, n);
-    free(buf);
+    CArena *a = register_arena(
+        gid, g, (const int *)PyBytes_AS_STRING(key),
+        PyBytes_GET_SIZE(key) / (Py_ssize_t)sizeof(int));
+    Py_DECREF(key);
     return a;
-}
-
-/* pre-register the arena for a grammar freshly interned from its
- * canonical int key [n, per nt: flags, nrows, (sym, args...)...]
- * (root 0, arities implied by the symbol table).  Spares the round
- * trip through the Python flat encoder the first time the grammar
- * comes back as an operand.  Best-effort: on any failure the error is
- * cleared and the regular get_arena upload path recovers later. */
-static void register_arena_from_intkey(PyObject *grammar,
-                                       const int *ik, int len) {
-    long gid = get_gid(grammar);
-    if (gid < 0) { PyErr_Clear(); return; }
-    int64_t val;
-    if (imap_get(&g_arena_map, gid, &val)) return;
-    CArena *a = (CArena *)calloc(1, sizeof(CArena));
-    if (!a) return;
-    int p = 0;
-    a->n = ik[p++];
-    a->root = 0;
-    a->flags = (unsigned char *)calloc((size_t)a->n + 1, 1);
-    a->row_start = (int *)malloc(((size_t)a->n + 1) * sizeof(int));
-    if (!a->flags || !a->row_start) { carena_free(a); return; }
-    IVec syms = {0}, argst = {0}, argv = {0};
-    int ok = 1;
-    for (int i = 0; ok && i < a->n; i++) {
-        a->flags[i] = (unsigned char)ik[p++];
-        a->row_start[i] = syms.len;
-        int nrows = ik[p++];
-        for (int r = 0; ok && r < nrows; r++) {
-            int sym = ik[p++];
-            if (ensure_syms(sym) < 0) { PyErr_Clear(); ok = 0; break; }
-            ok = ivec_push(&syms, sym) == 0
-                 && ivec_push(&argst, argv.len) == 0;
-            int nargs = g_syms[sym].arity;
-            for (int k = 0; ok && k < nargs; k++)
-                ok = ivec_push(&argv, ik[p++]) == 0;
-        }
-    }
-    if (!ok || p != len || ivec_push(&argst, argv.len) < 0) {
-        ivec_free(&syms); ivec_free(&argst); ivec_free(&argv);
-        carena_free(a);
-        return;
-    }
-    a->row_start[a->n] = syms.len;
-    a->nalts = syms.len;
-    a->alt_sym = syms.data;
-    a->arg_start = argst.data;
-    a->args = argv.data;
-    Py_INCREF(grammar);
-    a->grammar = grammar;
-    if (imap_put(&g_arena_map, gid, (int64_t)(intptr_t)a) < 0)
-        carena_free(a);
 }
 
 static int arena_is_any(const CArena *a) {
@@ -409,7 +412,6 @@ static const char *OP_NAMES[OP_COUNT] = {
 
 static long g_calls[OP_COUNT];
 static double g_secs[OP_COUNT];
-static int g_profile = 0;
 
 #define PROF_BEGIN(op) \
     double _t0 = 0.0; g_calls[op]++; if (g_profile) _t0 = now_seconds();
@@ -428,10 +430,6 @@ static PyObject *memo_intersect;
 static PyObject *memo_functor;
 /* widen memo: PyDict (gid_old, gid_new, w, strict) -> Grammar */
 static PyObject *memo_widen;
-/* flat normalize cache: PyDict bytes(int32 flat) -> Grammar */
-static PyObject *flat_cache;
-/* freeze intern front: PyDict bytes -> AbstractSubst */
-static PyObject *freeze_cache;
 
 #define MEMO_CAP 200000
 
@@ -589,7 +587,7 @@ done:
  * canonical interned Grammar.  Mirrors _python.normalize_dense +
  * _renumber_and_intern exactly (the partition is unique, the
  * representative is the minimum original index, BFS order is fkey-
- * sorted), so the flat int key matches the Python tiers bit for bit. */
+ * sorted), so the canonical key matches the Python tier bit for bit. */
 static PyObject *flat_to_grammar(const IVec *flat);
 
 static PyObject *dense_normalize(Dense *d, int root, int w, int prune) {
@@ -816,11 +814,6 @@ static PyObject *dense_normalize(Dense *d, int root, int w, int prune) {
     order = (int *)malloc(((size_t)n + 1) * sizeof(int));
     if (!cmap || !num || !order) { PyErr_NoMemory(); goto done; }
     {
-        int *rep = newcls ? newcls : cls;  /* reuse as scratch */
-        for (int i = 0; i < n; i++) rep[i] = -1;
-        /* careful: cls holds the classes; use a separate scratch */
-    }
-    {
         int *repof = (int *)malloc(((size_t)n + 1) * sizeof(int));
         if (!repof) { PyErr_NoMemory(); goto done; }
         for (int i = 0; i < n; i++) repof[i] = -1;
@@ -948,8 +941,6 @@ static PyObject *dense_normalize(Dense *d, int root, int w, int prune) {
         ivec_free(&margs); ivec_free(&node_row_start);
         if (emit_fail) { ivec_free(&flat); PyErr_NoMemory(); goto done; }
 
-        /* probe the C-side flat cache (bytes key), then fall through
-         * to the Python intern-table callback on miss */
         result = flat_to_grammar(&flat);
         ivec_free(&flat);
     }
@@ -992,33 +983,41 @@ static int grammar_is_bottom(const CArena *a) {
         && a->row_start[a->root + 1] == a->row_start[a->root];
 }
 
-/* shared tail of every construction: probe the bytes-keyed flat cache,
- * fall back to the Python intern-table callback */
+/* shared tail of every construction: the interned grammar of a
+ * canonical key.  A hit in the intern table costs one probe; a miss
+ * mints the handle through Python and registers its arena here. */
 static PyObject *flat_to_grammar(const IVec *flat) {
     PyObject *key = PyBytes_FromStringAndSize(
         (const char *)flat->data,
         (Py_ssize_t)flat->len * (Py_ssize_t)sizeof(int));
     if (!key) return NULL;
-    PyObject *hit = PyDict_GetItem(flat_cache, key);  /* borrowed */
-    if (hit) {
-        Py_INCREF(hit);
+    PyObject *grammar = table_probe(obj_grammar_table, key);
+    if (grammar || PyErr_Occurred()) {
         Py_DECREF(key);
-        return hit;
+        return grammar;
     }
-    PyObject *tup = PyTuple_New(flat->len);
-    if (!tup) { Py_DECREF(key); return NULL; }
-    for (int t = 0; t < flat->len; t++)
-        PyTuple_SET_ITEM(tup, t, PyLong_FromLong(flat->data[t]));
-    PyObject *grammar = PyObject_CallFunctionObjArgs(cb_from_flat, tup, NULL);
-    Py_DECREF(tup);
-    if (!grammar) { Py_DECREF(key); return NULL; }
-    register_arena_from_intkey(grammar, flat->data, flat->len);
-    bound_dict(flat_cache);
-    if (PyDict_SetItem(flat_cache, key, grammar) < 0) {
-        Py_DECREF(key); Py_DECREF(grammar); return NULL;
-    }
+    CALLBACK(grammar, PyObject_CallOneArg(cb_grammar_of_key, key));
     Py_DECREF(key);
+    if (!grammar) return NULL;
+    long gid = get_gid(grammar);
+    int64_t val;
+    if (gid < 0 || (!imap_get(&g_arena_map, gid, &val)
+                    && !register_arena(gid, grammar, flat->data,
+                                       flat->len))) {
+        if (gid == -1)
+            PyErr_SetString(PyExc_RuntimeError, "handle without a gid");
+        Py_DECREF(grammar);
+        return NULL;
+    }
     return grammar;
+}
+
+/* the interned singleton grammar of a nullary symbol (an atom or an
+ * integer literal): its canonical key is [1, 0, 1, sym] */
+static PyObject *literal_grammar(int sym) {
+    int buf[4] = {1, 0, 1, sym};
+    IVec flat = {buf, 4, 4};
+    return flat_to_grammar(&flat);
 }
 
 /* normalize(g, w) for an interned grammar (the Python fast path plus
@@ -1441,15 +1440,19 @@ done:
 }
 
 /* functor construction, mirroring _python.arena_functor (the
- * g_functor opcache probe is replaced by the C-side functor memo) */
-static PyObject *c_g_functor(PyObject *name, PyObject *children, int w) {
+ * g_functor opcache probe is replaced by the C-side functor memo);
+ * `sym` is the functor's symbol, of arity len(children) */
+static PyObject *c_g_functor(int sym, PyObject *children, int w) {
     PROF_BEGIN(OP_FUNCTOR)
     PyObject *res = NULL, *key = NULL;
     Py_ssize_t nch = PyTuple_GET_SIZE(children);
     key = PyTuple_New(nch + 2);
     if (!key) goto done;
-    Py_INCREF(name);
-    PyTuple_SET_ITEM(key, 0, name);
+    {
+        PyObject *o = PyLong_FromLong(sym);
+        if (!o) goto done;
+        PyTuple_SET_ITEM(key, 0, o);
+    }
     for (Py_ssize_t c = 0; c < nch; c++) {
         long gid = get_gid(PyTuple_GET_ITEM(children, c));
         if (gid == -2) goto done;
@@ -1467,14 +1470,6 @@ static PyObject *c_g_functor(PyObject *name, PyObject *children, int w) {
         if (hit) { Py_INCREF(hit); res = hit; goto done; }
     }
     {
-        PyObject *sym_o = PyObject_CallFunction(
-            cb_sym_f, "Oi", name, (int)nch);
-        if (!sym_o) goto done;
-        long sym = PyLong_AsLong(sym_o);
-        Py_DECREF(sym_o);
-        if (sym == -1 && PyErr_Occurred()) goto done;
-        if (ensure_syms((int)sym) < 0) goto done;
-
         Dense d; memset(&d, 0, sizeof d);
         int err = 0, prune = 0;
         int root = dense_add_node(&d);
@@ -1611,14 +1606,15 @@ static PyObject *c_subgrammar(PyObject *g, int start) {
 }
 
 /* g_split, mirroring ops.g_split on the arena view (determinism makes
- * the matching alternative unique) */
-static PyObject *c_g_split(PyObject *g, PyObject *name, int arity,
-                           int is_int) {
+ * the matching alternative unique; functor keys and symbols are one to
+ * one) */
+static PyObject *c_g_split(PyObject *g, int sym) {
     CArena *a = get_arena(g);
     if (!a) return NULL;
     PROF_BEGIN(OP_SPLIT)
     PyObject *res = NULL;
     int root = a->root;
+    int arity = g_syms[sym].arity;
     if (a->flags[root] & 1) {
         res = PyTuple_New(arity);
         if (res)
@@ -1628,29 +1624,21 @@ static PyObject *c_g_split(PyObject *g, PyObject *name, int arity,
             }
         goto done;
     }
-    if (is_int && (a->flags[root] & 2)) {
+    if (g_syms[sym].is_literal && (a->flags[root] & 2)) {
         res = PyTuple_New(0);
         goto done;
     }
-    {
-        Py_ssize_t nmlen;
-        const char *nm = PyUnicode_AsUTF8AndSize(name, &nmlen);
-        if (!nm) goto done;
-        for (int r = a->row_start[root]; r < a->row_start[root + 1]; r++) {
-            const SymInfo *si = &g_syms[a->alt_sym[r]];
-            if ((si->is_literal != 0) != (is_int != 0)) continue;
-            if (si->arity != arity || si->name_len != nmlen) continue;
-            if (memcmp(si->name, nm, (size_t)nmlen) != 0) continue;
-            res = PyTuple_New(arity);
-            if (!res) goto done;
-            int as = a->arg_start[r];
-            for (int k = 0; k < arity; k++) {
-                PyObject *sub = c_subgrammar(g, a->args[as + k]);
-                if (!sub) { Py_DECREF(res); res = NULL; goto done; }
-                PyTuple_SET_ITEM(res, k, sub);
-            }
-            goto done;
+    for (int r = a->row_start[root]; r < a->row_start[root + 1]; r++) {
+        if (a->alt_sym[r] != sym) continue;
+        res = PyTuple_New(arity);
+        if (!res) goto done;
+        int as = a->arg_start[r];
+        for (int k = 0; k < arity; k++) {
+            PyObject *sub = c_subgrammar(g, a->args[as + k]);
+            if (!sub) { Py_DECREF(res); res = NULL; goto done; }
+            PyTuple_SET_ITEM(res, k, sub);
         }
+        goto done;
     }
     Py_INCREF(Py_None);
     res = Py_None;
@@ -2465,10 +2453,8 @@ done:
 typedef struct {
     int nnodes, nvars;
     int *sv;
-    PyObject **name;        /* per node: str (pattern) or NULL (leaf) */
-    unsigned char *is_int;
+    int *sym;               /* per node: symbol (pattern) or -1 (leaf) */
     int *arg_start;         /* nnodes+1; leaves have empty ranges */
-    unsigned char *leaf;
     int *args;
     PyObject **value;       /* per node: leaf value or NULL */
     PyObject *subst;        /* strong: keeps sid -> struct valid */
@@ -2478,13 +2464,12 @@ typedef struct {
 static IMap g_subst_map;    /* sid -> (CSubst *) */
 
 static void csubst_free(CSubst *s) {
-    for (int i = 0; i < s->nnodes; i++) {
-        Py_XDECREF(s->name[i]);
-        Py_XDECREF(s->value[i]);
-    }
+    if (s->value)
+        for (int i = 0; i < s->nnodes; i++)
+            Py_XDECREF(s->value[i]);
     imap_clear_strong(&s->collapse);
-    free(s->sv); free(s->name); free(s->is_int); free(s->arg_start);
-    free(s->leaf); free(s->args);
+    free(s->sv); free(s->sym); free(s->arg_start); free(s->args);
+    free(s->value);
     Py_XDECREF(s->subst);
     free(s);
 }
@@ -2498,6 +2483,82 @@ static long get_sid(PyObject *s) {
     return sid;
 }
 
+/* register the struct of interned substitution `sid` from its
+ * canonical key [nvars, sv..., per node: sym, args... | -1 - gid] and
+ * its leaf values in node order */
+static CSubst *register_subst(long sid, PyObject *subst, const int *ik,
+                              Py_ssize_t len, PyObject *leaves) {
+    CSubst *s = (CSubst *)calloc(1, sizeof(CSubst));
+    if (!s) { PyErr_NoMemory(); return NULL; }
+    int ok = len > 0 && PyTuple_Check(leaves);
+    int nvars = ok ? ik[0] : 0;
+    ok = ok && nvars >= 0 && 1 + nvars <= len;
+    int nnodes = 0;
+    for (Py_ssize_t p = 1 + nvars; ok && p < len; nnodes++) {
+        int sym = ik[p++];
+        if (sym >= 0) {
+            ok = ensure_syms(sym) == 0;
+            if (ok) p += g_syms[sym].arity;
+        }
+        ok = ok && p <= len;
+    }
+    s->nvars = nvars;
+    if (ok) {
+        s->sv = (int *)malloc(((size_t)nvars + 1) * sizeof(int));
+        s->sym = (int *)malloc(((size_t)nnodes + 1) * sizeof(int));
+        s->arg_start = (int *)malloc(((size_t)nnodes + 2) * sizeof(int));
+        s->args = (int *)malloc(((size_t)len + 1) * sizeof(int));
+        s->value = (PyObject **)calloc((size_t)nnodes + 1,
+                                       sizeof(PyObject *));
+        s->nnodes = nnodes;
+        if (!s->sv || !s->sym || !s->arg_start || !s->args || !s->value) {
+            csubst_free(s); PyErr_NoMemory(); return NULL;
+        }
+    }
+    Py_ssize_t leaf = 0, nleaves = ok ? PyTuple_GET_SIZE(leaves) : 0;
+    int nargs = 0;
+    for (int k = 0; ok && k < nvars; k++) {
+        s->sv[k] = ik[1 + k];
+        ok = s->sv[k] >= 0 && s->sv[k] < nnodes;
+    }
+    Py_ssize_t p = 1 + nvars;
+    for (int i = 0; ok && i < nnodes; i++) {
+        int sym = ik[p++];
+        s->sym[i] = sym;
+        s->arg_start[i] = nargs;
+        if (sym < 0) {
+            ok = leaf < nleaves;
+            if (ok) {
+                PyObject *v = PyTuple_GET_ITEM(leaves, leaf++);
+                Py_INCREF(v);
+                s->value[i] = v;
+            }
+        } else {
+            for (int k = 0; ok && k < g_syms[sym].arity; k++) {
+                int arg = ik[p++];
+                ok = arg >= 0 && arg < nnodes;
+                s->args[nargs++] = arg;
+            }
+        }
+    }
+    if (!ok || leaf != nleaves) {
+        csubst_free(s);
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_RuntimeError,
+                            "bad canonical substitution key");
+        return NULL;
+    }
+    s->arg_start[nnodes] = nargs;
+    Py_INCREF(subst);
+    s->subst = subst;
+    if (imap_put(&g_subst_map, sid, (int64_t)(intptr_t)s) < 0) {
+        csubst_free(s); PyErr_NoMemory(); return NULL;
+    }
+    return s;
+}
+
+/* the struct of an interned substitution, registered from its `_ckey`
+ * and `_leaves` on first sight (one born here is registered at birth) */
 static CSubst *get_csubst(PyObject *subst) {
     long sid = get_sid(subst);
     if (sid == -2) return NULL;
@@ -2509,66 +2570,156 @@ static CSubst *get_csubst(PyObject *subst) {
     int64_t v;
     if (imap_get(&g_subst_map, sid, &v))
         return (CSubst *)(intptr_t)v;
-    PyObject *pair = PyObject_CallFunctionObjArgs(cb_subst_rows, subst, NULL);
-    if (!pair) return NULL;
-    PyObject *sv_t = PyTuple_GET_ITEM(pair, 0);
-    PyObject *rows = PyTuple_GET_ITEM(pair, 1);
-    int nvars = (int)PyTuple_GET_SIZE(sv_t);
-    int nnodes = (int)PyList_GET_SIZE(rows);
-    CSubst *s = (CSubst *)calloc(1, sizeof(CSubst));
-    if (!s) { Py_DECREF(pair); PyErr_NoMemory(); return NULL; }
-    s->nvars = nvars;
-    s->nnodes = nnodes;
-    s->sv = (int *)malloc(((size_t)nvars + 1) * sizeof(int));
-    s->name = (PyObject **)calloc((size_t)nnodes + 1, sizeof(PyObject *));
-    s->is_int = (unsigned char *)calloc((size_t)nnodes + 1, 1);
-    s->leaf = (unsigned char *)calloc((size_t)nnodes + 1, 1);
-    s->arg_start = (int *)malloc(((size_t)nnodes + 2) * sizeof(int));
-    s->value = (PyObject **)calloc((size_t)nnodes + 1, sizeof(PyObject *));
-    IVec argv = {0};
-    int ok = s->sv && s->name && s->is_int && s->leaf && s->arg_start
-             && s->value;
-    for (int k = 0; ok && k < nvars; k++) {
-        s->sv[k] = (int)PyLong_AsLong(PyTuple_GET_ITEM(sv_t, k));
+    CSubst *s = NULL;
+    PyObject *key = PyObject_GetAttr(subst, s_ckey);
+    PyObject *leaves = key ? PyObject_GetAttr(subst, s_leaves) : NULL;
+    if (leaves) {
+        if (PyBytes_Check(key))
+            s = register_subst(
+                sid, subst, (const int *)PyBytes_AS_STRING(key),
+                PyBytes_GET_SIZE(key) / (Py_ssize_t)sizeof(int), leaves);
+        else
+            PyErr_SetString(PyExc_TypeError,
+                            "substitution without a canonical key");
     }
-    for (int i = 0; ok && i < nnodes; i++) {
-        /* row: (name_or_None, is_int, args_tuple_or_None, value) */
-        PyObject *row = PyList_GET_ITEM(rows, i);
-        PyObject *name_o = PyTuple_GET_ITEM(row, 0);
-        PyObject *args_o = PyTuple_GET_ITEM(row, 2);
-        PyObject *value_o = PyTuple_GET_ITEM(row, 3);
-        s->arg_start[i] = argv.len;
-        if (args_o == Py_None) {
-            s->leaf[i] = 1;
-            Py_INCREF(value_o);
-            s->value[i] = value_o;
+    Py_XDECREF(key);
+    Py_XDECREF(leaves);
+    return s;
+}
+
+/* the pattern layer's door and intern table, fetched on the first
+ * substitution (the pattern module is imported after this one loads) */
+static int ensure_pattern(void) {
+    if (obj_subst_table) return 0;
+    PyObject *mod;
+    CALLBACK(mod, PyObject_CallNoArgs(cb_pattern));
+    if (!mod) return -1;
+    PyObject *fn = PyObject_GetAttrString(mod, "subst_of_key");
+    PyObject *table = PyObject_GetAttrString(mod, "_SUBST_INTERN");
+    PyObject *data = table ? PyObject_GetAttrString(table, "data") : NULL;
+    PyObject *bottom = PyObject_GetAttrString(mod, "PAT_BOTTOM");
+    Py_DECREF(mod);
+    Py_XDECREF(table);
+    if (!fn || !data || !bottom) {
+        Py_XDECREF(fn); Py_XDECREF(data); Py_XDECREF(bottom);
+        return -1;
+    }
+    cb_subst_of_key = fn;
+    obj_pat_bottom = bottom;
+    obj_subst_table = data;
+    return 0;
+}
+
+/* A substitution under construction (the freeze and merge walks):
+ * slots in first-visit order, each a leaf value or a pattern whose
+ * argument slots are reserved when it is visited. */
+typedef struct {
+    int n, cap;
+    int *sym;               /* per slot: symbol or -1 (leaf) */
+    int *astart;            /* per slot: start into args */
+    PyObject **value;       /* per slot: leaf value (strong) or NULL */
+    IVec args;
+} Slots;
+
+static int slots_add(Slots *b, int sym, PyObject *value) {
+    if (b->n == b->cap) {
+        int nc = b->cap ? b->cap * 2 : 16;
+        int *ns = (int *)realloc(b->sym, (size_t)nc * sizeof(int));
+        if (ns) b->sym = ns;
+        int *na = ns ? (int *)realloc(b->astart, (size_t)nc * sizeof(int))
+                     : NULL;
+        if (na) b->astart = na;
+        PyObject **nv = na ? (PyObject **)realloc(
+            b->value, (size_t)nc * sizeof(PyObject *)) : NULL;
+        if (!nv) { PyErr_NoMemory(); return -1; }
+        b->value = nv;
+        b->cap = nc;
+    }
+    int slot = b->n++;
+    b->sym[slot] = sym;
+    b->astart[slot] = b->args.len;
+    b->value[slot] = value;
+    Py_XINCREF(value);
+    if (sym >= 0)
+        for (int k = 0; k < g_syms[sym].arity; k++)
+            if (ivec_push(&b->args, -1) < 0) { PyErr_NoMemory(); return -1; }
+    return slot;
+}
+
+static void slots_free(Slots *b) {
+    for (int i = 0; i < b->n; i++)
+        Py_XDECREF(b->value[i]);
+    free(b->sym); free(b->astart); free(b->value);
+    ivec_free(&b->args);
+}
+
+/* the interned substitution of a finished walk: its canonical key is
+ * probed in the intern table; a miss mints the handle through Python
+ * and registers its struct here */
+static PyObject *slots_to_subst(Slots *b, const int *sv, int nvars) {
+    PyObject *result = NULL, *key = NULL, *sv_t = NULL, *leaves = NULL;
+    IVec ik = {0};
+    int fail = ivec_push(&ik, nvars) < 0;
+    for (int k = 0; !fail && k < nvars; k++)
+        fail = ivec_push(&ik, sv[k]) < 0;
+    int nleaves = 0;
+    for (int i = 0; !fail && i < b->n; i++) {
+        if (b->sym[i] < 0) {
+            if (!b->value[i]) {
+                PyErr_SetString(PyExc_RuntimeError, "leaf without a value");
+                goto done;
+            }
+            long gid = get_gid(b->value[i]);
+            if (gid < 0) {
+                if (gid == -1)
+                    PyErr_SetString(PyExc_RuntimeError,
+                                    "leaf value is not interned");
+                goto done;
+            }
+            fail = ivec_push(&ik, (int)(-1 - gid)) < 0;
+            nleaves++;
         } else {
-            Py_INCREF(name_o);
-            s->name[i] = name_o;
-            s->is_int[i] = (unsigned char)PyObject_IsTrue(
-                PyTuple_GET_ITEM(row, 1));
-            Py_ssize_t na = PyTuple_GET_SIZE(args_o);
-            for (Py_ssize_t k = 0; ok && k < na; k++)
-                ok = ivec_push(&argv, (int)PyLong_AsLong(
-                    PyTuple_GET_ITEM(args_o, k))) == 0;
+            fail = ivec_push(&ik, b->sym[i]) < 0;
+            for (int k = 0; !fail && k < g_syms[b->sym[i]].arity; k++)
+                fail = ivec_push(&ik, b->args.data[b->astart[i] + k]) < 0;
         }
     }
-    Py_DECREF(pair);
-    if (ok) {
-        s->arg_start[nnodes] = argv.len;
-        s->args = argv.data;
-        Py_INCREF(subst);
-        s->subst = subst;
-        ok = imap_put(&g_subst_map, sid, (int64_t)(intptr_t)s) == 0;
+    if (fail) { PyErr_NoMemory(); goto done; }
+    if (ensure_pattern() < 0) goto done;
+    key = PyBytes_FromStringAndSize((const char *)ik.data,
+                                    (Py_ssize_t)ik.len * (Py_ssize_t)sizeof(int));
+    if (!key) goto done;
+    result = table_probe(obj_subst_table, key);
+    if (result || PyErr_Occurred()) goto done;
+    sv_t = PyTuple_New(nvars);
+    leaves = PyTuple_New(nleaves);
+    if (!sv_t || !leaves) goto done;
+    for (int k = 0; k < nvars; k++) {
+        PyObject *o = PyLong_FromLong(sv[k]);
+        if (!o) goto done;
+        PyTuple_SET_ITEM(sv_t, k, o);
     }
-    if (!ok) {
-        if (!s->args) ivec_free(&argv);
-        s->nnodes = nnodes;  /* free what was filled */
-        csubst_free(s);
-        if (!PyErr_Occurred()) PyErr_NoMemory();
-        return NULL;
+    for (int i = 0, l = 0; i < b->n; i++)
+        if (b->sym[i] < 0) {
+            Py_INCREF(b->value[i]);
+            PyTuple_SET_ITEM(leaves, l++, b->value[i]);
+        }
+    CALLBACK(result, PyObject_CallFunctionObjArgs(cb_subst_of_key, sv_t,
+                                                  key, leaves, NULL));
+    if (!result) goto done;
+    long sid = get_sid(result);
+    int64_t val;
+    if (sid < 0 || (!imap_get(&g_subst_map, sid, &val)
+                    && !register_subst(sid, result, ik.data, ik.len,
+                                       leaves))) {
+        if (sid == -1)
+            PyErr_SetString(PyExc_RuntimeError, "handle without a sid");
+        Py_CLEAR(result);
     }
-    return s;
+done:
+    Py_XDECREF(key); Py_XDECREF(sv_t); Py_XDECREF(leaves);
+    ivec_free(&ik);
+    return result;
 }
 
 /* collapse the subtree at `index` into one grammar (value_of) */
@@ -2581,12 +2732,12 @@ static PyObject *value_of_c(CSubst *s, int index, int did, int w) {
         return v;
     }
     PyObject *v = NULL;
-    if (s->leaf[index]) {
+    int sym = s->sym[index];
+    if (sym < 0) {
         v = s->value[index];
         Py_INCREF(v);
-    } else if (s->is_int[index]) {
-        v = PyObject_CallFunctionObjArgs(cb_int_literal, s->name[index],
-                                         NULL);
+    } else if (g_syms[sym].is_literal) {
+        v = literal_grammar(sym);
     } else {
         int as = s->arg_start[index];
         int na = s->arg_start[index + 1] - as;
@@ -2597,7 +2748,7 @@ static PyObject *value_of_c(CSubst *s, int index, int did, int w) {
             if (!c) { Py_DECREF(children); return NULL; }
             PyTuple_SET_ITEM(children, k, c);
         }
-        v = c_g_functor(s->name[index], children, w);
+        v = c_g_functor(sym, children, w);
         Py_DECREF(children);
     }
     if (v) {
@@ -2620,9 +2771,8 @@ static int csubst_subtree_shared(CSubst *s2, const int *ref2, int i2) {
         if (seen[i]) continue;
         seen[i] = 1;
         if (i != i2 && ref2[i] > 1) { res = 1; goto done; }
-        if (!s2->leaf[i])
-            for (int k = s2->arg_start[i]; k < s2->arg_start[i + 1]; k++)
-                if (ivec_push(&stack, s2->args[k]) < 0) { res = -1; goto done; }
+        for (int k = s2->arg_start[i]; k < s2->arg_start[i + 1]; k++)
+            if (ivec_push(&stack, s2->args[k]) < 0) { res = -1; goto done; }
     }
 done:
     free(seen);
@@ -2636,7 +2786,8 @@ static int csubst_le(CSubst *s1, CSubst *s2, const int *ref2, int *map21,
     if (map21[i2] >= 0)
         return map21[i2] == i1;    /* s2's sharing must hold in s1 */
     map21[i2] = i1;
-    if (s2->leaf[i2]) {
+    int sym2 = s2->sym[i2];
+    if (sym2 < 0) {
         PyObject *v1 = value_of_c(s1, i1, did, w);
         if (!v1) return -1;
         int r = c_g_le(v1, s2->value[i2]);
@@ -2644,41 +2795,35 @@ static int csubst_le(CSubst *s1, CSubst *s2, const int *ref2, int *map21,
         return r;
     }
     int na2 = s2->arg_start[i2 + 1] - s2->arg_start[i2];
-    if (!s1->leaf[i1]) {
-        int na1 = s1->arg_start[i1 + 1] - s1->arg_start[i1];
-        if (s1->is_int[i1] == s2->is_int[i2] && na1 == na2) {
-            int eq = PyObject_RichCompareBool(s1->name[i1], s2->name[i2],
-                                              Py_EQ);
-            if (eq < 0) return -1;
-            if (eq) {
-                int as1 = s1->arg_start[i1], as2 = s2->arg_start[i2];
-                for (int k = 0; k < na1; k++) {
-                    int r = csubst_le(s1, s2, ref2, map21,
-                                      s1->args[as1 + k],
-                                      s2->args[as2 + k], did, w);
-                    if (r <= 0) return r;
-                }
-                return 1;
-            }
+    if (s1->sym[i1] >= 0) {
+        if (s1->sym[i1] != sym2) return 0;
+        int as1 = s1->arg_start[i1], as2 = s2->arg_start[i2];
+        for (int k = 0; k < na2; k++) {
+            int r = csubst_le(s1, s2, ref2, map21, s1->args[as1 + k],
+                              s2->args[as2 + k], did, w);
+            if (r <= 0) return r;
         }
-        return 0;
+        return 1;
     }
     /* n1 leaf below an n2 pattern: only certifiable when s2's subtree
      * is sharing-free, through the leaf domain's le_tree */
     int shared = csubst_subtree_shared(s2, ref2, i2);
     if (shared) return shared < 0 ? -1 : 0;
-    PyObject *children = PyTuple_New(na2);
-    if (!children) return -1;
-    int as2 = s2->arg_start[i2];
-    for (int k = 0; k < na2; k++) {
-        PyObject *c = value_of_c(s2, s2->args[as2 + k], did, w);
-        if (!c) { Py_DECREF(children); return -1; }
-        PyTuple_SET_ITEM(children, k, c);
+    PyObject *tree;
+    if (g_syms[sym2].is_literal) {
+        tree = literal_grammar(sym2);
+    } else {
+        PyObject *children = PyTuple_New(na2);
+        if (!children) return -1;
+        int as2 = s2->arg_start[i2];
+        for (int k = 0; k < na2; k++) {
+            PyObject *c = value_of_c(s2, s2->args[as2 + k], did, w);
+            if (!c) { Py_DECREF(children); return -1; }
+            PyTuple_SET_ITEM(children, k, c);
+        }
+        tree = c_g_functor(sym2, children, w);
+        Py_DECREF(children);
     }
-    PyObject *tree = s2->is_int[i2]
-        ? PyObject_CallFunctionObjArgs(cb_int_literal, s2->name[i2], NULL)
-        : c_g_functor(s2->name[i2], children, w);
-    Py_DECREF(children);
     if (!tree) return -1;
     PyObject *v1 = value_of_c(s1, i1, did, w);
     if (!v1) { Py_DECREF(tree); return -1; }
@@ -2700,9 +2845,8 @@ static int c_subst_le(PyObject *subst1, PyObject *subst2, int did, int w) {
     if (!ref2 || !map21) { PyErr_NoMemory(); goto done; }
     for (int k = 0; k < s2->nvars; k++) ref2[s2->sv[k]]++;
     for (int i = 0; i < s2->nnodes; i++)
-        if (!s2->leaf[i])
-            for (int k = s2->arg_start[i]; k < s2->arg_start[i + 1]; k++)
-                ref2[s2->args[k]]++;
+        for (int k = s2->arg_start[i]; k < s2->arg_start[i + 1]; k++)
+            ref2[s2->args[k]]++;
     for (int i = 0; i < s2->nnodes; i++) map21[i] = -1;
     res = 1;
     for (int k = 0; k < s1->nvars && res == 1; k++)
@@ -2725,7 +2869,7 @@ typedef struct {
     CSubst *s1, *s2;
     int did, w, mode, strict;
     PyObject *combine;      /* borrowed; mode 0 only */
-    PyObject *descs;        /* slot-ordered desc list */
+    Slots out;
     IMap memo;              /* (i1<<32 | i2) -> slot */
 } MergeCtx;
 
@@ -2733,117 +2877,65 @@ static int merge_walk(MergeCtx *m, int i1, int i2) {
     int64_t key = ((int64_t)i1 << 32) | (uint32_t)i2;
     int64_t hit;
     if (imap_get(&m->memo, key, &hit)) return (int)hit;
-    int slot = (int)PyList_GET_SIZE(m->descs);
-    if (imap_put(&m->memo, key, slot) < 0) { PyErr_NoMemory(); return -1; }
-    if (PyList_Append(m->descs, Py_None) < 0) return -1;
     CSubst *s1 = m->s1, *s2 = m->s2;
-    int pattern = 0;
-    if (!s1->leaf[i1] && !s2->leaf[i2]
-        && s1->is_int[i1] == s2->is_int[i2]
-        && s1->arg_start[i1 + 1] - s1->arg_start[i1]
-           == s2->arg_start[i2 + 1] - s2->arg_start[i2]) {
-        pattern = PyObject_RichCompareBool(s1->name[i1], s2->name[i2],
-                                           Py_EQ);
-        if (pattern < 0) return -1;
-    }
-    PyObject *desc;
-    if (pattern) {
+    int sym = s1->sym[i1];
+    if (sym >= 0 && sym == s2->sym[i2]) {
+        int slot = slots_add(&m->out, sym, NULL);
+        if (slot < 0) return -1;
+        if (imap_put(&m->memo, key, slot) < 0) { PyErr_NoMemory(); return -1; }
         int as1 = s1->arg_start[i1], as2 = s2->arg_start[i2];
         int na = s1->arg_start[i1 + 1] - as1;
-        PyObject *args = PyTuple_New(na);
-        if (!args) return -1;
         for (int k = 0; k < na; k++) {
-            int child = merge_walk(m, s1->args[as1 + k],
-                                   s2->args[as2 + k]);
-            if (child < 0) { Py_DECREF(args); return -1; }
-            PyObject *o = PyLong_FromLong(child);
-            if (!o) { Py_DECREF(args); return -1; }
-            PyTuple_SET_ITEM(args, k, o);
+            int child = merge_walk(m, s1->args[as1 + k], s2->args[as2 + k]);
+            if (child < 0) return -1;
+            m->out.args.data[m->out.astart[slot] + k] = child;
         }
-        desc = Py_BuildValue("(OOO)", s1->name[i1],
-                             s1->is_int[i1] ? Py_True : Py_False, args);
-        Py_DECREF(args);
-    } else {
-        PyObject *v1 = value_of_c(s1, i1, m->did, m->w);
-        if (!v1) return -1;
-        PyObject *v2 = value_of_c(s2, i2, m->did, m->w);
-        if (!v2) { Py_DECREF(v1); return -1; }
-        PyObject *value;
-        if (m->mode == 1)
-            value = c_g_union(v1, v2, m->w);
-        else if (m->mode == 2)
-            value = c_g_widen(v1, v2, m->w, m->strict);
-        else
-            value = PyObject_CallFunctionObjArgs(m->combine, v1, v2,
-                                                 NULL);
-        Py_DECREF(v1);
-        Py_DECREF(v2);
-        if (!value) return -1;
-        desc = PyTuple_Pack(1, value);
-        Py_DECREF(value);
+        return slot;
     }
-    if (!desc) return -1;
-    PyList_SET_ITEM(m->descs, slot, desc);  /* steals, replaces None */
-    Py_DECREF(Py_None);
+    PyObject *v1 = value_of_c(s1, i1, m->did, m->w);
+    if (!v1) return -1;
+    PyObject *v2 = value_of_c(s2, i2, m->did, m->w);
+    if (!v2) { Py_DECREF(v1); return -1; }
+    PyObject *value;
+    if (m->mode == 1)
+        value = c_g_union(v1, v2, m->w);
+    else if (m->mode == 2)
+        value = c_g_widen(v1, v2, m->w, m->strict);
+    else
+        CALLBACK(value, PyObject_CallFunctionObjArgs(m->combine, v1, v2,
+                                                     NULL));
+    Py_DECREF(v1);
+    Py_DECREF(v2);
+    if (!value) return -1;
+    int slot = slots_add(&m->out, -1, value);
+    Py_DECREF(value);
+    if (slot < 0) return -1;
+    if (imap_put(&m->memo, key, slot) < 0) { PyErr_NoMemory(); return -1; }
     return slot;
-}
-
-/* intern front for cb_freeze_build: identical (sv, descs) pairs come
- * out of the builder and the merge walk constantly (the engine
- * re-freezes the same abstract states across iterations); a hit skips
- * the Python-side PatNode construction and intern probe entirely.
- * Keys hold the desc tuples (names, arg indices, interned leaf
- * values), all hashable; anything unhashable falls through. */
-static PyObject *freeze_build_cached(PyObject *sv, PyObject *descs) {
-    PyObject *dt = PyList_AsTuple(descs);
-    if (!dt) return NULL;
-    PyObject *key = PyTuple_Pack(2, sv, dt);
-    Py_DECREF(dt);
-    if (!key) return NULL;
-    PyObject *hit = PyDict_GetItemWithError(freeze_cache, key);
-    if (hit) {
-        Py_INCREF(hit);
-        Py_DECREF(key);
-        return hit;
-    }
-    if (PyErr_Occurred()) PyErr_Clear();   /* unhashable: no caching */
-    PyObject *res = PyObject_CallFunctionObjArgs(cb_freeze_build, sv,
-                                                 descs, NULL);
-    if (res) {
-        bound_dict(freeze_cache);
-        if (PyDict_SetItem(freeze_cache, key, res) < 0)
-            PyErr_Clear();
-    }
-    Py_DECREF(key);
-    return res;
 }
 
 static PyObject *c_subst_merge(PyObject *subst1, PyObject *subst2,
                                int did, int w, int mode, int strict,
                                PyObject *combine) {
     PROF_BEGIN(OP_MERGE)
-    PyObject *res = NULL, *sv = NULL;
+    PyObject *res = NULL;
+    int *sv = NULL;
     MergeCtx m; memset(&m, 0, sizeof m);
     m.s1 = get_csubst(subst1);
     m.s2 = m.s1 ? get_csubst(subst2) : NULL;
     if (!m.s2) goto done;
     m.did = did; m.w = w; m.mode = mode; m.strict = strict;
     m.combine = combine;
-    m.descs = PyList_New(0);
-    if (!m.descs) goto done;
-    sv = PyTuple_New(m.s1->nvars);
-    if (!sv) goto done;
+    sv = (int *)malloc(((size_t)m.s1->nvars + 1) * sizeof(int));
+    if (!sv) { PyErr_NoMemory(); goto done; }
     for (int k = 0; k < m.s1->nvars; k++) {
-        int slot = merge_walk(&m, m.s1->sv[k], m.s2->sv[k]);
-        if (slot < 0) goto done;
-        PyObject *o = PyLong_FromLong(slot);
-        if (!o) goto done;
-        PyTuple_SET_ITEM(sv, k, o);
+        sv[k] = merge_walk(&m, m.s1->sv[k], m.s2->sv[k]);
+        if (sv[k] < 0) goto done;
     }
-    res = freeze_build_cached(sv, m.descs);
+    res = slots_to_subst(&m.out, sv, m.s1->nvars);
 done:
-    Py_XDECREF(sv);
-    Py_XDECREF(m.descs);
+    free(sv);
+    slots_free(&m.out);
     imap_free(&m.memo);
     PROF_END(OP_MERGE)
     return res;
@@ -2855,11 +2947,10 @@ done:
 typedef struct KNode {
     PyObject_HEAD
     struct KNode *parent;   /* strong or NULL */
-    PyObject *name;         /* strong str, or NULL for leaves */
     PyObject *args;         /* strong list of KNode, or NULL */
     PyObject *value;        /* strong leaf value, or NULL */
     long size;
-    char is_int;
+    int sym;                /* the pattern's symbol (-1 for leaves) */
 } KNode;
 
 static PyTypeObject KNodeType;  /* forward */
@@ -2868,18 +2959,16 @@ static KNode *knode_new(void) {
     KNode *n = PyObject_GC_New(KNode, &KNodeType);
     if (!n) return NULL;
     n->parent = NULL;
-    n->name = NULL;
     n->args = NULL;
     n->value = NULL;
     n->size = 1;
-    n->is_int = 0;
+    n->sym = -1;
     PyObject_GC_Track((PyObject *)n);
     return n;
 }
 
 static int knode_traverse(KNode *self, visitproc visit, void *arg) {
     Py_VISIT((PyObject *)self->parent);
-    Py_VISIT(self->name);
     Py_VISIT(self->args);
     Py_VISIT(self->value);
     return 0;
@@ -2887,7 +2976,6 @@ static int knode_traverse(KNode *self, visitproc visit, void *arg) {
 
 static int knode_clear(KNode *self) {
     Py_CLEAR(self->parent);
-    Py_CLEAR(self->name);
     Py_CLEAR(self->args);
     Py_CLEAR(self->value);
     return 0;
@@ -2995,8 +3083,7 @@ static int kn_constrain_raw(KNode *node, PyObject *value, int w) {
             Py_XDECREF(n->value);
             n->value = met;
         } else {
-            PyObject *pieces = c_g_split(
-                v, n->name, (int)PyList_GET_SIZE(n->args), n->is_int);
+            PyObject *pieces = c_g_split(v, n->sym);
             if (!pieces) { Py_DECREF((PyObject *)it.n); Py_DECREF(v); goto done; }
             if (pieces == Py_None) {
                 Py_DECREF(pieces);
@@ -3063,11 +3150,7 @@ static int kn_unify_raw(KNode *a, KNode *b, int w) {
         int ok = 1;
         if (x->args != NULL && y->args != NULL) {
             Py_ssize_t nx = PyList_GET_SIZE(x->args);
-            Py_ssize_t ny = PyList_GET_SIZE(y->args);
-            int eq = (x->is_int == y->is_int && nx == ny)
-                ? PyObject_RichCompareBool(x->name, y->name, Py_EQ) : 0;
-            if (eq < 0) ok = -1;
-            else if (!eq) ok = 0;
+            if (x->sym != y->sym) ok = 0;
             else {
                 PyObject *y_args = y->args;
                 Py_INCREF(y_args);
@@ -3080,9 +3163,7 @@ static int kn_unify_raw(KNode *a, KNode *b, int w) {
         } else if (x->args != NULL || y->args != NULL) {
             KNode *pat = x->args != NULL ? x : y;
             KNode *leaf = x->args != NULL ? y : x;
-            PyObject *pieces = c_g_split(
-                leaf->value, pat->name,
-                (int)PyList_GET_SIZE(pat->args), pat->is_int);
+            PyObject *pieces = c_g_split(leaf->value, pat->sym);
             if (!pieces) ok = -1;
             else if (pieces == Py_None) { Py_DECREF(pieces); ok = 0; }
             else {
@@ -3122,7 +3203,7 @@ done:
 
 /* freeze: DFS with inline occur check; -2 cyclic, -1 error */
 static int kn_freeze_visit(KNode *node, IMap *index, char **building,
-                           int *bcap, PyObject *descs) {
+                           int *bcap, Slots *out) {
     node = kn_find_raw(node);
     int64_t key = (int64_t)(intptr_t)node;
     int64_t slot64;
@@ -3130,7 +3211,9 @@ static int kn_freeze_visit(KNode *node, IMap *index, char **building,
         if ((*building)[slot64]) return -2;  /* cyclic pattern */
         return (int)slot64;
     }
-    int slot = (int)PyList_GET_SIZE(descs);
+    int slot = slots_add(out, node->args == NULL ? -1 : node->sym,
+                         node->args == NULL ? node->value : NULL);
+    if (slot < 0) return -1;
     if (slot >= *bcap) {
         int nc = *bcap * 2;
         char *nb = (char *)realloc(*building, (size_t)nc);
@@ -3140,37 +3223,17 @@ static int kn_freeze_visit(KNode *node, IMap *index, char **building,
         *bcap = nc;
     }
     if (imap_put(index, key, slot) < 0) { PyErr_NoMemory(); return -1; }
-    if (PyList_Append(descs, Py_None) < 0) return -1;
-    if (node->args == NULL) {
-        PyObject *desc = PyTuple_Pack(1, node->value ? node->value
-                                                     : Py_None);
-        if (!desc) return -1;
-        PyList_SET_ITEM(descs, slot, desc);  /* steals, replaces None */
-        /* the replaced None was a borrowed singleton; fix refcount */
-        Py_DECREF(Py_None);
-        return slot;
-    }
+    if (node->args == NULL) return slot;
     (*building)[slot] = 1;
     Py_ssize_t na = PyList_GET_SIZE(node->args);
-    PyObject *args = PyTuple_New(na);
-    if (!args) return -1;
     for (Py_ssize_t k = 0; k < na; k++) {
         int child = kn_freeze_visit(
             (KNode *)PyList_GET_ITEM(node->args, k), index, building,
-            bcap, descs);
-        if (child < 0) { Py_DECREF(args); return child; }
-        PyObject *o = PyLong_FromLong(child);
-        if (!o) { Py_DECREF(args); return -1; }
-        PyTuple_SET_ITEM(args, k, o);
+            bcap, out);
+        if (child < 0) return child;
+        out->args.data[out->astart[slot] + k] = child;
     }
     (*building)[slot] = 0;
-    PyObject *desc = Py_BuildValue("(OOO)", node->name,
-                                   node->is_int ? Py_True : Py_False,
-                                   args);
-    Py_DECREF(args);
-    if (!desc) return -1;
-    PyList_SET_ITEM(descs, slot, desc);
-    Py_DECREF(Py_None);
     return slot;
 }
 
@@ -3286,7 +3349,8 @@ static PyObject *py_arena_functor(PyObject *self, PyObject *args) {
     if (w == -1 && PyErr_Occurred()) return NULL;
     PyObject *tup = PySequence_Tuple(children);
     if (!tup) return NULL;
-    PyObject *res = c_g_functor(name, tup, w);
+    int sym = sym_lookup(0, name, (int)PyTuple_GET_SIZE(tup));
+    PyObject *res = sym < 0 ? NULL : c_g_functor(sym, tup, w);
     Py_DECREF(tup);
     return res;
 }
@@ -3297,15 +3361,6 @@ static PyObject *py_subgrammar(PyObject *self, PyObject *args) {
     int idx;
     if (!PyArg_ParseTuple(args, "Oi", &g, &idx)) return NULL;
     return c_subgrammar(g, idx);
-}
-
-static PyObject *py_g_split(PyObject *self, PyObject *args) {
-    (void)self;
-    PyObject *g, *name;
-    int arity, is_int;
-    if (!PyArg_ParseTuple(args, "OOip", &g, &name, &arity, &is_int))
-        return NULL;
-    return c_g_split(g, name, arity, is_int);
 }
 
 static PyObject *py_value_of(PyObject *self, PyObject *args) {
@@ -3382,11 +3437,10 @@ static PyObject *py_kn_pattern(PyObject *self, PyObject *args) {
         return NULL;
     PyObject *lst = PySequence_List(children);
     if (!lst) return NULL;
-    KNode *n = knode_new();
+    int sym = sym_lookup(is_int, name, (int)PyList_GET_SIZE(lst));
+    KNode *n = sym < 0 ? NULL : knode_new();
     if (!n) { Py_DECREF(lst); return NULL; }
-    Py_INCREF(name);
-    n->name = name;
-    n->is_int = (char)is_int;
+    n->sym = sym;
     n->args = lst;
     return (PyObject *)n;
 }
@@ -3448,8 +3502,7 @@ static PyObject *py_kn_fork(PyObject *self, PyObject *args) {
         KNode *copy = knode_new();
         if (!copy) goto done;
         if (node->value) { Py_INCREF(node->value); copy->value = node->value; }
-        if (node->name) { Py_INCREF(node->name); copy->name = node->name; }
-        copy->is_int = node->is_int;
+        copy->sym = node->sym;
         copy->size = node->size;
         if (imap_put(&copies, key, (int64_t)(intptr_t)copy) < 0 ||
             i64vec_push(&originals, key) < 0) {
@@ -3534,37 +3587,32 @@ static PyObject *py_kn_freeze(PyObject *self, PyObject *args) {
     IMap index; memset(&index, 0, sizeof index);
     int bcap = 64;
     char *building = (char *)calloc((size_t)bcap, 1);
-    PyObject *descs = PyList_New(0);
-    PyObject *sv = NULL;
-    if (!roots_fast || !building || !descs) {
+    Slots out; memset(&out, 0, sizeof out);
+    int *sv = NULL;
+    if (!roots_fast || !building) {
         if (!PyErr_Occurred()) PyErr_NoMemory();
         goto done;
     }
     Py_ssize_t nr = PySequence_Fast_GET_SIZE(roots_fast);
-    sv = PyTuple_New(nr);
-    if (!sv) goto done;
+    sv = (int *)malloc(((size_t)nr + 1) * sizeof(int));
+    if (!sv) { PyErr_NoMemory(); goto done; }
     for (Py_ssize_t k = 0; k < nr; k++) {
         int slot = kn_freeze_visit(
             (KNode *)PySequence_Fast_GET_ITEM(roots_fast, k),
-            &index, &building, &bcap, descs);
+            &index, &building, &bcap, &out);
         if (slot == -2) {            /* cyclic: sure failure */
-            if (!obj_pat_bottom) {
-                obj_pat_bottom = PyObject_CallNoArgs(cb_pat_bottom);
-                if (!obj_pat_bottom) goto done;
-            }
+            if (ensure_pattern() < 0) goto done;
             Py_INCREF(obj_pat_bottom);
             result = obj_pat_bottom;
             goto done;
         }
         if (slot < 0) goto done;
-        PyObject *o = PyLong_FromLong(slot);
-        if (!o) goto done;
-        PyTuple_SET_ITEM(sv, k, o);
+        sv[k] = slot;
     }
-    result = freeze_build_cached(sv, descs);
+    result = slots_to_subst(&out, sv, (int)nr);
 done:
-    Py_XDECREF(sv);
-    Py_XDECREF(descs);
+    free(sv);
+    slots_free(&out);
     Py_XDECREF(roots_fast);
     free(building);
     imap_free(&index);
@@ -3596,7 +3644,7 @@ static PyObject *py_kn_instantiate(PyObject *self, PyObject *args) {
             if (cache[i] == NULL) {
                 KNode *n = knode_new();
                 if (!n) { ok = 0; break; }
-                if (s->leaf[i]) {
+                if (s->sym[i] < 0) {
                     PyObject *v = s->value[i];
                     if (v == Py_None) v = obj_any;
                     Py_INCREF(v);
@@ -3605,16 +3653,14 @@ static PyObject *py_kn_instantiate(PyObject *self, PyObject *args) {
                     st.len--;
                     continue;
                 }
-                Py_INCREF(s->name[i]);
-                n->name = s->name[i];
-                n->is_int = (char)s->is_int[i];
+                n->sym = s->sym[i];
                 n->args = PyList_New(0);
                 if (!n->args) { Py_DECREF((PyObject *)n); ok = 0; break; }
                 cache[i] = n;
                 /* fall through: children get visited below */
             }
             KNode *n = cache[i];
-            if (s->leaf[i]) { st.len--; continue; }
+            if (s->sym[i] < 0) { st.len--; continue; }
             Py_ssize_t have = PyList_GET_SIZE(n->args);
             int as = s->arg_start[i];
             int na = s->arg_start[i + 1] - as;
@@ -3683,9 +3729,14 @@ static PyObject *py_reset_kernel_counters(PyObject *self, PyObject *args) {
 
 static PyObject *py_stats(PyObject *self, PyObject *args) {
     (void)self; (void)args;
-    /* object construction happens in the Python callbacks, so the
-     * Python-side compile/index counters stay authoritative */
-    return Py_BuildValue("{s:i,s:i}", "compiles", 0, "index_builds", 0);
+    /* compiles: arena structs registered (at a handle's birth, or on
+     * first sight of a grammar interned in Python); callbacks: every
+     * call back into Python, timed only while profiling */
+    return Py_BuildValue("{s:l,s:i,s:l,s:d,s:n,s:n}", "compiles",
+                         g_compiles, "index_builds", 0, "callbacks",
+                         g_cb_calls, "callback_seconds", g_cb_secs,
+                         "arenas", (Py_ssize_t)g_arena_map.count,
+                         "substs", (Py_ssize_t)g_subst_map.count);
 }
 
 static PyObject *py_clear_memos(PyObject *self, PyObject *args) {
@@ -3696,23 +3747,19 @@ static PyObject *py_clear_memos(PyObject *self, PyObject *args) {
     PyDict_Clear(memo_intersect);
     PyDict_Clear(memo_functor);
     PyDict_Clear(memo_widen);
-    PyDict_Clear(flat_cache);
-    PyDict_Clear(freeze_cache);
     Py_RETURN_NONE;
 }
 
 static PyObject *py_memo_stats(PyObject *self, PyObject *args) {
     (void)self; (void)args;
     return Py_BuildValue(
-        "{s:n,s:n,s:n,s:n,s:n,s:n,s:n,s:n}",
+        "{s:n,s:n,s:n,s:n,s:n,s:n}",
         "le", (Py_ssize_t)memo_le.count,
         "union", PyDict_Size(memo_union),
         "intersect", PyDict_Size(memo_intersect),
         "functor", PyDict_Size(memo_functor),
         "widen", PyDict_Size(memo_widen),
-        "subgrammar", (Py_ssize_t)memo_sub.count,
-        "flat", PyDict_Size(flat_cache),
-        "freeze", PyDict_Size(freeze_cache));
+        "subgrammar", (Py_ssize_t)memo_sub.count);
 }
 
 static PyObject *py_init(PyObject *self, PyObject *args) {
@@ -3729,16 +3776,17 @@ static PyObject *py_init(PyObject *self, PyObject *args) {
         Py_XDECREF(var); \
         var = o; \
     } while (0)
-    GRAB(cb_from_flat, "from_flat");
-    GRAB(cb_arena_flat, "arena_flat");
+    GRAB(cb_grammar_of_key, "grammar_of_key");
     GRAB(cb_sym_rows, "sym_rows");
-    GRAB(cb_sym_f, "sym_f");
-    GRAB(cb_int_literal, "int_literal");
-    GRAB(cb_freeze_build, "freeze_build");
-    GRAB(cb_subst_rows, "subst_rows");
+    GRAB(cb_sym, "sym");
+    GRAB(obj_grammar_table, "grammar_table");
+    GRAB(obj_sym_ids, "sym_ids");
     GRAB(obj_any, "any");
     GRAB(obj_bottom, "bottom");
-    GRAB(cb_pat_bottom, "pat_bottom");
+    GRAB(cb_pattern, "pattern");
+    Py_CLEAR(cb_subst_of_key);
+    Py_CLEAR(obj_subst_table);
+    Py_CLEAR(obj_pat_bottom);
     #undef GRAB
     Py_RETURN_NONE;
 }
@@ -3751,7 +3799,6 @@ static PyMethodDef module_methods[] = {
     {"arena_intersect", py_arena_intersect, METH_VARARGS, NULL},
     {"arena_functor", py_arena_functor, METH_VARARGS, NULL},
     {"subgrammar", py_subgrammar, METH_VARARGS, NULL},
-    {"g_split", py_g_split, METH_VARARGS, NULL},
     {"g_widen", py_g_widen, METH_VARARGS, NULL},
     {"value_of", py_value_of, METH_VARARGS, NULL},
     {"subst_le", py_subst_le, METH_VARARGS, NULL},
@@ -3788,14 +3835,17 @@ PyMODINIT_FUNC PyInit__arenakernels(void) {
     if (!m) return NULL;
     s_gid = PyUnicode_InternFromString("gid");
     s_sid = PyUnicode_InternFromString("sid");
+    s_ckey = PyUnicode_InternFromString("_ckey");
+    s_leaves = PyUnicode_InternFromString("_leaves");
+    s_kind_f = PyUnicode_InternFromString("f");
+    s_kind_i = PyUnicode_InternFromString("i");
     memo_union = PyDict_New();
     memo_intersect = PyDict_New();
     memo_functor = PyDict_New();
     memo_widen = PyDict_New();
-    flat_cache = PyDict_New();
-    freeze_cache = PyDict_New();
-    if (!s_gid || !s_sid || !memo_union || !memo_intersect ||
-        !memo_functor || !memo_widen || !flat_cache || !freeze_cache) {
+    if (!s_gid || !s_sid || !s_ckey || !s_leaves || !s_kind_f ||
+        !s_kind_i || !memo_union || !memo_intersect || !memo_functor ||
+        !memo_widen) {
         Py_DECREF(m);
         return NULL;
     }

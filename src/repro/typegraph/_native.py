@@ -7,11 +7,12 @@ no build step and no toolchain: when compilation is impossible the
 loader reports a reason and the tier machinery in
 :mod:`repro.typegraph.arena` falls back to the python tier and
 records the reason in ``arena.kernel_status()``.  The C module holds
-only integers — every Grammar/AbstractSubst it returns is produced
-through the same intern tables as the python tier (see
-``arena._grammar_from_intkey`` and ``pattern._freeze_build``), so
-results are *identical objects* across tiers and the opcache/serialize
-layers stay tier-oblivious.
+only integers — every Grammar/AbstractSubst it returns is looked up by
+its canonical key in the same intern tables as the python tier, and a
+miss is born as a handle through ``grammar.grammar_of_key`` /
+``pattern.subst_of_key`` (its Python form decoded only on first use),
+so results are *identical objects* across tiers and the
+opcache/serialize layers stay tier-oblivious.
 
 This module is the object published as ``arena.NATIVE``; the functions
 below are the dispatch surface the python-level call sites use.  The
@@ -27,7 +28,6 @@ from __future__ import annotations
 import importlib.util
 import os
 import sys
-import sysconfig
 import tempfile
 from typing import List, Optional, Tuple
 
@@ -52,22 +52,64 @@ def _cache_dir() -> str:
         "repro-kernels-py%d%d" % sys.version_info[:2])
 
 
+#: The compile flags (the include path is added at build time).
+_FLAGS = ("-O2", "-fPIC", "-shared")
+
+
+def _stamp(source: str, cc: str) -> str:
+    """What a cached build depends on, read without hashing the source
+    or expanding ``sysconfig``: the source's path, size and mtime, the
+    compiler and flags, and the interpreter (its version and
+    installation fix the include path and the extension suffix)."""
+    st = os.stat(source)
+    return "\0".join((source, str(st.st_size), str(st.st_mtime_ns), cc,
+                      " ".join(_FLAGS), sys.version, sys.base_prefix,
+                      sys.implementation.cache_tag))
+
+
 def _build(source: str) -> str:
     """Compile (once per source and compile command) and return the
     .so path.  The cache name hashes the source together with the
-    compiler, flags and include path, so switching compilers never
-    loads another compiler's build."""
-    import hashlib
+    compiler, flags, include path and extension suffix, so switching
+    compilers never loads another compiler's build.  An index file
+    named by the cheap :func:`_stamp` records which build a stamp
+    resolved to, so a cache hit neither hashes the source nor imports
+    ``sysconfig``."""
+    import zlib
     cc = os.environ.get("REPRO_KERNEL_CC") or "cc"
+    cache_dir = _cache_dir()
+    stamp = _stamp(source, cc)
+    index = os.path.join(cache_dir, "_arenakernels_%08x.index"
+                         % zlib.crc32(stamp.encode("utf-8")))
+    try:
+        with open(index, encoding="utf-8") as handle:
+            target, recorded = handle.read().split("\n", 1)
+        if recorded == stamp and os.path.exists(target):
+            return target
+    except (OSError, ValueError):
+        pass
+    target = _compile(source, cc, cache_dir)
+    try:
+        scratch = index + ".%d" % os.getpid()
+        with open(scratch, "w", encoding="utf-8") as handle:
+            handle.write(target + "\n" + stamp)
+        os.replace(scratch, index)
+    except OSError:
+        pass  # the index is only a shortcut
+    return target
+
+
+def _compile(source: str, cc: str, cache_dir: str) -> str:
+    import hashlib
+    import sysconfig
     include = sysconfig.get_paths()["include"]
-    compile_cmd = [cc, "-O2", "-fPIC", "-shared", "-I", include]
+    compile_cmd = [cc] + list(_FLAGS) + ["-I", include]
     hasher = hashlib.sha256()
     with open(source, "rb") as handle:
         hasher.update(handle.read())
     hasher.update(b"\0" + "\0".join(compile_cmd).encode("utf-8"))
     digest = hasher.hexdigest()[:16]
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
-    cache_dir = _cache_dir()
     os.makedirs(cache_dir, exist_ok=True)
     target = os.path.join(cache_dir,
                           "_arenakernels_%s%s" % (digest, suffix))
@@ -106,24 +148,21 @@ def _pattern_mod():
 
 
 def _wire(cmod) -> None:
-    """Hand the C module its callbacks into the Python object layer.
-    The pattern-layer callbacks are trampolines (see above); they only
-    fire from builder paths, by which point the domain layer exists."""
-    from . import arena
-    from .grammar import g_any, g_bottom, g_int_literal
+    """Hand the C module the intern tables it probes and its callbacks
+    into the Python object layer.  The pattern layer is handed over as
+    a getter (see above): the C module asks for it on its first
+    substitution, by which point the domain layer exists."""
+    from . import arena, grammar
 
     cmod.init({
-        "from_flat": arena._grammar_from_intkey,
-        "arena_flat": arena._arena_flat,
+        "grammar_of_key": grammar.grammar_of_key,
+        "grammar_table": grammar._INTERN.data,
         "sym_rows": arena._sym_rows,
-        "sym_f": arena._sym_f,
-        "int_literal": lambda name: g_int_literal(int(name)),
-        "freeze_build":
-            lambda sv, descs: _pattern_mod()._freeze_build(sv, descs),
-        "subst_rows": lambda subst: _pattern_mod()._subst_rows(subst),
-        "any": g_any(),
-        "bottom": g_bottom(),
-        "pat_bottom": lambda: _pattern_mod().PAT_BOTTOM,
+        "sym": grammar.SYMBOLS.sym,
+        "sym_ids": grammar.SYMBOLS._ids,
+        "any": grammar.g_any(),
+        "bottom": grammar.g_bottom(),
+        "pattern": _pattern_mod,
     })
 
 
@@ -185,12 +224,7 @@ def arena_functor(name, children, max_or_width: Optional[int]):
 
 
 def arena_subgrammar(grammar, nt: int):
-    from . import arena
-    return _CMOD.subgrammar(grammar, arena.arena_of(grammar).index_of(nt))
-
-
-def g_split(grammar, name, arity: int, is_int: bool):
-    return _CMOD.g_split(grammar, name, arity, is_int)
+    return _CMOD.subgrammar(grammar, nt)
 
 
 def g_widen(g_old, g_new, max_or_width: Optional[int], strict: bool):

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from . import arena
-from .arena import _INTKEY_INTERN, SYMBOLS, GrammarArena, arena_of
-from .grammar import ANY, INT, FuncAlt, Grammar, intern_grammar
+from .arena import SYMBOLS, arena_of
+from .grammar import Grammar, _pack, grammar_of_key
 
 __all__ = ["arena_le", "arena_union", "arena_intersect", "arena_functor",
            "arena_subgrammar", "normalize_dense"]
@@ -182,7 +181,7 @@ def _renumber_and_intern(any_f: List[bool], int_f: List[bool],
                          funcs: List[list], cmap: List[int],
                          root_i: int) -> Grammar:
     """Steps 5–6 of :func:`normalize_dense`: canonical BFS
-    renumbering, the intern probe, and the fused arena build."""
+    renumbering and the intern probe by canonical key."""
     # 5. BFS renumbering from the root's class, alternatives visited in
     #    canonical fkey order (ANY/INT have no children, so only the
     #    functor alternatives drive the numbering)
@@ -212,70 +211,20 @@ def _renumber_and_intern(any_f: List[bool], int_f: List[bool],
                     number[child] = len(number)
                     order.append(child)
 
-    # 6. probe the int-keyed intern index before building any objects:
-    #    the canonical numbering and per-node fkey-sorted rows make the
-    #    flat int encoding below a deterministic function of the
-    #    grammar's structure, so a repeat normalization returns the
-    #    canonical instance without constructing a single FuncAlt,
-    #    frozenset, or structural hash.
-    out_n = len(number)
-    flat: List[int] = [out_n]
-    renumbered: List[tuple] = [None] * out_n
-    for i, new_nt in number.items():
-        rows = []
-        for fkey, sym, mapped in merged[i]:
-            renum = tuple(number[c] for c in mapped)
-            rows.append((fkey, sym, renum))
-        renumbered[new_nt] = (i, rows)
-    for new_nt in range(out_n):
-        i, rows = renumbered[new_nt]
+    # 6. the canonical key: the canonical numbering and per-node
+    #    fkey-sorted rows make this flat int encoding a deterministic
+    #    function of the grammar's structure, so the intern probe (and,
+    #    on a miss, the handle) needs no FuncAlt, frozenset or
+    #    structural hash.
+    flat: List[int] = [len(order)]
+    for i in order:  # order[new_nt] is the class numbered new_nt
+        rows = merged[i]
         flat.append((1 if any_f[i] else 0) | (2 if int_f[i] else 0))
         flat.append(len(rows))
-        for _, sym, renum in rows:
+        for _, sym, mapped in rows:
             flat.append(sym)
-            flat.extend(renum)
-    int_key = tuple(flat)
-    cached_grammar = _INTKEY_INTERN.get(int_key)
-    if cached_grammar is not None:
-        return cached_grammar
-
-    # build the final Grammar once (plus its arena, for free)
-    final: Dict[int, frozenset] = {}
-    out_any = 0
-    out_int = 0
-    out_syms: List[tuple] = [()] * out_n
-    out_args: List[tuple] = [()] * out_n
-    out_by: List[dict] = [None] * out_n
-    key_items: List[tuple] = [None] * out_n
-    for new_nt in range(out_n):
-        i, rows = renumbered[new_nt]
-        alt_objs: List[object] = []
-        if any_f[i]:
-            alt_objs.append(ANY)
-            out_any |= 1 << new_nt
-        if int_f[i]:
-            alt_objs.append(INT)
-            out_int |= 1 << new_nt
-        for fkey, sym, renum in rows:
-            alt_objs.append(FuncAlt(fkey[1], renum, fkey[0] == "i"))
-        out_syms[new_nt] = tuple(sym for _, sym, _ in rows)
-        out_args[new_nt] = tuple(renum for _, _, renum in rows)
-        out_by[new_nt] = {sym: renum for _, sym, renum in rows}
-        key_items[new_nt] = (new_nt, tuple(alt_objs))
-        final[new_nt] = frozenset(alt_objs)
-    raw = Grammar(final, 0)
-    # alt_objs is already in _alt_sort_key order (ANY, INT, functors in
-    # fkey order) and nts are dense from 0, so the structural key can be
-    # assembled here without re-sorting the frozensets.
-    raw._key_cache = (0, tuple(key_items))
-    grammar = intern_grammar(raw)
-    if grammar._arena is None:
-        arena._COMPILES += 1  # fused compile: the arrays are already flat
-        grammar._arena = GrammarArena(
-            out_n, out_any, out_int, tuple(out_syms), tuple(out_args),
-            tuple(out_by))
-    _INTKEY_INTERN[int_key] = grammar
-    return grammar
+            flat.extend(number[c] for c in mapped)
+    return grammar_of_key(_pack(flat))
 
 
 # -- inclusion ---------------------------------------------------------------
@@ -287,8 +236,8 @@ def arena_le(g1: Grammar, g2: Grammar) -> bool:
     any2, int2 = a2.any_mask, a2.int_mask
     n2 = a2.n
     is_literal = SYMBOLS.is_literal
-    r1 = a1.index_of(g1.root)
-    r2 = a2.index_of(g2.root)
+    r1 = g1.root
+    r2 = g2.root
     seen = {r1 * n2 + r2}
     stack = [(r1, r2)]
     syms1, args1, by2 = a1.syms, a1.args, a2.by_sym
@@ -343,7 +292,7 @@ def arena_union(g1: Grammar, g2: Grammar,
             work.append(key)
         return i
 
-    root = nid(a1.index_of(g1.root) * n2 + a2.index_of(g2.root))
+    root = nid(g1.root * n2 + g2.root)
     while work:
         key = work.pop()
         slot = ids[key]
@@ -421,7 +370,7 @@ def arena_intersect(g1: Grammar, g2: Grammar,
             work.append(key)
         return i
 
-    root = nid(a1.index_of(g1.root) * n2 + a2.index_of(g2.root))
+    root = nid(g1.root * n2 + g2.root)
     while work:
         key = work.pop()
         slot = ids[key]
@@ -490,7 +439,7 @@ def arena_functor(name: str, children: Tuple[Grammar, ...],
     child_roots = []
     for child in children:
         child_arena = arena_of(child)
-        child_roots.append(offset + child_arena.index_of(child.root))
+        child_roots.append(offset + child.root)
         any_mask = child_arena.any_mask
         int_mask = child_arena.int_mask
         for i in range(child_arena.n):
@@ -514,10 +463,12 @@ def arena_functor(name: str, children: Tuple[Grammar, ...],
 # -- subgrammar --------------------------------------------------------------
 
 def arena_subgrammar(grammar: Grammar, nt: int) -> Grammar:
+    """BFS renumbering over the (pre-sorted, duplicate-free) arena rows
+    of a normalized grammar is already the canonical numbering, so the
+    emission below is the result's canonical key."""
     grammar_arena = arena_of(grammar)
-    start = grammar_arena.index_of(nt)
-    number = {start: 0}
-    order = [start]
+    number = {nt: 0}
+    order = [nt]
     qi = 0
     while qi < len(order):
         i = order[qi]
@@ -527,19 +478,13 @@ def arena_subgrammar(grammar: Grammar, nt: int) -> Grammar:
                 if child not in number:
                     number[child] = len(number)
                     order.append(child)
-    fkeys = SYMBOLS.fkeys
-    final: Dict[int, frozenset] = {}
-    for i, new_nt in number.items():
-        alts: List[object] = []
-        if (grammar_arena.any_mask >> i) & 1:
-            alts.append(ANY)
-        if (grammar_arena.int_mask >> i) & 1:
-            alts.append(INT)
-        for sym, arg_tuple in zip(grammar_arena.syms[i],
-                                  grammar_arena.args[i]):
-            kind, name, _ = fkeys[sym]
-            alts.append(FuncAlt(name,
-                                tuple(number[c] for c in arg_tuple),
-                                kind == "i"))
-        final[new_nt] = frozenset(alts)
-    return intern_grammar(Grammar(final, 0))
+    flat: List[int] = [len(order)]
+    for i in order:
+        syms = grammar_arena.syms[i]
+        flat.append(((grammar_arena.any_mask >> i) & 1)
+                    | (((grammar_arena.int_mask >> i) & 1) << 1))
+        flat.append(len(syms))
+        for sym, arg_tuple in zip(syms, grammar_arena.args[i]):
+            flat.append(sym)
+            flat.extend(number[c] for c in arg_tuple)
+    return grammar_of_key(_pack(flat))

@@ -25,8 +25,10 @@ worklist loops over plain ints:
   normalization entirely (sub-automata of a minimized automaton are
   minimized); normalization itself — the single hottest function in
   the PR3 profile — runs nonemptiness, pruning, or-width capping,
-  partition refinement, and BFS renumbering over int arrays, touching
-  ``FuncAlt`` objects only once to build the final interned result.
+  partition refinement, and BFS renumbering over int arrays, ending in
+  the result's canonical key (:func:`repro.typegraph.grammar.grammar_of_key`):
+  a repeat result is one intern-table probe, a new one a handle whose
+  rules are decoded only if something asks for them.
 
 Results are **bit-identical** to the Grammar-level reference
 implementations in :mod:`repro.typegraph.reference`, which only tests
@@ -35,11 +37,11 @@ its reference under hypothesis; the benchmark trajectory compares
 full-engine fingerprints).  The arena is the one path every
 type-graph operation takes.
 
-This module holds what both tiers share: tier selection, the symbol
-table, the per-grammar arena, the flat-int intern probe the C tier
-returns through, and the dispatch functions (``arena_le`` and the
-rest).  Each tier's kernels live in a module of its own, imported when
-that tier is selected.
+This module holds what both tiers share: tier selection, the
+per-grammar arena (read off the canonical key), the boundary counters,
+and the dispatch functions (``arena_le`` and the rest).  Each tier's
+kernels live in a module of its own, imported when that tier is
+selected.
 
 Execution tiers
 ---------------
@@ -63,19 +65,18 @@ The arena kernels themselves run in one of two tiers, selected by
 ``REPRO_ARENA_KERNEL`` value also resolves like ``auto``, and
 :func:`kernel_status` records the rejected value under its
 fallbacks.  Both tiers return the *identical interned* ``Grammar``
-objects — they share the canonical renumbering and the process-wide
-intern tables, so ``gid``s, fingerprints, and serialized forms are
+objects — they share the canonical key and the process-wide intern
+tables, so ``gid``s, fingerprints, and serialized forms are
 tier-oblivious (``tests/test_kernel_tiers.py`` sweeps them).
 """
 
 from __future__ import annotations
 
 import os
-import threading
-import weakref
 from typing import Dict, List, Optional, Tuple
 
-from .grammar import ANY, INT, FuncAlt, Grammar, intern_grammar
+from .grammar import (ANY, INT, SYMBOLS, FuncAlt, Grammar, SymbolTable,
+                      _key_rows, boundary_counters)
 
 __all__ = [
     "SymbolTable", "SYMBOLS", "GrammarArena", "arena_of", "decompile",
@@ -250,95 +251,37 @@ def configure(kernel: Optional[str] = None) -> None:
         _resolve_kernel()
 
 
+#: The C↔Python boundary counters of :func:`stats`.
+BOUNDARY_COUNTERS = ("grammar_handles", "grammar_decodes", "subst_handles",
+                     "subst_decodes", "callbacks", "callback_seconds")
+
+
 def stats() -> Dict[str, int]:
     """Process-wide arena counters: grammar compilations, widening
-    step-index builds, and distinct functor symbols interned.  With
-    the native tier active the C-side compilation counters are folded
-    in, so the engine's attribution stays tier-oblivious."""
-    compiles = _COMPILES
-    index_builds = _INDEX_BUILDS
+    step-index builds, distinct functor symbols interned, and the
+    C↔Python boundary: interned grammars and substitutions born as
+    handles (``*_handles``), handles whose Python form was later built
+    (``*_decodes``), and the native tier's calls back into Python
+    (``callbacks``; ``callback_seconds`` accrues only under
+    :func:`profile_kernels`).  With the native tier active the C-side
+    counters are folded in, so the engine's attribution stays
+    tier-oblivious."""
+    counters = {"compiles": _COMPILES, "index_builds": _INDEX_BUILDS,
+                "symbols": len(SYMBOLS.fkeys)}
+    counters.update(boundary_counters())
+    counters["callbacks"] = 0
+    counters["callback_seconds"] = 0.0
     if NATIVE is not None:
-        native_stats = NATIVE.stats()
-        compiles += native_stats.get("compiles", 0)
-        index_builds += native_stats.get("index_builds", 0)
-    return {"compiles": compiles, "index_builds": index_builds,
-            "symbols": len(SYMBOLS.fkeys)}
+        for name, value in NATIVE.stats().items():
+            if name in counters:
+                counters[name] += value
+    return counters
 
 
 def snapshot() -> int:
     """Aggregate compilation count (grammar arenas + step indexes)."""
     counters = stats()
     return counters["compiles"] + counters["index_builds"]
-
-
-# -- symbol table ------------------------------------------------------------
-
-class SymbolTable:
-    """Process-wide functor-key interner: ``(kind, name, arity)`` ->
-    dense int.  Ids are per-process (never pickled); a grammar sent to
-    a ``run_batch`` worker re-interns its symbols on arrival, and the
-    arena kernels only ever compare ids from one process's table, so
-    results do not depend on the numbering.
-
-    Allocation is thread-safe: lookups stay a lock-free dict probe
-    (ids are published to ``_ids`` only after the parallel arrays hold
-    their row), and the probe-then-allocate of a *new* symbol runs
-    under a lock so two threads can never mint two ids for one key."""
-
-    __slots__ = ("_ids", "fkeys", "is_literal", "arities", "_lock")
-
-    def __init__(self) -> None:
-        self._ids: Dict[Tuple[str, str, int], int] = {}
-        self.fkeys: List[Tuple[str, str, int]] = []
-        self.is_literal: List[bool] = []  # integer-literal symbols
-        self.arities: List[int] = []
-        self._lock = threading.Lock()
-
-    def sym(self, kind: str, name: str, arity: int) -> int:
-        key = (kind, name, arity)
-        sym = self._ids.get(key)
-        if sym is None:
-            with self._lock:
-                sym = self._ids.get(key)
-                if sym is None:
-                    sym = len(self.fkeys)
-                    self.fkeys.append(key)
-                    self.is_literal.append(kind == "i")
-                    self.arities.append(arity)
-                    self._ids[key] = sym  # publish last
-        return sym
-
-    def sym_of_alt(self, alt: FuncAlt) -> int:
-        return self.sym("i" if alt.is_int else "f", alt.name,
-                        len(alt.args))
-
-    def __len__(self) -> int:
-        return len(self.fkeys)
-
-
-SYMBOLS = SymbolTable()
-
-#: Flat-int-keyed view of the grammar intern table: normalization
-#: probes it with an integer encoding of its (already canonical)
-#: result before constructing any FuncAlt/frozenset objects, so repeat
-#: normalizations return the canonical instance object-free.  Keys use
-#: process-local symbol ids, which is fine for a process-local index.
-#: Unlocked by design: it is a pure accelerator in front of
-#: ``intern_grammar`` (which *is* locked), so the worst a
-#: check-then-insert race can do is recompute a normalization — both
-#: threads still receive the one canonical instance, and the last
-#: (identical) insert wins.
-_INTKEY_INTERN: "weakref.WeakValueDictionary[tuple, Grammar]" = \
-    weakref.WeakValueDictionary()
-
-#: Decoded-alternative cache for :func:`_grammar_from_intkey`: functor
-#: alternatives repeat heavily across grammars (``.``/2, ``[]``/0,
-#: ...), so reusing one FuncAlt per ``(sym, args)`` skips both the
-#: construction and its hash.  FuncAlts are tiny and compare by value,
-#: so sharing is purely an accelerator; the size cap bounds a
-#: long-lived process.
-_ALT_CACHE: Dict[tuple, "FuncAlt"] = {}
-_ALT_CACHE_MAX = 1 << 18
 
 
 # -- the per-grammar arena ---------------------------------------------------
@@ -351,85 +294,54 @@ class GrammarArena:
     renumbering never sorts); ``by_sym[nt]`` maps symbol -> argument
     tuple for the product constructions; ``any_mask`` / ``int_mask``
     are bitsets of the nonterminals carrying ANY / INT alternatives.
+    Nonterminals are the grammar's own (canonical, root 0).
     """
 
-    __slots__ = ("n", "any_mask", "int_mask", "syms", "args", "by_sym",
-                 "nt_index")
+    __slots__ = ("n", "any_mask", "int_mask", "syms", "args", "by_sym")
 
     def __init__(self, n: int, any_mask: int, int_mask: int,
-                 syms: tuple, args: tuple, by_sym: tuple,
-                 nt_index: Optional[Dict[int, int]] = None) -> None:
+                 syms: tuple, args: tuple, by_sym: tuple) -> None:
         self.n = n
         self.any_mask = any_mask
         self.int_mask = int_mask
         self.syms = syms
         self.args = args
         self.by_sym = by_sym
-        #: original-nonterminal -> dense index, or None when identity
-        #: (normalized grammars are already dense with root 0).
-        self.nt_index = nt_index
 
-    def index_of(self, nt: int) -> int:
-        if self.nt_index is None:
-            return nt
-        return self.nt_index[nt]
+    @staticmethod
+    def index_of(nt: int) -> int:
+        """The dense index of a nonterminal: the identity, since an
+        arena keeps its grammar's canonical numbering."""
+        return nt
 
 
 def arena_of(grammar: Grammar) -> GrammarArena:
-    """The (cached) arena of an interned grammar."""
-    arena = grammar._arena
-    if arena is None:
-        arena = _compile(grammar)
-        grammar._arena = arena
-    return arena
+    """The (cached) arena of an interned grammar, read off its
+    canonical key."""
+    grammar_arena = grammar._arena
+    if grammar_arena is None:
+        grammar_arena = grammar._arena = _compile(grammar._ckey)
+    return grammar_arena
 
 
-def _compile(grammar: Grammar) -> GrammarArena:
+def _compile(key: bytes) -> GrammarArena:
     global _COMPILES
     _COMPILES += 1
-    rules = grammar.rules
-    n = len(rules)
-    root = grammar.root
-    # Normalized grammars are dense 0..n-1 with root 0; fall back to an
-    # explicit index for anything else (e.g. hand-built interned
-    # literals are dense too, so this is effectively always identity).
-    if root == 0 and n and all(0 <= nt < n for nt in rules):
-        nt_index = None
-        dense = rules
-    else:
-        nt_index = {root: 0}
-        for nt in sorted(rules):
-            if nt != root:
-                nt_index[nt] = len(nt_index)
-        dense = {nt_index[nt]: alts for nt, alts in rules.items()}
     any_mask = 0
     int_mask = 0
-    syms: List[tuple] = [()] * n
-    args: List[tuple] = [()] * n
-    by_sym: List[dict] = [None] * n
-    sym_of_alt = SYMBOLS.sym_of_alt
-    fkeys = SYMBOLS.fkeys
-    remap = (None if nt_index is None
-             else nt_index.__getitem__)
-    for i in range(n):
-        funcs = []
-        for alt in dense[i]:
-            if alt is ANY:
-                any_mask |= 1 << i
-            elif alt is INT:
-                int_mask |= 1 << i
-            else:
-                if remap is None:
-                    funcs.append((sym_of_alt(alt), alt.args))
-                else:
-                    funcs.append((sym_of_alt(alt),
-                                  tuple(map(remap, alt.args))))
-        funcs.sort(key=lambda pair: fkeys[pair[0]])
-        syms[i] = tuple(pair[0] for pair in funcs)
-        args[i] = tuple(pair[1] for pair in funcs)
-        by_sym[i] = dict(funcs)
-    return GrammarArena(n, any_mask, int_mask, tuple(syms), tuple(args),
-                        tuple(by_sym), nt_index)
+    syms: List[tuple] = []
+    args: List[tuple] = []
+    by_sym: List[dict] = []
+    for i, (flags, row) in enumerate(_key_rows(key)):
+        if flags & 1:
+            any_mask |= 1 << i
+        if flags & 2:
+            int_mask |= 1 << i
+        syms.append(tuple(sym for sym, _ in row))
+        args.append(tuple(arg_tuple for _, arg_tuple in row))
+        by_sym.append(dict(row))
+    return GrammarArena(len(syms), any_mask, int_mask, tuple(syms),
+                        tuple(args), tuple(by_sym))
 
 
 def decompile(arena: GrammarArena) -> Grammar:
@@ -502,110 +414,11 @@ def _normalize_dense(any_f: List[bool], int_f: List[bool],
 
 
 # -- native-tier bridge ------------------------------------------------------
-#
-# The C extension keeps only integers; these callbacks are its one
-# door back into the Python object layer.  ``_grammar_from_intkey``
-# funnels every C-side construction through the same flat-int intern
-# probe as :func:`_renumber_and_intern`, so the native tier returns
-# the identical interned instances as the python tier.
-
-def _grammar_from_intkey(int_key: tuple) -> Grammar:
-    """Decode a canonical flat int key (``_renumber_and_intern``'s
-    encoding: ``[out_n, per nt: flags, nrows, (sym, args...)...]``,
-    argument counts implied by the symbol table) into the interned
-    Grammar, building objects only on an intern miss."""
-    cached_grammar = _INTKEY_INTERN.get(int_key)
-    if cached_grammar is not None:
-        return cached_grammar
-    fkeys = SYMBOLS.fkeys
-    arities = SYMBOLS.arities
-    alt_cache = _ALT_CACHE
-    out_n = int_key[0]
-    p = 1
-    final: Dict[int, frozenset] = {}
-    out_any = 0
-    out_int = 0
-    out_syms: List[tuple] = [()] * out_n
-    out_args: List[tuple] = [()] * out_n
-    out_by: List[dict] = [None] * out_n
-    key_items: List[tuple] = [None] * out_n
-    for nt in range(out_n):
-        flags = int_key[p]
-        nrows = int_key[p + 1]
-        p += 2
-        alt_objs: List[object] = []
-        if flags & 1:
-            alt_objs.append(ANY)
-            out_any |= 1 << nt
-        if flags & 2:
-            alt_objs.append(INT)
-            out_int |= 1 << nt
-        syms_row: List[int] = []
-        args_row: List[tuple] = []
-        for _ in range(nrows):
-            sym = int_key[p]
-            q = p + 1 + arities[sym]
-            renum = int_key[p + 1:q]  # tuple slice is already a tuple
-            p = q
-            alt = alt_cache.get((sym, renum))
-            if alt is None:
-                kind, name, _ = fkeys[sym]
-                alt = FuncAlt(name, renum, kind == "i")
-                if len(alt_cache) >= _ALT_CACHE_MAX:
-                    alt_cache.clear()
-                alt_cache[(sym, renum)] = alt
-            alt_objs.append(alt)
-            syms_row.append(sym)
-            args_row.append(renum)
-        out_syms[nt] = tuple(syms_row)
-        out_args[nt] = tuple(args_row)
-        out_by[nt] = dict(zip(syms_row, args_row))
-        key_items[nt] = (nt, tuple(alt_objs))
-        final[nt] = frozenset(alt_objs)
-    raw = Grammar(final, 0)
-    # rows arrive in canonical fkey order, so alt_objs is already in
-    # _alt_sort_key order — assemble the structural key without the
-    # per-frozenset sort intern_grammar would otherwise pay for.
-    raw._key_cache = (0, tuple(key_items))
-    grammar = intern_grammar(raw)
-    if grammar._arena is None:
-        global _COMPILES
-        _COMPILES += 1
-        grammar._arena = GrammarArena(
-            out_n, out_any, out_int, tuple(out_syms), tuple(out_args),
-            tuple(out_by))
-    _INTKEY_INTERN[int_key] = grammar
-    return grammar
-
-
-def _arena_flat(grammar: Grammar) -> List[int]:
-    """Flat operand encoding handed to the C tier on first sight of a
-    gid: ``[n, root, per nt: flags, nrows, (sym, nargs, args...)...]``
-    with rows in the arena's canonical fkey order."""
-    a = arena_of(grammar)
-    flat = [a.n, a.index_of(grammar.root)]
-    any_mask = a.any_mask
-    int_mask = a.int_mask
-    for i in range(a.n):
-        flat.append(((any_mask >> i) & 1) | (((int_mask >> i) & 1) << 1))
-        syms = a.syms[i]
-        args = a.args[i]
-        flat.append(len(syms))
-        for sym, arg_tuple in zip(syms, args):
-            flat.append(sym)
-            flat.append(len(arg_tuple))
-            flat.extend(arg_tuple)
-    return flat
-
 
 def _sym_rows(start: int) -> List[Tuple[str, str, int]]:
     """Symbol-table rows from ``start`` on (the C registry mirrors the
     table incrementally; ids are dense and append-only)."""
     return list(SYMBOLS.fkeys[start:])
-
-
-def _sym_f(name: str, arity: int) -> int:
-    return SYMBOLS.sym("f", name, arity)
 
 
 def arena_normalize(grammar: Grammar,
@@ -621,6 +434,14 @@ def arena_normalize(grammar: Grammar,
 
 def _arena_normalize_impl(grammar: Grammar,
                           max_or_width: Optional[int]) -> Grammar:
+    if grammar.interned:  # only the or-width cap is left to apply
+        grammar_arena = arena_of(grammar)
+        return _normalize_dense(
+            [(grammar_arena.any_mask >> i) & 1 for i in range(grammar_arena.n)],
+            [(grammar_arena.int_mask >> i) & 1 for i in range(grammar_arena.n)],
+            [list(zip(syms, args)) for syms, args in
+             zip(grammar_arena.syms, grammar_arena.args)],
+            0, max_or_width)
     sym_of_alt = SYMBOLS.sym_of_alt
     items: Dict[int, tuple] = {}
     for nt, alts in grammar.rules.items():

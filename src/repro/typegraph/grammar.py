@@ -27,8 +27,10 @@ view in :mod:`repro.typegraph.graph`.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import weakref
+from array import array
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..prolog.terms import Atom, Int, Struct, Term, Var
@@ -36,6 +38,7 @@ from . import opcache
 
 __all__ = [
     "ANY", "INT", "FuncAlt", "Alt", "Grammar", "GrammarBuilder",
+    "SymbolTable", "SYMBOLS", "grammar_of_key", "boundary_counters",
     "normalize", "intern_grammar", "g_any",
     "g_bottom", "g_int", "g_atom", "g_int_literal", "g_functor",
     "g_alternatives", "member", "pf_of",
@@ -135,6 +138,190 @@ def _alt_sort_key(alt: Alt) -> tuple:
     return (2,) + alt.fkey
 
 
+class SymbolTable:
+    """Process-wide functor-key interner: ``(kind, name, arity)`` ->
+    dense int.  Ids are per-process (never pickled); a grammar sent to
+    a ``run_batch`` worker re-interns its symbols on arrival, and the
+    arena kernels only ever compare ids from one process's table, so
+    results do not depend on the numbering.
+
+    Allocation is thread-safe: lookups stay a lock-free dict probe
+    (ids are published to ``_ids`` only after the parallel arrays hold
+    their row), and the probe-then-allocate of a *new* symbol runs
+    under a lock so two threads can never mint two ids for one key.
+    The native tier probes ``_ids`` directly and mirrors the rows."""
+
+    __slots__ = ("_ids", "fkeys", "is_literal", "arities", "_lock")
+
+    def __init__(self) -> None:
+        self._ids: Dict[Tuple[str, str, int], int] = {}
+        self.fkeys: List[Tuple[str, str, int]] = []
+        self.is_literal: List[bool] = []  # integer-literal symbols
+        self.arities: List[int] = []
+        self._lock = threading.Lock()
+
+    def sym(self, kind: str, name: str, arity: int) -> int:
+        key = (kind, name, arity)
+        sym = self._ids.get(key)
+        if sym is None:
+            with self._lock:
+                sym = self._ids.get(key)
+                if sym is None:
+                    sym = len(self.fkeys)
+                    self.fkeys.append(key)
+                    self.is_literal.append(kind == "i")
+                    self.arities.append(arity)
+                    self._ids[key] = sym  # publish last
+        return sym
+
+    def find(self, kind: str, name: str, arity: int) -> Optional[int]:
+        """The id of a functor key, or None if none was allocated."""
+        return self._ids.get((kind, name, arity))
+
+    def sym_of_alt(self, alt: FuncAlt) -> int:
+        return self.sym("i" if alt.is_int else "f", alt.name,
+                        len(alt.args))
+
+    def __len__(self) -> int:
+        return len(self.fkeys)
+
+
+SYMBOLS = SymbolTable()
+
+
+# -- canonical keys ----------------------------------------------------------
+#
+# An interned grammar is identified by its *canonical key*: the flat
+# int encoding ``[n, per nonterminal: flags, nrows, (sym, args...)...]``
+# of its normal form (nonterminals in canonical BFS order from the
+# root 0, rows in fkey order, argument counts implied by the symbol
+# table; flags bit 0 = ANY, bit 1 = INT), packed as native ``int32``
+# bytes.  Both kernel tiers produce it directly from their int arrays,
+# so a result is interned — and, on a miss, born as a handle — before
+# any FuncAlt or frozenset exists.  Keys use process-local symbol ids,
+# which is fine for a process-local table.
+
+def _pack(flat: List[int]) -> bytes:
+    return array("i", flat).tobytes()
+
+
+def _unpack(key: bytes) -> array:
+    flat = array("i")
+    flat.frombytes(key)
+    return flat
+
+
+def _canonical_key(rules: Dict[int, FrozenSet[Alt]], root: int
+                   ) -> Tuple[bytes, bool]:
+    """``(key, identity)`` of a normalized grammar given by its rules:
+    the canonical key, and whether the rules are already in canonical
+    numbering (root 0, BFS order), i.e. whether decoding the key gives
+    back exactly these rules."""
+    sym_of_alt = SYMBOLS.sym_of_alt
+    number = {root: 0}
+    order = [root]
+    rows = []
+    qi = 0
+    while qi < len(order):
+        nt = order[qi]
+        qi += 1
+        flags = 0
+        funcs = []
+        for alt in rules[nt]:
+            if alt is ANY:
+                flags |= 1
+            elif alt is INT:
+                flags |= 2
+            else:
+                funcs.append((alt.fkey, sym_of_alt(alt), alt.args))
+        funcs.sort()
+        for _, _, args in funcs:
+            for child in args:
+                if child not in number:
+                    number[child] = len(number)
+                    order.append(child)
+        rows.append((flags, funcs))
+    flat = [len(order)]
+    for flags, funcs in rows:
+        flat.append(flags)
+        flat.append(len(funcs))
+        for _, sym, args in funcs:
+            flat.append(sym)
+            flat.extend(number[child] for child in args)
+    identity = (len(order) == len(rules)
+                and all(nt == i for i, nt in enumerate(order)))
+    return _pack(flat), identity
+
+
+def _key_rows(key: bytes):
+    """``(flags, [(sym, args), ...])`` per nonterminal of a canonical
+    key, in order."""
+    flat = _unpack(key)
+    arities = SYMBOLS.arities
+    p = 1
+    for _ in range(flat[0]):
+        flags = flat[p]
+        nrows = flat[p + 1]
+        p += 2
+        row = []
+        for _ in range(nrows):
+            sym = flat[p]
+            q = p + 1 + arities[sym]
+            row.append((sym, tuple(flat[p + 1:q])))
+            p = q
+        yield flags, row
+
+
+def _rules_of_key(key: bytes) -> Dict[int, FrozenSet[Alt]]:
+    """Decode a canonical key into rules (the inverse of
+    :func:`_canonical_key` on canonically numbered grammars)."""
+    fkeys = SYMBOLS.fkeys
+    rules: Dict[int, FrozenSet[Alt]] = {}
+    for nt, (flags, row) in enumerate(_key_rows(key)):
+        alts: List[Alt] = []
+        if flags & 1:
+            alts.append(ANY)
+        if flags & 2:
+            alts.append(INT)
+        for sym, args in row:
+            kind, name, _ = fkeys[sym]
+            alts.append(FuncAlt(name, args, kind == "i"))
+        rules[nt] = frozenset(alts)
+    return rules
+
+
+def _obj_of_key(key: bytes) -> dict:
+    """:meth:`Grammar.to_obj` straight from a canonical key: its rows
+    are already in nonterminal and alternative order."""
+    fkeys = SYMBOLS.fkeys
+    rules = []
+    for nt, (flags, row) in enumerate(_key_rows(key)):
+        alts: List[list] = []
+        if flags & 1:
+            alts.append(["any"])
+        if flags & 2:
+            alts.append(["int"])
+        for sym, args in row:
+            kind, name, _ = fkeys[sym]
+            alts.append(["i", name] if kind == "i"
+                        else ["f", name, list(args)])
+        rules.append([nt, alts])
+    return {"root": 0, "rules": rules}
+
+
+#: Boundary counters: interned grammars (and, counted by
+#: :mod:`repro.domains.pattern`, substitutions) born as handles from a
+#: canonical key, with their Python form not yet built, and handles
+#: whose Python form was later decoded.  ``arena.stats()`` reports
+#: them.
+_COUNTS = {"grammar_handles": 0, "grammar_decodes": 0,
+           "subst_handles": 0, "subst_decodes": 0}
+
+
+def boundary_counters() -> Dict[str, int]:
+    return dict(_COUNTS)
+
+
 class Grammar:
     """An immutable, normalized tree grammar.  Construct through the
     ``g_*`` helpers, :class:`GrammarBuilder`, or the operations in
@@ -143,17 +330,23 @@ class Grammar:
     Grammars returned by :func:`normalize` (hence by every public
     constructor and operation) are *interned*: structurally equal
     results are the same object, ``==`` is an identity check on the
-    hot path, and ``hash`` is a precomputed field.  ``interned`` marks
-    canonical instances; raw intermediates (e.g. the widening's
+    hot path, and ``hash`` is the hash of the canonical key.  ``interned``
+    marks canonical instances; raw intermediates (e.g. the widening's
     vertex-view grammars) compare structurally, and every operation
     normalizes them on entry.
+
+    An interned grammar a kernel built is born as a *handle*: it holds
+    its ``gid`` and canonical key (``_ckey``), and ``rules`` is decoded
+    from the key on first use (display, :func:`member`, pickling, the
+    python tier's arena).  The kernels themselves only ever read the
+    key.
     """
 
-    __slots__ = ("rules", "root", "_hash", "_key_cache", "_obj_cache",
-                 "interned", "gid", "_arena", "__weakref__")
+    __slots__ = ("_rules", "root", "_hash", "_key_cache", "_obj_cache",
+                 "interned", "gid", "_arena", "_ckey", "__weakref__")
 
     def __init__(self, rules: Dict[int, FrozenSet[Alt]], root: int) -> None:
-        self.rules = rules
+        self._rules = rules
         self.root = root
         self._hash: Optional[int] = None
         self._key_cache: Optional[tuple] = None
@@ -165,6 +358,16 @@ class Grammar:
         self.gid = -1
         #: lazily compiled :class:`repro.typegraph.arena.GrammarArena`.
         self._arena = None
+        #: canonical key (set at interning; None on raw grammars).
+        self._ckey: Optional[bytes] = None
+
+    @property
+    def rules(self) -> Dict[int, FrozenSet[Alt]]:
+        rules = self._rules
+        if rules is None:
+            rules = self._rules = _rules_of_key(self._ckey)
+            _COUNTS["grammar_decodes"] += 1
+        return rules
 
     def alts(self, nt: int) -> FrozenSet[Alt]:
         return self.rules[nt]
@@ -175,9 +378,15 @@ class Grammar:
 
     def is_bottom(self) -> bool:
         """Does this grammar denote the empty set of terms?"""
+        key = self._ckey
+        if key is not None:  # root flags and row count are both 0
+            return key[4:12] == b"\0\0\0\0\0\0\0\0"
         return not self.rules[self.root]
 
     def is_any(self) -> bool:
+        key = self._ckey
+        if key is not None:
+            return bool(key[4] & 1)  # the root's ANY flag
         return ANY in self.rules[self.root]
 
     def num_nonterminals(self) -> int:
@@ -214,7 +423,8 @@ class Grammar:
             key = (self.root,
                    tuple(sorted((nt, tuple(sorted(alts, key=_alt_sort_key)))
                                 for nt, alts in self.rules.items())))
-            self._key_cache = key
+            if not self.interned:
+                self._key_cache = key
         return key
 
     # -- canonical plain-object form (service serialization layer) ----------
@@ -225,10 +435,14 @@ class Grammar:
         encode to identical objects (content-addressable).
 
         Memoized on interned instances (the service layer re-encodes
-        the same shared grammars constantly); treat the returned
+        the same shared grammars constantly), and read off the
+        canonical key without decoding the rules; treat the returned
         object as read-only."""
         if self._obj_cache is not None:
             return self._obj_cache
+        if self.interned:
+            obj = self._obj_cache = _obj_of_key(self._ckey)
+            return obj
         rules = []
         for nt in sorted(self.rules):
             alts = []
@@ -244,10 +458,7 @@ class Grammar:
                     else:
                         alts.append(["f", alt.name, list(alt.args)])
             rules.append([nt, alts])
-        obj = {"root": self.root, "rules": rules}
-        if self.interned:
-            self._obj_cache = obj
-        return obj
+        return {"root": self.root, "rules": rules}
 
     @classmethod
     def from_obj(cls, data: dict) -> "Grammar":
@@ -282,8 +493,11 @@ class Grammar:
         return self._key() == other._key()
 
     def __hash__(self) -> int:
+        # consistent with ==: a raw grammar equal to an interned one has
+        # exactly its rules, so it normalizes to that very grammar
         if self._hash is None:
-            self._hash = hash(self._key())
+            canonical = self if self.interned else normalize(self)
+            self._hash = hash(canonical._ckey)
         return self._hash
 
     def __reduce__(self):
@@ -336,52 +550,76 @@ def _unpickle_grammar(rules: Dict[int, FrozenSet[Alt]], root: int,
 
 # -- interning ---------------------------------------------------------------
 
-#: Process-wide weak intern table: canonical key -> the one shared
-#: Grammar instance.  Weak values, so grammars no longer referenced
-#: anywhere are collected and do not pin memory for a long-lived
-#: service process.
-_INTERN: "weakref.WeakValueDictionary[tuple, Grammar]" = \
+#: The one process-wide intern table: canonical key -> the one shared
+#: Grammar instance.  Both kernel tiers probe it with the key of a
+#: result (the native tier reads ``_INTERN.data`` from C), so a repeat
+#: result costs one dict probe and no object.  Weak values, so grammars
+#: no longer referenced anywhere are collected and do not pin memory
+#: for a long-lived service process.
+_INTERN: "weakref.WeakValueDictionary[bytes, Grammar]" = \
     weakref.WeakValueDictionary()
 
-#: Guards the probe-then-insert of :func:`intern_grammar` and the gid
-#: counter.  Canonicality is an *identity* invariant: an unguarded
-#: check-then-insert race would let two threads intern two distinct
-#: instances for one structural key, silently breaking ``==`` between
-#: values produced on different threads.  The analysis hot loops run
-#: single-threaded per process (see :mod:`repro.typegraph.opcache`),
-#: but interning is also reached from service control paths (cache
-#: decode, request keying), so it takes the lock unconditionally — one
-#: uncontended acquire per *newly seen* grammar is noise next to the
-#: normalization that precedes it.
+#: Guards the probe-then-insert of :func:`intern_grammar` and
+#: :func:`grammar_of_key`.  Canonicality is an *identity* invariant: an
+#: unguarded check-then-insert race would let two threads intern two
+#: distinct instances for one key, silently breaking ``==`` between
+#: values produced on different threads.  The native tier's lock-free
+#: probe only ever *reads*; its misses insert through
+#: :func:`grammar_of_key`.
 _INTERN_LOCK = threading.Lock()
 
-#: Next arena id handed to a newly interned grammar (monotonic, never
+#: Arena ids handed to newly interned grammars (monotonic, never
 #: reused — see :attr:`Grammar.gid`).
-_NEXT_GID = 0
+_GIDS = itertools.count()
+
+_new_grammar = object.__new__
+
+
+def grammar_of_key(key: bytes) -> Grammar:
+    """The interned grammar of a canonical key, born as a handle (rules
+    not yet built) on a miss.  The kernels' one door into the intern
+    table."""
+    with _INTERN_LOCK:
+        grammar = _INTERN.get(key)
+        if grammar is None:
+            grammar = _new_grammar(Grammar)
+            grammar._rules = None
+            grammar.root = 0
+            grammar._hash = None
+            grammar._key_cache = None
+            grammar._obj_cache = None
+            grammar._arena = None
+            grammar._ckey = key
+            grammar.interned = True
+            grammar.gid = next(_GIDS)
+            _INTERN[key] = grammar
+            _COUNTS["grammar_handles"] += 1
+    return grammar
 
 
 def intern_grammar(grammar: Grammar) -> Grammar:
     """Canonical shared instance of an already-*normalized* grammar.
 
-    The first grammar seen for a given structural key becomes the
-    canonical instance (with its hash precomputed); later structurally
-    equal grammars resolve to it.  Interned grammars compare with a
-    pure identity check, which is what makes the operation caches in
-    :mod:`repro.typegraph.opcache` cheap to key.  Thread-safe.
+    The first grammar seen for a given canonical key becomes the
+    canonical instance; later equal grammars resolve to it.  Interned
+    grammars compare with a pure identity check, which is what makes
+    the operation caches in :mod:`repro.typegraph.opcache` cheap to
+    key.  A grammar outside canonical numbering resolves to the
+    instance of its renumbering.  Thread-safe.
     """
-    global _NEXT_GID
     if grammar.interned:
         return grammar
-    key = grammar._key()
+    key, identity = _canonical_key(grammar.rules, grammar.root)
+    if not identity:
+        return grammar_of_key(key)
     with _INTERN_LOCK:
-        # setdefault hashes the (large, uncached) key tuple once,
-        # where a get-then-insert would hash it twice more; the
-        # grammar's own hash fills in lazily from the cached key.
-        canonical = _INTERN.setdefault(key, grammar)
-        if canonical is grammar:
+        canonical = _INTERN.get(key)
+        if canonical is None:
+            canonical = grammar
+            grammar._ckey = key
             grammar.interned = True
-            grammar.gid = _NEXT_GID
-            _NEXT_GID += 1
+            grammar.gid = next(_GIDS)
+            _INTERN[key] = grammar
     return canonical
 
 
@@ -389,8 +627,11 @@ def intern_grammar(grammar: Grammar) -> Grammar:
 
 
 def _within_width(grammar: Grammar, max_or_width: int) -> bool:
-    return all(len(alts) <= max_or_width
-               for alts in grammar.rules.values())
+    if grammar._ckey is None:
+        return all(len(alts) <= max_or_width
+                   for alts in grammar.rules.values())
+    return all((flags & 1) + (flags >> 1) + len(row) <= max_or_width
+               for flags, row in _key_rows(grammar._ckey))
 
 
 def normalize(grammar: Grammar,

@@ -167,7 +167,7 @@ def treeify(grammar: Grammar) -> TypeGraph:
         # FuncAlt object walk.
         ar = arena.arena_of(grammar)
         fkeys = arena.SYMBOLS.fkeys
-        root_nt = ar.index_of(grammar.root)
+        root_nt = grammar.root
     else:
         root_nt = grammar.root
     count = 0

@@ -18,8 +18,8 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from . import arena, opcache
-from .grammar import (ANY, INT, FuncAlt, Grammar, GrammarBuilder, _embed,
-                      g_any, g_bottom, normalize, subgrammar)
+from .grammar import (FuncAlt, Grammar, GrammarBuilder, _embed, g_any,
+                      g_bottom, normalize, subgrammar)
 
 __all__ = ["g_le", "g_equiv", "g_union", "g_intersect", "g_split",
            "g_list_of", "g_is_list"]
@@ -141,16 +141,18 @@ def g_split(grammar: Grammar, name: str, arity: int,
     Used by abstract unification ``X = f(X1..Xn)`` in Pat(Type): the
     type of each ``Xi`` becomes the i-th returned grammar.
     """
-    alts = grammar.root_alts
-    if ANY in alts:
+    if not grammar.interned:
+        grammar = normalize(grammar)
+    grammar_arena = arena.arena_of(grammar)
+    if grammar_arena.any_mask & 1:
         return tuple(g_any() for _ in range(arity))
-    if is_int and INT in alts:
+    if is_int and grammar_arena.int_mask & 1:
         return ()
-    for alt in alts:
-        if isinstance(alt, FuncAlt) and alt.fkey == \
-                ("i" if is_int else "f", name, arity):
-            return tuple(subgrammar(grammar, a) for a in alt.args)
-    return None
+    args = grammar_arena.by_sym[0].get(
+        arena.SYMBOLS.find("i" if is_int else "f", name, arity))
+    if args is None:
+        return None
+    return tuple(subgrammar(grammar, a) for a in args)
 
 
 # -- convenience types --------------------------------------------------------

@@ -238,6 +238,94 @@ def test_pickle_reinterns_identically_after_tier_switch(g1, g2, w):
     assert g_union(r1, r2, w) is u
 
 
+# -- handles: interned results are born from their canonical key ------------
+
+_PROBES = iter(range(1 << 30))
+
+
+def _fresh_handles():
+    """A grammar and a substitution the active tier just built (names
+    no other call uses, so both are born here)."""
+    opcache.clear()
+    name = "handle_probe_%d" % next(_PROBES)
+    g = g_union(g_list_of(g_atom(name)), g_functor(name, [g_int()]))
+    builder = make_builder(_DOMAIN)
+    x, y = builder.fresh_leaf(), builder.fresh_leaf(g)
+    pair = builder.make_pattern(name, False, [y, builder.fresh_leaf()])
+    assert builder.unify(x, pair)
+    return g, builder.freeze([x, y])
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_handles_compare_hash_and_pickle_on_every_tier(tier):
+    from repro.domains.pattern import AbstractSubst
+    arena.configure(kernel=tier)
+    g, s = _fresh_handles()
+    assert g.interned and g._rules is None  # born as a handle
+    # the python tier's builder freezes from nodes it already built
+    assert s.interned and (s._nodes is None or tier == "python")
+    assert g == g and s == s and g != g_any()
+    raw_g = Grammar(dict(g.rules), g.root)
+    assert raw_g == g and hash(raw_g) == hash(g)
+    raw_s = AbstractSubst(s.nvars, s.sv, s.nodes)
+    assert raw_s == s and hash(raw_s) == hash(s)
+    assert {g: 1}[raw_g] == 1 and {s: 1}[raw_s] == 1
+    assert pickle.loads(pickle.dumps(g)) is g
+    assert pickle.loads(pickle.dumps(s)) is s
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_a_lazy_decode_equals_the_eager_decode_of_its_key(tier):
+    from repro.domains.pattern import (AbstractSubst, _nodes_of_key,
+                                       intern_subst)
+    from repro.typegraph.grammar import _rules_of_key, intern_grammar
+    arena.configure(kernel=tier)
+    g, s = _fresh_handles()
+    eager_rules = _rules_of_key(g._ckey)
+    eager_nodes = _nodes_of_key(s._ckey, s._leaves)
+    assert g.to_obj() == Grammar(eager_rules, 0).to_obj()  # from the key
+    assert g._rules is None
+    assert g.rules == eager_rules and s.nodes == eager_nodes
+    assert intern_grammar(Grammar(eager_rules, 0)) is g
+    assert intern_subst(AbstractSubst(s.nvars, s.sv, eager_nodes)) is s
+    assert normalize(Grammar(dict(g.rules), 0)) is g
+
+
+@pytest.mark.skipif("native" not in TIERS, reason="no native tier")
+def test_a_cold_analysis_and_its_encoding_decode_almost_nothing():
+    """A fresh-process RE analysis on the native tier builds its
+    results as handles and decodes (almost) none of them; encoding the
+    result reads the canonical keys and decodes none either.  Only
+    display, membership and pickling need a Python form."""
+    env = dict(os.environ)
+    env["REPRO_ARENA_KERNEL"] = "native"
+    code = (
+        "import json\n"
+        "from repro import analyze\n"
+        "from repro.benchprogs import benchmark\n"
+        "from repro.service.serialize import encode_result\n"
+        "from repro.typegraph import arena\n"
+        "bp = benchmark('RE')\n"
+        "res = analyze(bp.source, bp.query, input_types=bp.input_types)\n"
+        "print(json.dumps(arena.stats()))\n"
+        "encode_result(res.result)\n"
+        "print(json.dumps(arena.stats()))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    analyzed, encoded = [json.loads(line) for line in
+                         proc.stdout.strip().splitlines()[-2:]]
+    assert analyzed["grammar_handles"] > 500, analyzed
+    assert analyzed["subst_handles"] > 1000, analyzed
+    assert analyzed["grammar_decodes"] <= 10, analyzed
+    assert analyzed["subst_decodes"] <= 10, analyzed
+    # one callback per handle born, plus a few symbol-table syncs
+    assert analyzed["callbacks"] < 1.1 * (
+        analyzed["grammar_handles"] + analyzed["subst_handles"]) + 50
+    for name in ("grammar_decodes", "subst_decodes"):
+        assert encoded[name] == analyzed[name], (analyzed, encoded)
+
+
 # -- analysis fingerprints are tier-oblivious --------------------------------
 
 def test_analysis_fingerprint_identical_across_tiers():

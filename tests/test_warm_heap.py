@@ -31,7 +31,7 @@ from repro.benchprogs import benchmark
 from repro.domains.leaf import (DepthBoundLeafDomain, TrivialLeafDomain,
                                 TypeLeafDomain, domain_from_descriptor)
 from repro.service import server as server_module
-from repro.service.batch import WorkerPool, _execute_spec
+from repro.service.batch import WorkerPool, _execute_spec, _settled
 from repro.service.cache import ResultCache
 from repro.service.serialize import payload_fingerprint
 from repro.service.server import AnalysisServer
@@ -295,6 +295,54 @@ def test_a_failed_analysis_is_not_frozen(monkeypatch, unfrozen_after):
     gc.collect()
     assert len(refs) == 1 and refs[0]() is None
     assert gc.get_freeze_count() == 0
+
+
+def test_settled_runs_no_collection_inside_the_analysis(unfrozen_after):
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    def allocating():
+        # far past every generation's threshold
+        return [[index] for index in range(200000)]
+
+    assert gc.isenabled()
+    gc.callbacks.append(record)
+    try:
+        result = _settled(allocating)
+        during = len(collections)
+    finally:
+        gc.callbacks.remove(record)
+    assert len(result) == 200000
+    assert during == 1, collections  # the settling collection only
+    assert gc.isenabled()
+
+
+def test_the_collector_is_back_on_after_an_analysis_raises():
+    def failing():
+        raise RuntimeError("analysis failed")
+
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError):
+        _settled(failing)
+    assert gc.isenabled()
+    gc.disable()
+    try:  # a paused collector stays paused
+        with pytest.raises(RuntimeError):
+            _settled(failing)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_serial_batches_settle_their_heap(unfrozen_after):
+    from repro.service.batch import jobs_from_benchmarks, run_batch
+    gc.unfreeze()
+    report = run_batch(jobs_from_benchmarks(["QU"]))
+    assert report.misses == 1
+    assert gc.get_freeze_count() > 0
 
 
 def test_pool_workers_settle_their_heap():
