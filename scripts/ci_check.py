@@ -4,6 +4,7 @@ from ``perfbench/oracle.json``.
 
     python scripts/ci_check.py kernel       # REPRO_ARENA_KERNEL is active
     python scripts/ci_check.py table3       # Table-1 programs vs the oracle
+    python scripts/ci_check.py service-cache  # warm batch cache >= 10x
     python scripts/ci_check.py selflint     # CHK: CLI == check op == slice op
     python scripts/ci_check.py server       # repro serve
     python scripts/ci_check.py cluster      # repro router --spawn 2
@@ -45,7 +46,7 @@ from repro.service.serialize import (canonical_json,  # noqa: E402
                                      encode_result, payload_fingerprint,
                                      result_fingerprint)
 from repro.service.wire import encode_payload  # noqa: E402
-from repro.typegraph import arena  # noqa: E402
+from repro.typegraph import arena, opcache  # noqa: E402
 
 ORACLE = Oracle()
 
@@ -180,6 +181,27 @@ def leaf_table_problems(payload: dict) -> list:
     return problems
 
 
+#: Payload stats a warm re-analysis may change: timing, and the memo
+#: and arena counters (a warm process finds what a cold one computes).
+WARM_VARIANT_STATS = ("cpu_time", "opcache_hits", "opcache_misses",
+                      "arena_compiles")
+
+
+def warm_problems(name: str, cold: dict, warm: dict) -> list:
+    """How a warm re-analysis payload differs from the cold one in
+    anything but the stats of :data:`WARM_VARIANT_STATS`."""
+    problems = ["%s: warm %s differs" % (name, field)
+                for field in sorted(set(cold) | set(warm))
+                if field != "stats" and cold.get(field) != warm.get(field)]
+    for stat in sorted(set(cold["stats"]) | set(warm["stats"])):
+        if stat not in WARM_VARIANT_STATS and \
+                cold["stats"].get(stat) != warm["stats"].get(stat):
+            problems.append("%s: warm %s %r, cold %r" % (
+                name, stat, warm["stats"].get(stat),
+                cold["stats"].get(stat)))
+    return problems
+
+
 def table3() -> str:
     """All 10 Table-1 programs, analysed in-process on the active tier,
     give the oracle's fingerprints and iteration counts, without ever
@@ -187,8 +209,15 @@ def table3() -> str:
     a production path that reached them would be a second path).  The
     served encoding of each result is the CLI's canonical JSON, and
     its fingerprint is the oracle's too; each payload lists every leaf
-    value once and references it by index."""
+    value once and references it by index.
+
+    Then each program is analysed again in the same process with an
+    uncalled fact appended, as a served edit is: that warm pass must
+    equal the oracle too, its payload must equal the cold one apart
+    from timing and cache counters, and the clause memo must have
+    served it."""
     rows = {}
+    cold = {}
     for name in ORACLE.programs:
         program = benchmark(name)
         analysis = analyze(program.source, program.query,
@@ -203,17 +232,53 @@ def table3() -> str:
         require(encoded.fingerprint == want,
                 "%s: encoded fingerprint %s, the oracle has %s", name,
                 encoded.fingerprint, want)
-        rows[name] = {
-            "fingerprint": result_fingerprint(analysis.result),
-            "procedure_iterations": analysis.stats.procedure_iterations,
-            "clause_iterations": analysis.stats.clause_iterations,
-        }
+        rows[name] = table_row(analysis)
+        cold[name] = payload
     problems = table_problems(ORACLE, rows)
     require(not problems, "; ".join(problems))
+    memo = opcache.cache_for("clause")
+    hits = memo.hits
+    warm_rows = {}
+    for name in ORACLE.programs:
+        program = benchmark(name)
+        analysis = analyze(program.source.rstrip("\n")
+                           + "\nzz_ci_edit_%s(1).\n" % name.lower(),
+                           program.query, input_types=program.input_types)
+        warm_rows[name] = table_row(analysis)
+        problems += warm_problems(name, cold[name],
+                                  encode_result(analysis.result))
+    problems += ["warm " + problem
+                 for problem in table_problems(ORACLE, warm_rows)]
+    require(not problems, "; ".join(problems))
+    require(memo.hits > hits, "the warm pass had no clause memo hits")
     require("repro.typegraph.reference" not in sys.modules,
             "the analyses loaded repro.typegraph.reference")
-    return ("table3: %d programs equal the oracle on the %s tier"
-            % (len(rows), arena.kernel()))
+    return ("table3: %d programs equal the oracle on the %s tier, cold "
+            "and warm (%d clause memo hits warm)"
+            % (len(rows), arena.kernel(), memo.hits - hits))
+
+
+def table_row(analysis) -> dict:
+    return {
+        "fingerprint": result_fingerprint(analysis.result),
+        "procedure_iterations": analysis.stats.procedure_iterations,
+        "clause_iterations": analysis.stats.clause_iterations,
+    }
+
+
+def service_cache() -> str:
+    """``benchmarks/bench_service_cache.py``'s warm-cache gate: a
+    batch over the benchmark corpus served from the disk store and
+    from the memory LRU is at least 10x faster than the cold pass."""
+    test = ("benchmarks/bench_service_cache.py::"
+            "test_warm_cache_is_10x_faster_than_cold")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--import-mode=importlib", test],
+        cwd=ROOT, env=_repro_env(), capture_output=True, text=True)
+    require(done.returncode == 0, "%s failed:\n%s", test,
+            done.stdout[-3000:])
+    return "service-cache: the warm batch is at least 10x faster than cold"
 
 
 def perfbench_ok(result: dict) -> bool:
@@ -534,8 +599,8 @@ def history() -> str:
 
 
 GATES = {gate.__name__.replace("_", "-"): gate for gate in (
-    kernel, table3, perfbench_result, selflint, server, cluster,
-    passthrough, chaos, router_kill, history)}
+    kernel, table3, service_cache, perfbench_result, selflint, server,
+    cluster, passthrough, chaos, router_kill, history)}
 
 
 def main(argv=None) -> int:

@@ -174,6 +174,8 @@ def profile_main(argv) -> int:
                      "%.1f%%" % (100.0 * hits / total), table["size"]])
     print(format_table(["op", "hits", "misses", "hit-rate", "entries"],
                        rows))
+    print("(clause: the engine's clause memo; a hit is a clause run "
+          "replayed with no builder work, an entry a recorded root)")
 
     arena_now = arena.stats()
     print("\n== arena ==")

@@ -585,9 +585,6 @@ class ClusterRouter:
         #: in-flight background replication pushes a drain must wait
         #: out.
         self._replication_tasks: set = set()
-        #: source text -> program_hash memo (hashing parses the
-        #: program; the router pays that once per distinct program).
-        self._program_hashes: "OrderedDict[str, str]" = OrderedDict()
         #: benchmark name -> program_hash.
         self._benchmark_hashes: Dict[str, str] = {}
         if self.journal is not None and self.journal.replayed:
@@ -1060,26 +1057,14 @@ class ClusterRouter:
                     bp = load_benchmark(name)
                 except KeyError:
                     raise RequestError("unknown benchmark %r" % benchmark)
-                hit = self._source_hash(bp.source)
+                hit = program_hash(bp.source)
                 self._benchmark_hashes[name] = hit
             return hit
         source = request.get("source")
         if not isinstance(source, str):
             raise RequestError("request needs 'source' (a string) "
                                "or 'benchmark'")
-        return self._source_hash(source)
-
-    def _source_hash(self, source: str) -> str:
-        memo = self._program_hashes
-        hit = memo.get(source)
-        if hit is None:
-            hit = program_hash(source)
-            memo[source] = hit
-            if len(memo) > 4096:
-                memo.popitem(last=False)
-        else:
-            memo.move_to_end(source)
-        return hit
+        return program_hash(source)
 
     def _forward_timeout(self, request: dict) -> Optional[float]:
         """The shard enforces the request timeout; the router waits a

@@ -31,7 +31,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import threading
 import weakref
+from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
 
 from ..domains.leaf import (LeafDomain, TypeLeafDomain,
@@ -387,29 +389,57 @@ def result_fingerprint(result: AnalysisResult) -> str:
         [list(p) for p in result.unknown_predicates])
 
 
+def _payload_subst_text(subst, leaves: list, texts: Dict[int, str]) -> str:
+    """Canonical text of a payload substitution with each leaf
+    reference ``["l", k]`` expanded to ``["l", leaves[k]]``.  The
+    substitution is encoded once with a placeholder at its leaf nodes,
+    and each leaf's canonical text (memoized in ``texts``) goes into
+    the placeholders: the bytes ``canonical_json`` gives the expanded
+    substitution, as a nested value encodes as it does alone."""
+    if subst == "bottom":
+        return '"bottom"'
+    refs = [node[1] for node in subst["nodes"] if node[0] == "l"]
+    for ref in refs:
+        if type(ref) is not int or ref not in texts:
+            texts[ref] = canonical_json(_leaf_at(leaves, ref))
+    parts = canonical_json(dict(subst, nodes=[
+        _SLOT_NODE if node[0] == "l" else node
+        for node in subst["nodes"]])).split(_SLOT_TOKEN)
+    if len(parts) != len(refs) + 1:
+        # a malformed payload holds the placeholder elsewhere too
+        return canonical_json(dict(subst, nodes=[
+            ["l", leaves[node[1]]] if node[0] == "l" else node
+            for node in subst["nodes"]]))
+    out = [parts[0]]
+    for ref, part in zip(refs, parts[1:]):
+        out.append('["l",%s]' % texts[ref])
+        out.append(part)
+    return "".join(out)
+
+
+#: A leaf node while :func:`_payload_subst_text` encodes; it encodes as
+#: :data:`_SLOT_TOKEN`.
+_SLOT_NODE = ["l", math.nan]
+
+
 def payload_fingerprint(payload: dict) -> str:
     """:func:`table_fingerprint` of an :func:`encode_result` payload,
     without decoding it back into an ``AnalysisResult`` — what lets
     the server, the client, and the load generator compare
     fingerprints of cached/remote payloads against a one-shot run.
     Each leaf reference is expanded to its value first, so the tuples
-    hashed are the inline ones :func:`result_fingerprint` hashes; a
-    bad reference or a missing leaf table raises ``ValueError``."""
+    hashed are the inline ones :func:`result_fingerprint` hashes; each
+    distinct leaf is encoded once and its text spliced in at every
+    use.  A bad reference or a missing leaf table raises
+    ``ValueError``."""
     leaves = _payload_leaves(payload)
-
-    def inline(subst):
-        if subst == "bottom":
-            return subst
-        return dict(subst, nodes=[
-            ["l", _leaf_at(leaves, node[1])] if node[0] == "l" else node
-            for node in subst["nodes"]])
-
+    texts: Dict[int, str] = {}
     return table_fingerprint(
         payload["domain"],
-        {int(e["id"]): canonical_json({"pred": e["pred"],
-                                       "beta_in": inline(e["beta_in"]),
-                                       "beta_out": inline(e["beta_out"]),
-                                       "seeded": False})
+        {int(e["id"]): tuple_json(
+            canonical_json(e["pred"]),
+            _payload_subst_text(e["beta_in"], leaves, texts),
+            _payload_subst_text(e["beta_out"], leaves, texts))
          for e in payload["entries"]},
         int(payload["root"]), payload["unknown_predicates"])
 
@@ -554,10 +584,36 @@ def predicate_hashes(source: Union[str, Program]) -> Dict[PredId, str]:
     return hashes
 
 
+#: Source text -> :func:`program_hash`, least recently used first.
+#: Hashing a text parses the whole program; batch keying, the server's
+#: request keys and the router's ring keys ask again for the same
+#: texts.  Bounded like the server's request memo, as each entry holds
+#: a program text.
+_PROGRAM_HASHES: "OrderedDict[str, str]" = OrderedDict()
+_PROGRAM_HASHES_LOCK = threading.Lock()
+_PROGRAM_HASHES_MAX = 256
+
+
 def program_hash(source: Union[str, Program]) -> str:
     """Content hash of a whole program: the sorted per-predicate hashes
-    plus directives."""
-    program = parse_program(source) if isinstance(source, str) else source
+    plus directives.  Memoized on source text (bounded)."""
+    if not isinstance(source, str):
+        return _program_hash(source)
+    memo = _PROGRAM_HASHES
+    with _PROGRAM_HASHES_LOCK:
+        digest = memo.get(source)
+        if digest is not None:
+            memo.move_to_end(source)
+            return digest
+    digest = _program_hash(parse_program(source))
+    with _PROGRAM_HASHES_LOCK:
+        memo[source] = digest
+        if len(memo) > _PROGRAM_HASHES_MAX:
+            memo.popitem(last=False)
+    return digest
+
+
+def _program_hash(program: Program) -> str:
     per_pred = sorted(
         [[pred[0], pred[1], digest]
          for pred, digest in predicate_hashes(program).items()])

@@ -99,6 +99,12 @@ DEFAULT_PORT = 7871
 #: Ring size of the latency sample buffer behind the p50/p95 figures.
 _LATENCY_SAMPLES = 4096
 
+#: Bound of the request-signature memo (``AnalysisServer._specs``).
+#: An entry holds its request's program text, so the bound is what a
+#: server keeps of the programs it was sent; a repeat of any of the
+#: last 256 workloads still skips parsing.
+_SPEC_MEMO_SIZE = 256
+
 
 class RequestError(Exception):
     """A request the server refuses; ``code`` travels to the client."""
@@ -346,7 +352,7 @@ class AnalysisServer:
         spec, key, program = self._spec_of_uncached(request)
         if signature is not None:
             memo[signature] = (spec, key)
-            if len(memo) > 4096:
+            if len(memo) > _SPEC_MEMO_SIZE:
                 memo.popitem(last=False)
         return spec, key, program
 
@@ -452,7 +458,7 @@ class AnalysisServer:
         spec["check"] = True
         if signature is not None:
             memo[signature] = (spec, key)
-            if len(memo) > 4096:
+            if len(memo) > _SPEC_MEMO_SIZE:
                 memo.popitem(last=False)
         return spec, key, program
 
@@ -696,6 +702,7 @@ class AnalysisServer:
         hits = cache_stats.hits
         lookups = hits + cache_stats.misses
         opcache_hits, opcache_misses = opcache.snapshot()
+        clause_memo = opcache.cache_for("clause")
         loop = asyncio.get_running_loop()
         entries = await loop.run_in_executor(None, len, self.cache)
         return {
@@ -730,6 +737,9 @@ class AnalysisServer:
             },
             "opcache": {"hits": opcache_hits,
                         "misses": opcache_misses},
+            "clause_memo": {"hits": clause_memo.hits,
+                            "misses": clause_memo.misses,
+                            "size": len(clause_memo)},
             "arena": arena.stats(),
             "heap": _heap_stats(),
             "latency": self.stats.latency_summary(),

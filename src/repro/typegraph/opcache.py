@@ -81,6 +81,14 @@ class OpCache:
         self._table.move_to_end(key)
         return value
 
+    def peek(self, key):
+        """:meth:`get` without counting, for a table whose owner counts
+        its own hits and misses (the engine's clause memo)."""
+        value = self._table.get(key)
+        if value is not None:
+            self._table.move_to_end(key)
+        return value
+
     def put(self, key, value) -> None:
         table = self._table
         if key in table:

@@ -22,7 +22,7 @@ from repro.assertions import (Assertion, compile_assertion,
 from repro.benchprogs import benchmark
 from repro.prolog.program import parse_program
 from repro.service.serialize import check_fingerprint, encode_check
-from repro.typegraph import arena
+from repro.typegraph import arena, opcache
 
 TIERS = arena.available_kernels()
 
@@ -139,6 +139,7 @@ def test_check_fingerprint_identical_across_kernel_tiers():
     prints = {}
     for tier in TIERS:
         arena.configure(kernel=tier)
+        opcache.clear()  # each tier executes, none replays the other
         try:
             prints[tier] = _chk_fingerprint()
         finally:

@@ -1,5 +1,9 @@
 """Unit tests for differential re-evaluation: knobs, counters, stale
-dependency pruning, and the SCC scheduler."""
+dependency pruning, and the SCC scheduler.
+
+Tests that compare two analyses run each side cold
+(:func:`cold_analyze` empties the memos first), so both sides really
+execute instead of one replaying what the other recorded."""
 
 import pytest
 
@@ -9,6 +13,7 @@ from repro.fixpoint.engine import AnalysisConfig, Engine
 from repro.prolog.normalize import normalize_program
 from repro.prolog.program import parse_program
 from repro.service.serialize import result_fingerprint
+from repro.typegraph import opcache
 
 NREV = """
 nreverse([], []).
@@ -16,6 +21,12 @@ nreverse([H|T], R) :- nreverse(T, RT), concatenate(RT, [H], R).
 concatenate([], L, L).
 concatenate([X|L1], L2, [X|L3]) :- concatenate(L1, L2, L3).
 """
+
+
+def cold_analyze(*args, **kwargs):
+    """:func:`repro.analyze` with every memo emptied first."""
+    opcache.clear()
+    return analyze(*args, **kwargs)
 
 
 def _engine(source, **config):
@@ -46,7 +57,7 @@ def test_unknown_scheduler_rejected():
 # -- counters ----------------------------------------------------------------
 
 def test_skipping_and_resumption_happen():
-    analysis = analyze(NREV, ("nreverse", 2))
+    analysis = cold_analyze(NREV, ("nreverse", 2))
     stats = analysis.stats
     assert stats.clause_iterations_skipped > 0
     assert stats.callsite_resumptions > 0
@@ -56,9 +67,10 @@ def test_skipping_and_resumption_happen():
 def test_differential_reduces_clause_work_benchmarks():
     for name in ("QU", "PE"):
         bp = benchmark(name)
-        on = analyze(bp.source, bp.query, input_types=bp.input_types)
-        off = analyze(bp.source, bp.query, input_types=bp.input_types,
-                      config=AnalysisConfig(differential=False))
+        on = cold_analyze(bp.source, bp.query, input_types=bp.input_types)
+        off = cold_analyze(bp.source, bp.query,
+                           input_types=bp.input_types,
+                           config=AnalysisConfig(differential=False))
         assert on.stats.clause_iterations < off.stats.clause_iterations
         assert result_fingerprint(on.result) == \
             result_fingerprint(off.result)
@@ -93,10 +105,10 @@ def test_callsite_rebinding_prunes_stale_edges():
 
 def test_widened_run_matches_full_mode():
     config = AnalysisConfig(max_input_patterns=2)
-    on = analyze(MANY_PATTERNS, ("top", 1), config=config)
-    off = analyze(MANY_PATTERNS, ("top", 1),
-                  config=AnalysisConfig(max_input_patterns=2,
-                                        differential=False))
+    on = cold_analyze(MANY_PATTERNS, ("top", 1), config=config)
+    off = cold_analyze(MANY_PATTERNS, ("top", 1),
+                       config=AnalysisConfig(max_input_patterns=2,
+                                             differential=False))
     assert result_fingerprint(on.result) == result_fingerprint(off.result)
 
 
@@ -109,9 +121,9 @@ loop([_|T]) :- loop(T).
 
 
 def test_self_recursion_converges_and_matches():
-    on = analyze(SELF, ("loop", 1))
-    off = analyze(SELF, ("loop", 1),
-                  config=AnalysisConfig(differential=False))
+    on = cold_analyze(SELF, ("loop", 1))
+    off = cold_analyze(SELF, ("loop", 1),
+                       config=AnalysisConfig(differential=False))
     assert result_fingerprint(on.result) == result_fingerprint(off.result)
     # the differential engine never schedules more work than full mode
     assert on.stats.procedure_iterations <= off.stats.procedure_iterations
@@ -121,9 +133,9 @@ def test_self_recursion_converges_and_matches():
 
 def test_scc_scheduler_runs_and_reports():
     bp = benchmark("QU")
-    scc = analyze(bp.source, bp.query, input_types=bp.input_types,
-                  config=AnalysisConfig(scheduler="scc"))
-    lifo = analyze(bp.source, bp.query, input_types=bp.input_types)
+    scc = cold_analyze(bp.source, bp.query, input_types=bp.input_types,
+                       config=AnalysisConfig(scheduler="scc"))
+    lifo = cold_analyze(bp.source, bp.query, input_types=bp.input_types)
     assert scc.stats.scheduler == "scc"
     # driving callee SCCs to a local fixpoint first saves caller
     # iterations on the benchmark programs
@@ -133,9 +145,9 @@ def test_scc_scheduler_runs_and_reports():
 
 def test_scc_differential_invariant():
     bp = benchmark("PE")
-    on = analyze(bp.source, bp.query, input_types=bp.input_types,
-                 config=AnalysisConfig(scheduler="scc"))
-    off = analyze(bp.source, bp.query, input_types=bp.input_types,
-                  config=AnalysisConfig(scheduler="scc",
-                                        differential=False))
+    on = cold_analyze(bp.source, bp.query, input_types=bp.input_types,
+                      config=AnalysisConfig(scheduler="scc"))
+    off = cold_analyze(bp.source, bp.query, input_types=bp.input_types,
+                       config=AnalysisConfig(scheduler="scc",
+                                             differential=False))
     assert result_fingerprint(on.result) == result_fingerprint(off.result)

@@ -27,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 from repro import analyze
 from repro.fixpoint.engine import AnalysisConfig
 from repro.service.serialize import result_fingerprint
+from repro.typegraph import opcache
 
 # -- random program generator -------------------------------------------------
 
@@ -114,6 +115,10 @@ def programs(draw, max_preds=4, same_scc=False):
 
 
 def _run(source, query, differential, scheduler="lifo"):
+    """One cold analysis: the memos are emptied first, so each side of
+    a comparison really executes instead of replaying the other's
+    recorded clause runs."""
+    opcache.clear()
     return analyze(source, query,
                    config=AnalysisConfig(differential=differential,
                                          scheduler=scheduler))
@@ -184,7 +189,9 @@ def test_product_in_recursive_cycle_restricted():
                                    max_or_width=width)
         config_off = AnalysisConfig(differential=False,
                                     max_or_width=width)
+        opcache.clear()
         on = analyze(_PRODUCT_IN_CYCLE, ("p2", 1), config=config_on)
+        opcache.clear()
         off = analyze(_PRODUCT_IN_CYCLE, ("p2", 1), config=config_off)
         assert result_fingerprint(on.result) == \
             result_fingerprint(off.result)

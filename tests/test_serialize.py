@@ -241,6 +241,18 @@ def test_predicate_hashes_are_per_predicate(nreverse_source):
     assert new_hashes[("nreverse", 2)] != hashes[("nreverse", 2)]
 
 
+def test_program_hash_parses_a_text_once(monkeypatch):
+    from repro.service import serialize
+    parsed = []
+    real = serialize.parse_program
+    monkeypatch.setattr(serialize, "parse_program",
+                        lambda text: parsed.append(text) or real(text))
+    text = "memo_probe(a).\nmemo_probe(b) :- memo_probe(a).\n"
+    first = program_hash(text)
+    assert program_hash(text) == first == program_hash(real(text))
+    assert parsed == [text]
+
+
 def test_content_hash_stable_across_key_order():
     assert content_hash({"a": 1, "b": 2}) == content_hash({"b": 2, "a": 1})
 
@@ -253,6 +265,46 @@ def test_payload_fingerprint_matches_result_fingerprint(nreverse_source):
                          baseline=baseline).result
         payload = json_rt(encode_result(result))
         assert payload_fingerprint(payload) == result_fingerprint(result)
+
+
+def _inline_fingerprint(payload):
+    """The payload fingerprint computed the direct way: each entry's
+    tuple encoded with every leaf reference replaced by its value."""
+    from repro.service.serialize import table_fingerprint
+
+    def inline(subst):
+        if subst == "bottom":
+            return subst
+        return dict(subst, nodes=[
+            ["l", payload["leaves"][node[1]]] if node[0] == "l" else node
+            for node in subst["nodes"]])
+
+    return table_fingerprint(
+        payload["domain"],
+        {e["id"]: canonical_json({"pred": e["pred"],
+                                  "beta_in": inline(e["beta_in"]),
+                                  "beta_out": inline(e["beta_out"]),
+                                  "seeded": False})
+         for e in payload["entries"]},
+        payload["root"], payload["unknown_predicates"])
+
+
+@pytest.mark.parametrize("name", ["QU", "RE", "CHK"])
+def test_payload_fingerprint_splices_the_inline_texts(name):
+    """Each distinct leaf is encoded once and spliced in; the bytes
+    hashed are the inline tuples', also when a malformed payload holds
+    the splice placeholder outside a leaf node."""
+    from repro.benchprogs import benchmark
+    bp = benchmark(name)
+    payload = json_rt(encode_result(analyze(
+        bp.source, bp.query, input_types=bp.input_types).result))
+    assert payload_fingerprint(payload) == _inline_fingerprint(payload)
+    odd = copy.deepcopy(payload)
+    subst = next(e["beta_out"] for e in odd["entries"]
+                 if e["beta_out"] != "bottom")
+    subst["x"] = ["l", float("nan")]
+    assert payload_fingerprint(odd) == _inline_fingerprint(odd)
+    assert payload_fingerprint(odd) != payload_fingerprint(payload)
 
 
 def test_stats_roundtrip_disjunction_fallbacks():

@@ -392,9 +392,10 @@ def test_stats_shape(served):
         stats = client.stats()
     for field in ("uptime", "requests", "analyses_executed",
                   "coalesced", "rejected", "timeouts", "queue_depth",
-                  "max_pending", "cache", "opcache", "arena",
-                  "latency"):
+                  "max_pending", "cache", "opcache", "clause_memo",
+                  "arena", "latency"):
         assert field in stats, field
+    assert set(stats["clause_memo"]) == {"hits", "misses", "size"}
     assert stats["latency"]["count"] >= 1
     assert stats["latency"]["p95"] >= stats["latency"]["p50"]
     assert stats["cache"]["hit_rate"] is None or \
