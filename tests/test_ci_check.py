@@ -64,6 +64,25 @@ def test_leaf_table_check_fails_on_a_repeated_or_inline_leaf():
         "1 leaf nodes hold their value inline"]
 
 
+def test_warm_check_ignores_timing_and_cache_counters_only():
+    from repro import analyze
+    from repro.service.serialize import encode_result
+    bp = ci_check.benchmark("QU")
+    cold = encode_result(analyze(bp.source, bp.query,
+                                 input_types=bp.input_types).result)
+    warm = copy.deepcopy(cold)
+    for stat in ci_check.WARM_VARIANT_STATS:
+        warm["stats"][stat] = 0
+    assert ci_check.warm_problems("QU", cold, warm) == []
+    warm["stats"]["callsite_resumptions"] += 1
+    warm["entries"][0]["dependents"].append(99)
+    assert ci_check.warm_problems("QU", cold, warm) == [
+        "QU: warm entries differs",
+        "QU: warm callsite_resumptions %d, cold %d"
+        % (cold["stats"]["callsite_resumptions"] + 1,
+           cold["stats"]["callsite_resumptions"])]
+
+
 def test_history_fails_on_a_changed_oracle_fingerprint():
     oracle = copy.deepcopy(ORACLE)
     oracle.programs["QU"]["fingerprint"] = "0" * 64
