@@ -13,12 +13,17 @@ Absolute times are CPython-vs-1994-C and are not comparable; the
 paper's values are printed alongside for reference.
 """
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.analysis import format_table
 from repro.benchprogs import benchmark_names
 
-from .conftest import cached_analysis, report
+from .conftest import report
 
 PAPER_TABLE3 = {
     # name: (cpu, proc iters, clause iters, cpu(5), cpu(2))
@@ -57,23 +62,61 @@ def test_table3_per_program(benchmark, name):
     })
 
 
+#: One Table-3 row, measured in a fresh interpreter: the analysis of
+#: program ``argv[1]`` at each or-width of Table 3, every one on cold
+#: memos, printed as JSON ``[[wall_time, proc-it, clause-it], ...]``.
+_ROW_SCRIPT = """
+import json, sys
+from repro import AnalysisConfig, analyze
+from repro.benchprogs import benchmark
+from repro.typegraph import opcache
+bp = benchmark(sys.argv[1])
+row = []
+for width in (None, 5, 2):
+    opcache.clear()
+    analysis = analyze(bp.source, bp.query, input_types=bp.input_types,
+                       config=AnalysisConfig(max_or_width=width))
+    stats = analysis.stats
+    row.append([analysis.wall_time, stats.procedure_iterations,
+                stats.clause_iterations])
+print(json.dumps(row))
+"""
+
+
+def cold_row(name, runs=3):
+    """``_ROW_SCRIPT``'s row for ``name``, best of ``runs`` fresh
+    processes per or-width: a row timed after other analyses in the
+    same process would replay them from the process-wide memos."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    samples = []
+    for _ in range(runs):
+        out = subprocess.run([sys.executable, "-c", _ROW_SCRIPT, name],
+                             env=env, check=True, capture_output=True,
+                             text=True).stdout
+        samples.append(json.loads(out))
+    return [min(sample[k] for sample in samples) for k in range(3)]
+
+
 def test_table3_summary(benchmark):
     """Prints the whole table (all three or-width settings) and checks
-    the paper's qualitative claims."""
+    the paper's qualitative claims.  Each row runs in fresh processes
+    (see :func:`cold_row`)."""
     def gather():
         rows = []
         for name in benchmark_names(include_variants=False):
-            full = cached_analysis(name)
-            cap5 = cached_analysis(name, max_or_width=5)
-            cap2 = cached_analysis(name, max_or_width=2)
+            full, cap5, cap2 = cold_row(name)
             paper = PAPER_TABLE3[name]
             rows.append([
                 name,
-                round(full.wall_time, 2), paper[0],
-                full.stats.procedure_iterations, paper[1],
-                full.stats.clause_iterations, paper[2],
-                round(cap5.wall_time, 2), paper[3],
-                round(cap2.wall_time, 2), paper[4],
+                round(full[0], 2), paper[0],
+                full[1], paper[1],
+                full[2], paper[2],
+                round(cap5[0], 2), paper[3],
+                round(cap2[0], 2), paper[4],
             ])
         return rows
 

@@ -42,9 +42,12 @@ from repro import analyze  # noqa: E402
 from repro.benchprogs import benchmark  # noqa: E402
 from repro.service.client import (ServeClient, _repro_env,  # noqa: E402
                                   spawn_router, spawn_server)
+from repro.prolog.program import (FRONT_END_MEMO,  # noqa: E402
+                                  parse_program)
 from repro.service.serialize import (canonical_json,  # noqa: E402
                                      encode_result, payload_fingerprint,
-                                     result_fingerprint)
+                                     program_hash, result_fingerprint,
+                                     result_head)
 from repro.service.wire import encode_payload  # noqa: E402
 from repro.typegraph import arena, opcache  # noqa: E402
 
@@ -207,15 +210,20 @@ def table3() -> str:
     give the oracle's fingerprints and iteration counts, without ever
     loading the Grammar-level references (they are test oracles only;
     a production path that reached them would be a second path).  The
-    served encoding of each result is the CLI's canonical JSON, and
-    its fingerprint is the oracle's too; each payload lists every leaf
+    served encoding of each result, built from the payload's head as
+    an executor builds it, is the CLI's canonical JSON, and its
+    fingerprint is the oracle's too; each payload lists every leaf
     value once and references it by index.
 
-    Then each program is analysed again in the same process with an
-    uncalled fact appended, as a served edit is: that warm pass must
-    equal the oracle too, its payload must equal the cold one apart
-    from timing and cache counters, and the clause memo must have
-    served it."""
+    Then each program is analysed again in the same process twice, as
+    served edits are: once with an uncalled fact appended, and once
+    with an uncalled fact holding an anonymous variable prepended,
+    which moves every line and renumbers every anonymous variable.
+    Both warm passes must equal the oracle too, and their payloads
+    must equal the cold one apart from timing and cache counters.
+    The clause memo must have served the first, and the front-end
+    memo both; the second's program hash must equal the one computed
+    again after every memo is cleared."""
     rows = {}
     cold = {}
     for name in ORACLE.programs:
@@ -225,7 +233,8 @@ def table3() -> str:
         payload = encode_result(analysis.result)
         problems = leaf_table_problems(payload)
         require(not problems, "%s: %s", name, "; ".join(problems))
-        encoded = encode_payload(analysis.result, payload)
+        encoded = encode_payload(analysis.result,
+                                 result_head(analysis.result))
         require(encoded.wire == canonical_json(payload).encode("utf-8"),
                 "%s: the served bytes differ from the canonical JSON", name)
         want = ORACLE.programs[name]["fingerprint"]
@@ -238,24 +247,44 @@ def table3() -> str:
     require(not problems, "; ".join(problems))
     memo = opcache.cache_for("clause")
     hits = memo.hits
-    warm_rows = {}
-    for name in ORACLE.programs:
-        program = benchmark(name)
-        analysis = analyze(program.source.rstrip("\n")
-                           + "\nzz_ci_edit_%s(1).\n" % name.lower(),
-                           program.query, input_types=program.input_types)
-        warm_rows[name] = table_row(analysis)
-        problems += warm_problems(name, cold[name],
-                                  encode_result(analysis.result))
-    problems += ["warm " + problem
-                 for problem in table_problems(ORACLE, warm_rows)]
+    front_end_hits = FRONT_END_MEMO.hits
+    edits = (("appended", lambda name, source: source.rstrip("\n")
+              + "\nzz_ci_edit_%s(1).\n" % name.lower()),
+             ("prepended", lambda name, source:
+              "zz_ci_first_%s(_).\n" % name.lower() + source))
+    hashes = {}
+    for edit, edited in edits:
+        warm_rows = {}
+        for name in ORACLE.programs:
+            program = benchmark(name)
+            source = edited(name, program.source)
+            parsed = parse_program(source)
+            hashes[name] = (source, program_hash(parsed))
+            analysis = analyze(parsed, program.query,
+                               input_types=program.input_types)
+            warm_rows[name] = table_row(analysis)
+            problems += ["%s %s" % (edit, problem) for problem in
+                         warm_problems(name, cold[name],
+                                       encode_result(analysis.result))]
+        problems += ["warm %s %s" % (edit, problem)
+                     for problem in table_problems(ORACLE, warm_rows)]
+        if edit == "appended":
+            clause_hits = memo.hits - hits
     require(not problems, "; ".join(problems))
-    require(memo.hits > hits, "the warm pass had no clause memo hits")
+    require(clause_hits, "the warm pass had no clause memo hits")
+    front_end_hits = FRONT_END_MEMO.hits - front_end_hits
+    require(front_end_hits, "the warm passes had no front-end memo hits")
+    opcache.clear()
+    for name, (source, digest) in sorted(hashes.items()):
+        again = program_hash(parse_program(source))
+        require(again == digest, "%s: prepended program hash %s, %s after "
+                "the memos are cleared", name, digest, again)
     require("repro.typegraph.reference" not in sys.modules,
             "the analyses loaded repro.typegraph.reference")
     return ("table3: %d programs equal the oracle on the %s tier, cold "
-            "and warm (%d clause memo hits warm)"
-            % (len(rows), arena.kernel(), memo.hits - hits))
+            "and after two edits (%d clause memo hits, %d front-end memo "
+            "hits warm)" % (len(rows), arena.kernel(), clause_hits,
+                            front_end_hits))
 
 
 def table_row(analysis) -> dict:

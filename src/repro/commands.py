@@ -176,6 +176,8 @@ def profile_main(argv) -> int:
                        rows))
     print("(clause: the engine's clause memo; a hit is a clause run "
           "replayed with no builder work, an entry a recorded root)")
+    print("(clause_text: the front-end memo; a hit is a clause text "
+          "parsed, hashed and normalized before)")
 
     arena_now = arena.stats()
     print("\n== arena ==")

@@ -27,6 +27,13 @@ expansion once widening or or-width caps apply downstream of the join
 ``ValueError``).  Each extraction is counted in
 :attr:`NormProgram.disjunction_fallbacks`, which the engine surfaces
 as ``AnalysisStats.disjunction_fallbacks``.
+
+A clause parsed through the front-end memo of
+:mod:`repro.prolog.program` keeps its normalized clauses in its memo
+entry, so a warm re-analysis normalizes only the clauses an edit
+changed.  A kept result is rebuilt around each new source clause, so
+``NormClause.source`` (and the line blame slices report) is always
+the clause of the program being normalized.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple, Union
 
 from .._record import Record
-from .program import Clause, PredId, Program
+from .program import FRONT_END_MEMO, Clause, PredId, Program
 from .terms import Atom, Int, Struct, Term, Var, term_variables
 
 __all__ = [
@@ -425,13 +432,41 @@ def normalize_clause(clause: Clause,
     return results
 
 
+def _normalized(clause: Clause, aux_seed: str
+                ) -> Tuple[List[NormClause],
+                           List[Tuple[PredId, List[NormClause]]], int]:
+    """:func:`_normalize_clause_ex`, kept in the front-end memo entry
+    of a parsed clause.  A clause that extracts no auxiliary predicate
+    normalizes alike under every seed; one that does is kept for the
+    seed it was normalized under.  A kept result is rebuilt around
+    ``clause``, so each :class:`NormClause` has its own ``source``."""
+    parsed = FRONT_END_MEMO.of_clause(clause)
+    if parsed is None:
+        return _normalize_clause_ex(clause, aux_seed)
+    kept = parsed.norm
+    if kept is None or (kept[2] and kept[3] != aux_seed):
+        results, aux, fallbacks = _normalize_clause_ex(clause, aux_seed)
+        parsed.norm = (results, aux, fallbacks, aux_seed)
+        return results, aux, fallbacks
+    results, aux, fallbacks, _ = kept
+
+    def rebuilt(clauses: List[NormClause]) -> List[NormClause]:
+        return [NormClause(c.pred, c.nvars, c.body, clause, c.var_names)
+                for c in clauses]
+
+    return (rebuilt(results),
+            [(pred, rebuilt(clauses)) for pred, clauses in aux], fallbacks)
+
+
 def normalize_program(program: Program) -> NormProgram:
-    """Normalize every clause of ``program``."""
+    """Normalize every clause of ``program``; a parsed clause's
+    normalization is kept in its front-end memo entry (see
+    :mod:`repro.prolog.program`)."""
     norm = NormProgram()
     for pred in program.order:
         procedure = NormProcedure(pred)
         for index, clause in enumerate(program.procedures[pred].clauses):
-            clauses, aux, fallbacks = _normalize_clause_ex(
+            clauses, aux, fallbacks = _normalized(
                 clause, "%s_%d_%d" % (pred[0], pred[1], index))
             procedure.clauses.extend(clauses)
             norm.disjunction_fallbacks += fallbacks

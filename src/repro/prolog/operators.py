@@ -95,25 +95,28 @@ class OperatorTable:
     def __init__(self, definitions=None) -> None:
         if definitions is None:
             definitions = dict(_DEFAULT)
-        self._defs = definitions
+        #: name -> (infix or postfix definition, prefix definition),
+        #: either None; the parser's one lookup per operator token.
+        #: Callers only read it; :meth:`add` changes it.
+        self.definitions = definitions
 
     def infix(self, name: str) -> Optional[OpDef]:
-        opdef = self._defs.get(name, (None, None))[0]
+        opdef = self.definitions.get(name, (None, None))[0]
         if opdef is not None and opdef.is_infix:
             return opdef
         return None
 
     def postfix(self, name: str) -> Optional[OpDef]:
-        opdef = self._defs.get(name, (None, None))[0]
+        opdef = self.definitions.get(name, (None, None))[0]
         if opdef is not None and opdef.is_postfix:
             return opdef
         return None
 
     def prefix(self, name: str) -> Optional[OpDef]:
-        return self._defs.get(name, (None, None))[1]
+        return self.definitions.get(name, (None, None))[1]
 
     def is_operator(self, name: str) -> bool:
-        return name in self._defs
+        return name in self.definitions
 
     def add(self, name: str, priority: int, optype: str) -> None:
         """Register an operator, as ``op/3`` would."""
@@ -121,10 +124,15 @@ class OperatorTable:
             raise ValueError("operator priority out of range: %d" % priority)
         if optype not in ("xfx", "xfy", "yfx", "fy", "fx", "xf", "yf"):
             raise ValueError("bad operator type: %s" % optype)
-        _add(self._defs, name, priority, optype)
+        _add(self.definitions, name, priority, optype)
 
     def copy(self) -> "OperatorTable":
-        return OperatorTable(dict(self._defs))
+        return OperatorTable(dict(self.definitions))
+
+    def key(self) -> frozenset:
+        """The definitions in force, as a hashable value: two tables
+        with equal keys parse every text alike."""
+        return frozenset(self.definitions.items())
 
 
 def default_operators() -> OperatorTable:

@@ -3,9 +3,16 @@
 Turns token streams from :mod:`repro.prolog.reader` into
 :class:`repro.prolog.terms.Term` values, honouring the operator table.
 The top-level entry points are :func:`parse_term`, :func:`parse_clauses`
-and :func:`parse_program_text`.
+and :func:`parse_clauses_located`.  The front-end memo of
+:mod:`repro.prolog.program` also drives one :class:`Parser` a clause
+at a time: it hands it each clause text the memo misses, with
+``tokens``, ``pos`` and the anonymous-variable count set for that
+clause, and checks the result with :func:`head_callable` and
+:func:`apply_op_directive` as :func:`parse_clauses_located` does.
 
-Nesting is bounded: a term nested deeper than :data:`MAX_DEPTH` levels
+Each operator token costs one lookup in
+:attr:`~repro.prolog.operators.OperatorTable.definitions`.  Nesting is
+bounded: a term nested deeper than :data:`MAX_DEPTH` levels
 is a :class:`ParseError` with a position, never a ``RecursionError``.
 """
 
@@ -16,10 +23,11 @@ from typing import Dict, List, Optional, Tuple
 
 from .operators import MAX_PRIORITY, OperatorTable, default_operators
 from .reader import Token, tokenize
-from .terms import Atom, Int, Struct, Term, Var, make_list
+from .terms import Atom, Int, Struct, Term, Var, list_elements, make_list
 
 __all__ = ["ParseError", "Parser", "parse_term", "parse_clauses",
-           "parse_clauses_located", "MAX_DEPTH"]
+           "parse_clauses_located", "head_callable", "apply_op_directive",
+           "MAX_DEPTH"]
 
 _ARG_PRIORITY = 999  # max priority inside argument lists / list elements
 
@@ -74,25 +82,15 @@ class Parser:
         return token
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind != kind or (text is not None and token.text != text):
             raise ParseError("expected %s" % (text or kind), token)
-        return self.advance()
+        if kind != "eof":
+            self.pos += 1
+        return token
 
     def at_eof(self) -> bool:
         return self.peek().kind == "eof"
-
-    # -- variables --------------------------------------------------------
-
-    def _variable(self, name: str) -> Var:
-        if name == "_":
-            self._anon_counter += 1
-            return Var("_G%d" % self._anon_counter)
-        var = self.varmap.get(name)
-        if var is None:
-            var = Var(name)
-            self.varmap[name] = var
-        return var
 
     # -- term parsing -----------------------------------------------------
 
@@ -101,58 +99,64 @@ class Parser:
             raise ParseError("term nested deeper than %d levels"
                              % MAX_DEPTH, self.peek())
         self.depth += 1
-        left, left_priority = self._parse_primary(max_priority)
-        term = self._parse_operators(left, left_priority, max_priority)
-        self.depth -= 1
-        return term
-
-    def _parse_operators(self, left: Term, left_priority: int,
-                         max_priority: int) -> Term:
-        while True:
-            token = self.peek()
-            if token.kind != "atom":
-                return left
+        tokens = self.tokens
+        token = tokens[self.pos]
+        if token.kind == "var":
+            # ``_`` is a fresh ``_G<n>``, numbered across the file; any
+            # other name is one variable per clause.
+            self.pos += 1
             name = token.text
-            infix = self.ops.infix(name)
-            postfix = self.ops.postfix(name)
-            if infix is not None and infix.priority <= max_priority \
-                    and left_priority <= infix.left_max():
-                self.advance()
-                right = self.parse_term(infix.right_max())
-                display = ";" if name == "|" else name
-                left = Struct(display, (left, right))
-                left_priority = infix.priority
-                continue
-            if postfix is not None and postfix.priority <= max_priority \
-                    and left_priority <= postfix.left_max():
-                self.advance()
+            if name == "_":
+                self._anon_counter += 1
+                left = Var("_G%d" % self._anon_counter)
+            else:
+                left = self.varmap.get(name)
+                if left is None:
+                    left = self.varmap[name] = Var(name)
+            left_priority = 0
+        else:
+            left, left_priority = self._parse_primary(max_priority)
+        # Operators after the primary, left to right.
+        definitions = self.ops.definitions
+        while True:
+            token = tokens[self.pos]
+            if token.kind != "atom":
+                break
+            name = token.text
+            entry = definitions.get(name)
+            if entry is None:
+                break
+            op = entry[0]  # the infix or postfix definition
+            if op is None or op.priority > max_priority \
+                    or left_priority > op.left_max():
+                break
+            self.pos += 1
+            if op.type in ("xf", "yf"):
                 left = Struct(name, (left,))
-                left_priority = postfix.priority
-                continue
-            return left
+            else:
+                right = self.parse_term(op.right_max())
+                left = Struct(";" if name == "|" else name, (left, right))
+            left_priority = op.priority
+        self.depth -= 1
+        return left
 
     def _parse_primary(self, max_priority: int) -> Tuple[Term, int]:
-        token = self.peek()
-        if token.kind == "var":
-            self.advance()
-            return self._variable(token.text), 0
-        if token.kind == "int":
-            self.advance()
-            return Int(token.value), 0
-        if token.kind == "string":
-            self.advance()
-            codes = [Int(ord(c)) for c in token.text]
-            return make_list(codes), 0
-        if token.kind == "punct":
+        """The primary term at a token that is not a variable (those
+        :meth:`parse_term` reads itself), with its priority."""
+        token = self.tokens[self.pos]
+        kind = token.kind
+        if kind == "atom":
+            return self._parse_atom_primary(token, max_priority)
+        if kind == "punct":
             if token.text == "(":
-                self.advance()
+                self.pos += 1
                 inner = self.parse_term(MAX_PRIORITY)
                 self.expect("punct", ")")
                 return inner, 0
             if token.text == "[":
                 return self._parse_list(), 0
             if token.text == "{":
-                self.advance()
+                self.pos += 1
                 if self.peek().kind == "punct" and self.peek().text == "}":
                     self.advance()
                     return Atom("{}"), 0
@@ -160,47 +164,54 @@ class Parser:
                 self.expect("punct", "}")
                 return Struct("{}", (inner,)), 0
             raise ParseError("unexpected token", token)
-        if token.kind == "atom":
-            return self._parse_atom_primary(token, max_priority)
+        if kind == "int":
+            self.pos += 1
+            return Int(token.value), 0
+        if kind == "string":
+            self.pos += 1
+            codes = [Int(ord(c)) for c in token.text]
+            return make_list(codes), 0
         raise ParseError("unexpected token", token)
 
     def _parse_atom_primary(self, token: Token,
                             max_priority: int) -> Tuple[Term, int]:
         name = token.text
-        self.advance()
-        nxt = self.peek()
+        tokens = self.tokens
+        self.pos += 1
+        nxt = tokens[self.pos]
 
         # Functor application: name immediately followed by '('.
         if nxt.kind == "punct" and nxt.text == "(" and not nxt.layout_before:
-            self.advance()
+            self.pos += 1
             args = [self.parse_term(_ARG_PRIORITY)]
-            while self.peek().kind == "atom" and self.peek().text == ",":
-                self.advance()
+            while True:
+                token = tokens[self.pos]
+                if token.kind != "atom" or token.text != ",":
+                    break
+                self.pos += 1
                 args.append(self.parse_term(_ARG_PRIORITY))
             self.expect("punct", ")")
             return Struct(name, tuple(args)), 0
 
         # Negative number literal: '-' directly before an integer.
         if name == "-" and nxt.kind == "int" and not nxt.layout_before:
-            self.advance()
+            self.pos += 1
             return Int(-nxt.value), 0
 
+        entry = self.ops.definitions.get(name)
+        if entry is None:
+            return Atom(name), 0
         # Prefix operator attempt.
-        prefix = self.ops.prefix(name)
+        prefix = entry[1]
         if prefix is not None and prefix.priority <= max_priority \
                 and self._starts_term(nxt):
             operand = self.parse_term(prefix.right_max())
             return Struct(name, (operand,)), prefix.priority
 
-        # Plain atom.  If it is an operator used as an atom, it carries
-        # its highest priority as infix, postfix or prefix operator
-        # (relevant for things like (:-)).
-        priority = 0
-        if self.ops.is_operator(name):
-            priority = max(op.priority for op in (
-                self.ops.infix(name), self.ops.postfix(name),
-                self.ops.prefix(name)) if op)
-        return Atom(name), priority
+        # Plain atom.  An operator used as an atom carries its highest
+        # priority as infix, postfix or prefix operator (relevant for
+        # things like (:-)).
+        return Atom(name), max(op.priority for op in entry if op)
 
     def _starts_term(self, token: Token) -> bool:
         """Can ``token`` begin a term (so a prefix op applies)?"""
@@ -218,16 +229,21 @@ class Parser:
 
     def _parse_list(self) -> Term:
         self.expect("punct", "[")
-        if self.peek().kind == "punct" and self.peek().text == "]":
-            self.advance()
+        tokens = self.tokens
+        token = tokens[self.pos]
+        if token.kind == "punct" and token.text == "]":
+            self.pos += 1
             return Atom("[]")
         elements = [self.parse_term(_ARG_PRIORITY)]
-        while self.peek().kind == "atom" and self.peek().text == ",":
-            self.advance()
+        while True:
+            token = tokens[self.pos]
+            if token.kind != "atom" or token.text != ",":
+                break
+            self.pos += 1
             elements.append(self.parse_term(_ARG_PRIORITY))
         tail: Term = Atom("[]")
-        if self.peek().kind == "atom" and self.peek().text == "|":
-            self.advance()
+        if token.kind == "atom" and token.text == "|":
+            self.pos += 1
             tail = self.parse_term(_ARG_PRIORITY)
         self.expect("punct", "]")
         return make_list(elements, tail)
@@ -267,6 +283,39 @@ def parse_clauses(text: str,
     return [term for term, _ in parse_clauses_located(text, operators)]
 
 
+def head_callable(clause: Term) -> bool:
+    """Is the head of clause term ``clause`` an atom or a compound?
+    (A directive's head is the ``:-/1`` term itself.)"""
+    head = clause.args[0] if (isinstance(clause, Struct)
+                              and clause.name == ":-"
+                              and clause.arity == 2) else clause
+    return isinstance(head, (Atom, Struct))
+
+
+def apply_op_directive(clause: Term, ops: OperatorTable) -> bool:
+    """Apply ``clause`` to ``ops`` if it is a ``:- op(P, T, Names)``
+    directive with an integer priority and an atom type; returns
+    whether it was one.  A priority or type ``op/3`` rejects is a
+    ``ValueError``."""
+    if not (isinstance(clause, Struct) and clause.name == ":-"
+            and clause.arity == 1):
+        return False
+    directive = clause.args[0]
+    if not (isinstance(directive, Struct) and directive.name == "op"
+            and directive.arity == 3):
+        return False
+    pri, typ, names = directive.args
+    if not (isinstance(pri, Int) and isinstance(typ, Atom)):
+        return False
+    name_terms, _ = list_elements(names)
+    if not name_terms:
+        name_terms = [names]
+    for nt in name_terms:
+        if isinstance(nt, Atom):
+            ops.add(nt.name, pri.value, typ.name)
+    return True
+
+
 def parse_clauses_located(text: str,
                           operators: Optional[OperatorTable] = None
                           ) -> List[Tuple[Term, int]]:
@@ -283,28 +332,12 @@ def parse_clauses_located(text: str,
         clause = parser.parse_clause()
         if clause is None:
             return clauses
-        head = clause.args[0] if (isinstance(clause, Struct)
-                                  and clause.name == ":-"
-                                  and clause.arity == 2) else clause
-        if not isinstance(head, (Atom, Struct)):
+        if not head_callable(clause):
+            head = clause.args[0] if isinstance(clause, Struct) else clause
             raise ParseError("clause head is not callable: %r" % (head,),
                              parser.clause_start)
-        if (isinstance(clause, Struct) and clause.name == ":-"
-                and clause.arity == 1):
-            directive = clause.args[0]
-            if (isinstance(directive, Struct) and directive.name == "op"
-                    and directive.arity == 3):
-                pri, typ, names = directive.args
-                if isinstance(pri, Int) and isinstance(typ, Atom):
-                    from .terms import list_elements
-                    name_terms, _ = list_elements(names)
-                    if not name_terms:
-                        name_terms = [names]
-                    for nt in name_terms:
-                        if isinstance(nt, Atom):
-                            try:
-                                ops.add(nt.name, pri.value, typ.name)
-                            except ValueError as error:  # bad priority or type
-                                raise ParseError(str(error),
-                                                 parser.clause_start) from None
+        try:
+            apply_op_directive(clause, ops)
+        except ValueError as error:  # bad priority or type
+            raise ParseError(str(error), parser.clause_start) from None
         clauses.append((clause, parser.clause_start.line))

@@ -181,23 +181,24 @@ def tokenize(text: str) -> List[Token]:
     """Tokenize Prolog source text into a list ending with an eof token."""
     tokens: List[Token] = []
     append = tokens.append
+    name_end = _NAME
     end = len(text)
     pos = 0
     line, line_start = 1, 0  # the current line and the offset it starts at
     layout = False
     while pos < end:
         ch = text[pos]
-        column = pos - line_start + 1
         if ch.isalpha() or ch == "_":
-            stop = _NAME(text, pos).end()
-            kind = "var" if ch == "_" or ch.isupper() else "atom"
-            append(Token(kind, text[pos:stop], line, column, layout))
+            stop = name_end(text, pos).end()
+            append(Token("var" if ch == "_" or ch.isupper() else "atom",
+                         text[pos:stop], line, pos - line_start + 1,
+                         layout))
         elif ch in PUNCT_CHARS:
             stop = pos + 1
-            append(Token("punct", ch, line, column, layout))
+            append(Token("punct", ch, line, pos - line_start + 1, layout))
         elif ch in SOLO_CHARS:
             stop = pos + 1
-            append(Token("atom", ch, line, column, layout))
+            append(Token("atom", ch, line, pos - line_start + 1, layout))
         elif ch.isspace() or ch == "%" or (
                 ch == "/" and text.startswith("*", pos + 1)):
             stop = _LAYOUT(text, pos).end()
@@ -213,6 +214,7 @@ def tokenize(text: str) -> List[Token]:
         elif ch in SYMBOL_CHARS:
             # A '.' followed by layout or the end of the text ends the
             # clause; otherwise symbol characters munch maximally.
+            column = pos - line_start + 1
             if ch == "." and (pos + 1 == end or text[pos + 1].isspace()
                               or text[pos + 1] == "%"):
                 stop = pos + 1
@@ -220,20 +222,24 @@ def tokenize(text: str) -> List[Token]:
             else:
                 stop = _SYMBOL_RUN(text, pos).end()
                 append(Token("atom", text[pos:stop], line, column, layout))
-        elif ch in DIGITS:
-            if ch == "0" and text.startswith("'", pos + 1):
-                code_char, stop = _scan_char_code(text, pos + 2)
-                append(Token("int", "0'" + code_char, line, column, layout))
-            else:
-                stop = _DIGIT_RUN(text, pos).end()
-                append(Token("int", text[pos:stop], line, column, layout))
-        elif ch == "'" or ch == '"':
-            body, stop = _scan_quoted(text, pos + 1, ch)
-            append(Token("atom" if ch == "'" else "string", body, line,
-                         column, layout))
         else:
-            raise _error("unexpected character %r" % ch, text, pos)
-        if ch in "'\"0":  # quoted tokens and 0'c codes may span lines
+            column = pos - line_start + 1
+            if ch in DIGITS:
+                if ch == "0" and text.startswith("'", pos + 1):
+                    code_char, stop = _scan_char_code(text, pos + 2)
+                    append(Token("int", "0'" + code_char, line, column,
+                                 layout))
+                else:
+                    stop = _DIGIT_RUN(text, pos).end()
+                    append(Token("int", text[pos:stop], line, column,
+                                 layout))
+            elif ch == "'" or ch == '"':
+                body, stop = _scan_quoted(text, pos + 1, ch)
+                append(Token("atom" if ch == "'" else "string", body, line,
+                             column, layout))
+            else:
+                raise _error("unexpected character %r" % ch, text, pos)
+            # quoted tokens and 0'c codes may span lines
             newlines = text.count("\n", pos, stop)
             if newlines:
                 line += newlines

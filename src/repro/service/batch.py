@@ -25,7 +25,7 @@ from ..typegraph.grammar import Grammar
 from .cache import CacheKey, ResultCache, make_key
 from .serialize import (decode_config, decode_input_types, decode_result,
                         encode_check, encode_config, encode_input_types,
-                        encode_result)
+                        result_head)
 from .wire import encode_payload
 
 __all__ = ["Job", "JobResult", "BatchReport", "WorkerPool", "run_batch",
@@ -107,7 +107,8 @@ def _execute_spec(spec: dict, program: Optional[Program] = None
     The payload comes back as a :class:`~repro.service.wire.EncodedPayload`
     whose canonical bytes (the CLI's ``--json`` form of the payload)
     and fingerprint are assembled here, in the executor, so no caller
-    re-encodes it."""
+    re-encodes it.  The table's dict is not built: the payload decodes
+    its ``entries`` and ``leaves`` from its bytes if they are read."""
     config = (None if spec["config"] is None
               else decode_config(spec["config"]))
     start = time.perf_counter()
@@ -116,7 +117,7 @@ def _execute_spec(spec: dict, program: Optional[Program] = None
                        input_types=decode_input_types(spec["input_types"]),
                        config=config,
                        baseline=spec["baseline"])
-    payload = encode_result(analysis.result)
+    payload = result_head(analysis.result)
     if spec.get("check"):
         from ..assertions import check_analysis
         assertions = (config.assertions

@@ -41,7 +41,8 @@ from ..domains.leaf import (LeafDomain, TypeLeafDomain,
 from ..domains.pattern import PAT_BOTTOM, AbstractSubst, PatNode
 from ..fixpoint.engine import (AnalysisConfig, AnalysisResult,
                                AnalysisStats, Entry)
-from ..prolog.program import PredId, Program, parse_program
+from ..prolog.program import (PredId, Program, clause_text,
+                                parse_program)
 from ..prolog.terms import format_term
 from ..typegraph.grammar import Grammar
 
@@ -53,7 +54,8 @@ __all__ = [
     "encode_grammar", "decode_grammar", "grammar_content_hash",
     "encode_subst", "decode_subst", "subst_json", "subst_texts",
     "encode_entry", "decode_entry", "LeafTable",
-    "encode_result", "decode_result", "tuple_json", "table_fingerprint",
+    "encode_result", "result_head", "decode_result", "tuple_json",
+    "table_fingerprint",
     "result_fingerprint", "payload_fingerprint",
     "encode_config", "decode_config", "config_hash",
     "encode_check", "decode_check", "check_fingerprint",
@@ -321,6 +323,18 @@ class LeafTable(dict):
         return ref
 
 
+def result_head(result: AnalysisResult) -> dict:
+    """Every field of :func:`encode_result`'s payload but the table's
+    ``entries`` and ``leaves``."""
+    return {
+        "version": FORMAT_VERSION,
+        "domain": result.domain.descriptor(),
+        "root": result.root_entry.id,
+        "unknown_predicates": [list(p) for p in result.unknown_predicates],
+        "stats": _encode_stats(result.stats),
+    }
+
+
 def encode_result(result: AnalysisResult) -> dict:
     """Whole polyvariant table as a JSON-ready payload.  The program
     itself is *not* embedded — results are stored content-addressed by
@@ -329,17 +343,11 @@ def encode_result(result: AnalysisResult) -> dict:
     order; leaf nodes reference it by index."""
     domain = result.domain
     table = LeafTable()
-    entries = [encode_entry(e, domain, table.__getitem__)
-               for e in result.entries]
-    return {
-        "version": FORMAT_VERSION,
-        "domain": domain.descriptor(),
-        "root": result.root_entry.id,
-        "entries": entries,
-        "leaves": [domain.encode_leaf(value) for value in table],
-        "unknown_predicates": [list(p) for p in result.unknown_predicates],
-        "stats": _encode_stats(result.stats),
-    }
+    payload = result_head(result)
+    payload["entries"] = [encode_entry(e, domain, table.__getitem__)
+                          for e in result.entries]
+    payload["leaves"] = [domain.encode_leaf(value) for value in table]
+    return payload
 
 
 def _payload_leaves(payload: dict) -> list:
@@ -579,7 +587,7 @@ def predicate_hashes(source: Union[str, Program]) -> Dict[PredId, str]:
     program = parse_program(source) if isinstance(source, str) else source
     hashes: Dict[PredId, str] = {}
     for pred, procedure in program.procedures.items():
-        clause_texts = [repr(clause) for clause in procedure.clauses]
+        clause_texts = [clause_text(clause) for clause in procedure.clauses]
         hashes[pred] = content_hash(clause_texts)
     return hashes
 

@@ -79,7 +79,7 @@ from collections import OrderedDict, deque
 from typing import Dict, Optional, Tuple, Union
 
 from ..fixpoint.engine import AnalysisConfig
-from ..prolog.program import Program, parse_program
+from ..prolog.program import FRONT_END_MEMO, Program, parse_program
 from .batch import WorkerPool, _execute_spec, _settled
 from .cache import CacheKey, ResultCache, make_key
 from .serialize import (FORMAT_VERSION, canonical_json, check_fingerprint,
@@ -703,6 +703,7 @@ class AnalysisServer:
         lookups = hits + cache_stats.misses
         opcache_hits, opcache_misses = opcache.snapshot()
         clause_memo = opcache.cache_for("clause")
+        front_end = FRONT_END_MEMO
         loop = asyncio.get_running_loop()
         entries = await loop.run_in_executor(None, len, self.cache)
         return {
@@ -740,6 +741,9 @@ class AnalysisServer:
             "clause_memo": {"hits": clause_memo.hits,
                             "misses": clause_memo.misses,
                             "size": len(clause_memo)},
+            "front_end": {"hits": front_end.hits,
+                          "misses": front_end.misses,
+                          "size": len(front_end)},
             "arena": arena.stats(),
             "heap": _heap_stats(),
             "latency": self.stats.latency_summary(),

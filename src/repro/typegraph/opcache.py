@@ -28,6 +28,11 @@ Design notes:
 * **Observable**: per-operation hit/miss counters are surfaced through
   :func:`stats` and :func:`snapshot`; the engine records the delta of
   a run in ``AnalysisStats.opcache_hits``/``opcache_misses``.
+* **One registry**: the front end's clause-text memo
+  (:mod:`repro.prolog.program`) joins it through :func:`register`, so
+  :func:`clear` and :func:`stats` cover it too.  That table takes its
+  own lock, and :func:`snapshot` leaves it out: the engine attributes
+  a snapshot's delta to the fixpoint it brackets.
 
 Threading model — **single analysis thread per process**.  The memo
 tables (and the open-coded probes into them on the hottest sites) are
@@ -47,7 +52,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, Iterator, Tuple
 
 __all__ = ["OpCache", "cached", "clear", "stats", "snapshot", "caches",
-           "DEFAULT_MAXSIZE"]
+           "register", "DEFAULT_MAXSIZE"]
 
 #: Entries per table.
 DEFAULT_MAXSIZE = 65536
@@ -59,6 +64,10 @@ class OpCache:
     """One bounded LRU memo table with hit/miss counters."""
 
     __slots__ = ("name", "maxsize", "hits", "misses", "_table")
+
+    #: Whether :func:`snapshot` counts this table's traffic, which the
+    #: engine attributes to the fixpoint it brackets.
+    in_snapshot = True
 
     def __init__(self, name: str, maxsize: int = DEFAULT_MAXSIZE) -> None:
         self.name = name
@@ -112,6 +121,13 @@ class OpCache:
 _CACHES: Dict[str, OpCache] = {}
 
 
+def register(cache: OpCache) -> OpCache:
+    """Add ``cache`` to the registry :func:`clear`, :func:`stats` and
+    :func:`caches` cover, under its name."""
+    _CACHES[cache.name] = cache
+    return cache
+
+
 def cache_for(name: str) -> OpCache:
     """The process-wide cache for operation ``name`` (created lazily)."""
     cache = _CACHES.get(name)
@@ -152,8 +168,9 @@ def snapshot() -> Tuple[int, int]:
     hits = 0
     misses = 0
     for cache in _CACHES.values():
-        hits += cache.hits
-        misses += cache.misses
+        if cache.in_snapshot:
+            hits += cache.hits
+            misses += cache.misses
     return hits, misses
 
 

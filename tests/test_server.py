@@ -393,9 +393,14 @@ def test_stats_shape(served):
     for field in ("uptime", "requests", "analyses_executed",
                   "coalesced", "rejected", "timeouts", "queue_depth",
                   "max_pending", "cache", "opcache", "clause_memo",
-                  "arena", "latency"):
+                  "front_end", "arena", "latency"):
         assert field in stats, field
     assert set(stats["clause_memo"]) == {"hits", "misses", "size"}
+    assert set(stats["front_end"]) == {"hits", "misses", "size"}
+    # the served requests were parsed through the front-end memo
+    assert stats["front_end"]["hits"] + stats["front_end"]["misses"] > 0
+    assert stats["heap"]["opcache"]["clause_text"] == \
+        stats["front_end"]["size"]
     assert stats["latency"]["count"] >= 1
     assert stats["latency"]["p95"] >= stats["latency"]["p50"]
     assert stats["cache"]["hit_rate"] is None or \
