@@ -204,31 +204,50 @@ class SubstBuilder:
 
         The occur check runs *inside* the freezing DFS (a pattern node
         re-entered while its arguments are still being built is a
-        cycle) instead of as a separate :meth:`acyclic` traversal."""
+        cycle) instead of as a separate :meth:`acyclic` traversal.
+        Slots are numbered in preorder; the DFS keeps its own stack of
+        the patterns being built, so a pattern of any depth freezes."""
         index: Dict[int, int] = {}
         out: List[Optional[PatNode]] = []
         building: set = set()
         find = self.find
 
         def visit(node: _UNode) -> int:
-            node = find(node)
-            key = id(node)
-            slot = index.get(key)
-            if slot is not None:
-                if key in building:
-                    raise _CyclicPattern
-                return slot
-            slot = len(out)
-            index[key] = slot
-            out.append(None)
-            if node.is_leaf:
-                out[slot] = PatNode(value=node.value)
-            else:
-                building.add(key)
-                args = tuple(visit(child) for child in node.args)
-                building.discard(key)
-                out[slot] = PatNode(node.name, node.is_int, args)
-            return slot
+            #: (pattern node, its key, its slot, its argument slots)
+            path: List[tuple] = []
+            while True:
+                node = find(node)
+                key = id(node)
+                slot = index.get(key)
+                if slot is not None:
+                    if key in building:
+                        raise _CyclicPattern
+                else:
+                    slot = len(out)
+                    index[key] = slot
+                    out.append(None)
+                    if node.is_leaf:
+                        out[slot] = PatNode(value=node.value)
+                    else:
+                        building.add(key)
+                        path.append((node, key, slot, []))
+                        slot = None
+                # hand the finished slot up, closing every pattern
+                # whose arguments are all built
+                while path:
+                    parent, key, parent_slot, args = path[-1]
+                    if slot is not None:
+                        args.append(slot)
+                    if len(args) < len(parent.args):
+                        node = parent.args[len(args)]
+                        break
+                    path.pop()
+                    building.discard(key)
+                    out[parent_slot] = PatNode(parent.name, parent.is_int,
+                                               tuple(args))
+                    slot = parent_slot
+                else:
+                    return slot
 
         try:
             sv = tuple(visit(root) for root in roots)
@@ -239,21 +258,35 @@ class SubstBuilder:
 
     def instantiate(self, subst: AbstractSubst) -> List[_UNode]:
         """Copy ``subst`` into this builder (fresh nodes, sharing
-        preserved); returns the node of each position."""
+        preserved); returns the node of each position.  Nodes are made
+        in preorder; the DFS keeps its own stack of the patterns whose
+        arguments are still being made."""
         cache: Dict[int, _UNode] = {}
+        #: (pattern node, its frozen arguments, its argument nodes)
+        path: List[tuple] = []
+
+        def made(i: int) -> _UNode:
+            unode = cache.get(i)
+            if unode is None:
+                node = subst.nodes[i]
+                if node.is_leaf:
+                    unode = self.fresh_leaf(node.value)
+                else:
+                    unode = _UNode(name=node.name, is_int=node.is_int,
+                                   args=[])
+                    path.append((unode, node.args, []))
+                cache[i] = unode
+            return unode
 
         def visit(i: int) -> _UNode:
-            if i in cache:
-                return cache[i]
-            node = subst.nodes[i]
-            if node.is_leaf:
-                unode = self.fresh_leaf(node.value)
-            else:
-                unode = _UNode(name=node.name, is_int=node.is_int, args=[])
-                cache[i] = unode
-                unode.args = [visit(a) for a in node.args]
-                return unode
-            cache[i] = unode
+            unode = made(i)
+            while path:
+                parent, frozen, args = path[-1]
+                if len(args) < len(frozen):
+                    args.append(made(frozen[len(args)]))
+                else:
+                    path.pop()
+                    parent.args = args
             return unode
 
         return [visit(self.sv_index(subst, k)) for k in range(subst.nvars)]

@@ -466,11 +466,16 @@ class Engine:
                                 ", ".join(SCHEDULERS)))
         self.scheduler: str = self.config.scheduler
         self.table: Dict[PredId, List[Entry]] = {}
-        # Memo of _solve's table scans, keyed by the (hash-indexed)
-        # structural input pattern; invalidated per predicate whenever
-        # an entry is appended, so a hit returns exactly what the scan
-        # would.  Repeated call patterns — the common case, every
-        # procedure iteration re-issues its calls — resolve in O(1).
+        # Memos of _solve's table scans, keyed by the (hash-indexed)
+        # structural input pattern, so repeated call patterns — the
+        # common case, every procedure iteration re-issues its calls —
+        # resolve in O(1).  A hit returns exactly what the scan would.
+        # An input answered by an entry with an equal input keeps its
+        # answer for the whole run: entries are only appended and
+        # their inputs never change, so the first equal one stays
+        # first.  An input answered by a covering entry only is
+        # dropped whenever the predicate's entry list grows.
+        self._equal_memo: Dict[PredId, Dict[AbstractSubst, Entry]] = {}
         self._lookup_memo: Dict[PredId, Dict[AbstractSubst, Entry]] = {}
         self.general_entry: Dict[PredId, int] = {}
         self.input_widen_count: Dict[PredId, int] = {}
@@ -529,8 +534,9 @@ class Engine:
         return AnalysisResult.from_engine(self, root)
 
     def _append_entry(self, pred: PredId, entry: Entry) -> None:
-        """Append to the predicate's entry list, invalidating the
-        lookup memo (scan results may change once the list grows)."""
+        """Append to the predicate's entry list, invalidating its
+        covering lookups (their scans may end earlier once the list
+        grows)."""
         self.table.setdefault(pred, []).append(entry)
         self._lookup_memo.pop(pred, None)
 
@@ -538,11 +544,17 @@ class Engine:
 
     def _solve(self, pred: PredId, beta_in: AbstractSubst) -> Entry:
         """Entry whose input covers ``beta_in``, creating/widening as
-        needed.  The two table scans below are memoized by structural
-        input pattern (hash-indexed, O(1) on repeat calls); the memo is
-        dropped whenever the entry list grows, so a hit is always
-        exactly what the scans would return."""
+        needed.  The table scan below is memoized by structural input
+        pattern (see ``_equal_memo`` and ``_lookup_memo``), so a hit is
+        always exactly what the scan would return."""
         entries = self.table.setdefault(pred, [])
+        equal = self._equal_memo.get(pred)
+        if equal is None:
+            equal = self._equal_memo[pred] = {}
+        else:
+            hit = equal.get(beta_in)
+            if hit is not None:
+                return hit
         memo = self._lookup_memo.get(pred)
         if memo is None:
             memo = self._lookup_memo[pred] = {}
@@ -556,7 +568,7 @@ class Engine:
         for entry in entries:
             if subst_le(beta_in, entry.beta_in, self.domain):
                 if subst_eq(beta_in, entry.beta_in, self.domain):
-                    memo[beta_in] = entry
+                    equal[beta_in] = entry
                     return entry
                 if covering is None:
                     covering = entry
@@ -597,6 +609,7 @@ class Engine:
         entry = Entry(len(self.entries_by_id), pred, beta_in)
         self.entries_by_id[entry.id] = entry
         self._append_entry(pred, entry)
+        equal[beta_in] = entry
         self.stats.entries_created += 1
         self._schedule(entry)
         return entry

@@ -303,34 +303,40 @@ class _ClauseBuilder:
         return index
 
     def unify_with(self, index: int, term: Term) -> None:
-        """Emit kernel goals for ``X<index> = term``."""
+        """Emit kernel goals for ``X<index> = term``: one ``NBuild``
+        per compound, atom or integer subterm, in depth-first,
+        left-to-right order, each compound's non-variable arguments
+        taking fresh variables as it is built.  The walk keeps its own
+        stack, so a term of any depth (a long list) normalizes."""
         if isinstance(term, Var):
             other = self.varmap.get(term)
             if other is None:
                 self.varmap[term] = index
-                return
-            if other != index:
+            elif other != index:
                 self.goals.append(NUnify(index, other))
             return
-        if isinstance(term, Atom):
-            self.goals.append(NBuild(index, term.name, ()))
-            return
-        if isinstance(term, Int):
-            self.goals.append(NBuild(index, str(term.value), (), True))
-            return
-        assert isinstance(term, Struct)
-        arg_indices: List[int] = []
-        pending: List[Tuple[int, Term]] = []
-        for arg in term.args:
-            if isinstance(arg, Var):
-                arg_indices.append(self.var_index(arg))
-            else:
-                child = self.fresh()
-                arg_indices.append(child)
-                pending.append((child, arg))
-        self.goals.append(NBuild(index, term.name, tuple(arg_indices)))
-        for child, sub in pending:
-            self.unify_with(child, sub)
+        goals = self.goals
+        stack: List[Tuple[int, Term]] = [(index, term)]
+        while stack:
+            index, term = stack.pop()
+            if isinstance(term, Atom):
+                goals.append(NBuild(index, term.name, ()))
+                continue
+            if isinstance(term, Int):
+                goals.append(NBuild(index, str(term.value), (), True))
+                continue
+            assert isinstance(term, Struct)
+            arg_indices: List[int] = []
+            pending: List[Tuple[int, Term]] = []
+            for arg in term.args:
+                if isinstance(arg, Var):
+                    arg_indices.append(self.var_index(arg))
+                else:
+                    child = self.fresh()
+                    arg_indices.append(child)
+                    pending.append((child, arg))
+            goals.append(NBuild(index, term.name, tuple(arg_indices)))
+            stack.extend(reversed(pending))
 
     def term_to_var(self, term: Term) -> int:
         """Var index for a goal argument, flattening if needed."""

@@ -21,7 +21,9 @@ the line of its first token in this text.
 * A clause text enters the memo when it is read a second time, so the
   one-off clauses of served edits leave nothing behind.
 * An entry whose clause reads anonymous variables holds the number it
-  started from; where another number is due, the clause is read again.
+  started from; where another number is due, its term is renamed to
+  that number and kept so, unless the clause text holds a ``_G`` of
+  its own, which is read again.
 * Once a text applies an ``op/3`` directive, its later clauses are
   keyed by the operator table in force.
 * A text the scan cannot split whole, or a clause that does not parse
@@ -42,7 +44,7 @@ from .operators import OperatorTable
 from .parser import (ParseError, Parser, apply_op_directive, head_callable,
                      parse_clauses_located)
 from .reader import TokenizeError, tokenize
-from .terms import Atom, Struct, Term, format_term
+from .terms import Atom, Struct, Term, Var, format_term
 
 __all__ = ["PredId", "Clause", "Procedure", "Program", "parse_program",
            "clause_text", "FRONT_END_MEMO"]
@@ -222,6 +224,31 @@ def _clause_parts(term: Term) -> Tuple[Optional[Term],
     return term, []
 
 
+def _renamed(term: Term, renames: Dict[Var, Var]) -> Term:
+    """``term`` with each variable in ``renames`` replaced, sharing
+    every subterm that holds none.  The walk keeps its own stack, so a
+    term of any depth is renamed."""
+    built: List[Term] = []
+    stack: list = [term]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, tuple):  # (compound,): its arguments are built
+            struct = item[0]
+            count = len(struct.args)
+            args = tuple(built[-count:])
+            del built[-count:]
+            if any(new is not old for new, old in zip(args, struct.args)):
+                struct = Struct(struct.name, args)
+            built.append(struct)
+        elif isinstance(item, Struct):
+            stack.append((item,))
+            stack.extend(reversed(item.args))
+        else:
+            built.append(renames.get(item, item)
+                         if isinstance(item, Var) else item)
+    return built[0]
+
+
 class _Parsed:
     """What the front-end memo keeps of one clause text: its term, its
     head and goal list (None for a directive), shared by every
@@ -283,6 +310,8 @@ class _FrontEndMemo(opcache.OpCache):
             start, stop = match.span(1)
             key = (ops_key, text[start:stop])
             parsed = table.get(key)
+            if parsed is not None and parsed.anon and parsed.base != anon:
+                parsed = self._renumbered(key, parsed, anon)
             if parsed is not None and (not parsed.anon
                                        or parsed.base == anon):
                 table.move_to_end(key)
@@ -325,6 +354,24 @@ class _FrontEndMemo(opcache.OpCache):
         if _TRAILING(text, stop) is None:
             return None
         return program
+
+    def _renumbered(self, key: tuple, parsed: _Parsed,
+                    base: int) -> _Parsed:
+        """``parsed`` with its anonymous variables numbered from
+        ``base``, kept in its place, or ``parsed`` itself where the
+        clause text holds a ``_G`` of its own (a variable or atom the
+        renaming could confuse with an anonymous one).  Its ``repr``
+        and normalized clauses are computed again when asked for."""
+        if "_G" in key[1]:
+            return parsed
+        renames = {Var("_G%d" % (parsed.base + index)):
+                   Var("_G%d" % (base + index))
+                   for index in range(1, parsed.anon + 1)}
+        term = _renamed(parsed.term, renames)
+        head, body = _clause_parts(term)
+        renumbered = _Parsed(term, head, body, parsed.anon, base)
+        self._put(key, renumbered)
+        return renumbered
 
     def _seen_before(self, key: tuple) -> bool:
         """Whether ``key`` missed before; records that it did.  Only a

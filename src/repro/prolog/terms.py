@@ -239,20 +239,37 @@ def format_atom(name: str) -> str:
 
 def format_term(term: Term) -> str:
     """Render a term in (operator-free) canonical Prolog syntax, with
-    bracket notation for lists."""
-    if isinstance(term, Var):
-        return repr(term)
-    if isinstance(term, Atom):
-        return format_atom(term.name)
-    if isinstance(term, Int):
-        return str(term.value)
-    if isinstance(term, Struct):
-        if term.name == CONS and term.arity == 2:
-            elements, tail = list_elements(term)
-            inner = ",".join(format_term(e) for e in elements)
-            if tail == NIL:
-                return "[%s]" % inner
-            return "[%s|%s]" % (inner, format_term(tail))
-        args = ",".join(format_term(a) for a in term.args)
-        return "%s(%s)" % (format_atom(term.name), args)
-    raise TypeError("not a term: %r" % (term,))
+    bracket notation for lists.  The walk keeps its own stack of
+    subterms and separators still to write, so a term of any depth
+    renders."""
+    out = []
+    stack = [term]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Var):
+            out.append(repr(item))
+        elif isinstance(item, Atom):
+            out.append(format_atom(item.name))
+        elif isinstance(item, Int):
+            out.append(str(item.value))
+        elif isinstance(item, Struct):
+            if item.name == CONS and item.arity == 2:
+                parts, tail = list_elements(item)
+                out.append("[")
+                stack.append("]")
+                if tail != NIL:
+                    stack.append(tail)
+                    stack.append("|")
+            else:
+                parts = item.args
+                out.append(format_atom(item.name) + "(")
+                stack.append(")")
+            for index in range(len(parts) - 1, 0, -1):
+                stack.append(parts[index])
+                stack.append(",")
+            stack.append(parts[0])
+        else:
+            raise TypeError("not a term: %r" % (item,))
+    return "".join(out)

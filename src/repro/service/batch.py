@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from .._collector import collector_paused
 from ..analysis.analyzer import analyze
 from ..fixpoint.engine import AnalysisConfig
 from ..prolog.program import PredId, Program
@@ -142,21 +143,19 @@ def _settled(execute, *args):
     still die by refcount, so evicting a cached result still frees its
     memory.
 
-    The collector is switched back on (if it was on) however the
-    analysis ends.  The heap is settled only after a successful
-    return: while an analysis error propagates, its traceback still
-    reaches the analysis frames, and freezing them would keep them for
-    good.  The next successful call's collection reclaims them
-    instead."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    The pause is :data:`~repro._collector.collector_paused`, the one
+    the transport's decodes share, so a decode finishing on another
+    thread never switches the collector back on under the analysis.
+    It closes however the analysis ends.  The heap is settled inside
+    it, so the settling collection is the only one, and only after a
+    successful return: while an analysis error propagates, its
+    traceback still reaches the analysis frames, and freezing them
+    would keep them for good.  The next successful call's collection
+    reclaims them instead."""
+    with collector_paused:
         result = execute(*args)
-    finally:
-        if was_enabled:
-            gc.enable()
-    gc.collect()
-    gc.freeze()
+        gc.collect()
+        gc.freeze()
     return result
 
 

@@ -36,6 +36,8 @@ import socket
 import time
 from typing import Any, Awaitable, Callable, Optional, Union
 
+from .._collector import collector_paused
+
 __all__ = ["LINE_LIMIT", "ProtocolError", "ConnectError",
            "encode_message", "decode_message",
            "ok_envelope", "error_envelope", "splice_payload", "frame_ok",
@@ -72,10 +74,15 @@ def decode_message(line: Union[bytes, str]) -> dict:
 
     Raises :class:`ProtocolError` on malformed JSON or a non-object
     payload — the two failure shapes every endpoint must answer the
-    same way (``code="bad-request"``, connection stays usable).
+    same way (``code="bad-request"``, connection stays usable).  The
+    decode runs with the cyclic collector paused
+    (:data:`~repro._collector.collector_paused`): a response line
+    decodes into tens of thousands of containers, none of them in a
+    cycle.
     """
     try:
-        message = json.loads(line)
+        with collector_paused:
+            message = json.loads(line)
     except ValueError:
         raise ProtocolError("request is not valid JSON")
     if not isinstance(message, dict):

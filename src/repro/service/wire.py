@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 
+from .._collector import collector_paused
 from ..fixpoint.engine import AnalysisResult
 from .serialize import (LeafTable, canonical_json, payload_fingerprint,
                         subst_texts, table_fingerprint, tuple_json)
@@ -76,9 +77,12 @@ class EncodedPayload(dict):
     # -- the dict view of a payload built from its head ----------------------
 
     def _complete(self) -> None:
-        """Add the fields this payload lacks, decoded from ``wire``."""
+        """Add the fields this payload lacks, decoded from ``wire``
+        with the cyclic collector paused (a decode makes no cycles)."""
         if getattr(self, "_partial", False):
-            for name, value in json.loads(self._wire).items():
+            with collector_paused:
+                decoded = json.loads(self._wire)
+            for name, value in decoded.items():
                 if not dict.__contains__(self, name):
                     dict.__setitem__(self, name, value)
             self._partial = False

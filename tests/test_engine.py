@@ -175,3 +175,33 @@ class TestOrWidthRestriction:
         g_cap = out_grammar(r_cap, e_cap, 0)
         assert g_le(g_full, g_cap)
         assert g_cap.is_any()
+
+
+class TestLookupMemo:
+    """``Engine._solve``'s memos answer exactly what its table scan
+    would, and an answer with an equal input outlives later appends."""
+
+    @staticmethod
+    def scan(engine, pred, beta_in):
+        from repro.domains.pattern import subst_eq, subst_le
+        covering = None
+        for entry in engine.table[pred]:
+            if subst_le(beta_in, entry.beta_in, engine.domain):
+                if subst_eq(beta_in, entry.beta_in, engine.domain):
+                    return entry
+                covering = covering or entry
+        return covering
+
+    @pytest.mark.parametrize("name", ["KA", "PR", "CS", "RE"])
+    def test_memo_answers_equal_a_fresh_scan(self, name):
+        from repro.benchprogs import benchmark
+        bp = benchmark(name)
+        result, engine = run(bp.source, bp.query)
+        survived = 0
+        for memo in (engine._equal_memo, engine._lookup_memo):
+            for pred, answers in memo.items():
+                for beta_in, entry in answers.items():
+                    assert self.scan(engine, pred, beta_in) is entry
+                    if memo is engine._equal_memo:
+                        survived += entry is not engine.table[pred][-1]
+        assert survived  # some equal answers predate a later append

@@ -150,6 +150,28 @@ def test_nesting_ten_times_the_limit_exits_two(tmp_path, open_, close):
             b"column %d" % (MAX_DEPTH, column)), proc.stderr
 
 
+#: Terms nested far past the parser's limit, but flat in the source:
+#: a long list (its tail) and a long left-associated operator chain,
+#: alone and passed to a call.
+FLAT = {"list": "p([%s]).\n" % ",".join(map(str, range(3500))),
+        "sum": "p(X) :- X = %s.\n" % "+".join(["1"] * 3500),
+        "call": "p(X) :- X = [%s], q(X).\nq(_).\n"
+                % ",".join(map(str, range(3500)))}
+
+
+@pytest.mark.parametrize("name", sorted(FLAT))
+def test_a_long_flat_term_analyzes(tmp_path, name):
+    path = tmp_path / ("%s.pl" % name)
+    path.write_text(FLAT[name])
+    for argv in ([str(path), "p/1", "--json"], ["check", str(path), "p/1"],
+                 [str(path), "p/1", "--tags"]):
+        proc = run_repro(*argv)
+        assert proc.returncode == 0, (argv, proc.stderr[-2000:])
+        assert b"Traceback" not in proc.stderr
+    assert json.loads(run_repro(str(path), "p/1", "--json").stdout
+                      )["query"] == ["p", 1]
+
+
 def test_closed_pipe_ends_quietly():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")

@@ -38,6 +38,8 @@ CLAUSES = (
     ":- op(200, xfy, ===>)",
     "w(X, _) :- a ===> b ===> X",
     ":- dynamic(p/1)",
+    # a _G of its own: read again, never renamed, where its number moves
+    "y(_G1, _) :- z('_G2', _)",
     # 128 bodies: normalization extracts an auxiliary predicate named
     # after the clause's index in its predicate
     "x(Y) :- " + ", ".join(["(p(Y) ; q(Y, _))"] * 7),
@@ -219,3 +221,36 @@ def test_prepended_lines_move_every_blame_line_by_as_many():
     for step, moved_step in zip(steps, moved_steps):
         assert moved_step.line == step.line + 3
         assert moved_step.replace(line=step.line) == step
+
+
+TABLE1 = ("KA", "QU", "PR", "PE", "CS", "DS", "PG", "RE", "BR", "PL")
+
+
+def test_an_anonymous_variable_shift_renames_kept_terms():
+    """Prepending a clause that reads ``_`` moves the ``_G`` number of
+    every later one; the kept terms are renamed, not parsed again."""
+    sources = [benchmark(name).source for name in TABLE1]
+    for source in sources * 2:
+        parse_program(source)
+    clauses = sum(len(program.all_clauses()) + len(program.directives)
+                  for program in map(parse_program, sources))
+    shifted = ["zz(_).\n" + source for source in sources]
+    hits, misses = FRONT_END_MEMO.hits, FRONT_END_MEMO.misses
+    warm = [(text, signature(text)) for text in shifted]
+    # zz(_) misses until it is read twice; nothing else misses
+    assert FRONT_END_MEMO.misses - misses == 2
+    assert FRONT_END_MEMO.hits - hits == clauses + len(sources) - 2
+    for text, signed in warm:
+        assert signed == cleared_signature(text)
+
+
+def test_a_clause_with_a_g_of_its_own_is_read_again():
+    clause = "y(_G1, _) :- z('_G2', _).\n"
+    for _ in range(2):
+        parse_program(clause)
+    misses = FRONT_END_MEMO.misses
+    shifted = "p(_).\n" + clause
+    signed = signature(shifted)
+    assert FRONT_END_MEMO.misses - misses == 2
+    assert "y(_G1,_G2) :- z('_G2',_G3)." in str(signed[0])
+    assert signed == cleared_signature(shifted)

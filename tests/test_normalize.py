@@ -178,3 +178,22 @@ class TestOversizedDisjunction:
         aux = [c for c in results if c.pred != ("p", 8)]
         assert own and aux
         assert all(c.pred[0].startswith("$or_") for c in aux)
+
+
+def test_a_long_list_normalizes_in_order():
+    """A 3500-element list normalizes without recursion: one build per
+    cell and element, depth first, fresh variables in that order."""
+    count = 3500
+    nc = norm_one("p([%s])" % ",".join(map(str, range(count))))
+    assert len(nc.body) == 2 * count + 1
+    assert nc.nvars == 2 * count + 1
+    assert nc.body[:4] == [NBuild(0, ".", (1, 2)), NBuild(1, "0", (), True),
+                           NBuild(2, ".", (3, 4)), NBuild(3, "1", (), True)]
+    assert nc.body[-1] == NBuild(2 * count, "[]", ())
+
+
+def test_nested_arguments_keep_depth_first_order():
+    nc = norm_one("p(f(g(a), h(b, X), c))")
+    assert nc.body == [NBuild(0, "f", (1, 2, 3)), NBuild(1, "g", (4,)),
+                       NBuild(4, "a", ()), NBuild(2, "h", (5, 6)),
+                       NBuild(5, "b", ()), NBuild(3, "c", ())]
