@@ -111,15 +111,12 @@ def test_the_same_decode_collects_without_the_pause(collector_on):
 
 
 def test_a_decode_equals_json_loads_of_the_line():
-    for line in (big_line(300), encode_message_line()):
+    error_line = json.dumps({"id": "x", "ok": False, "error": "\u00e9\u2028",
+                             "code": "bad-request", "n": [1.5, None, True]},
+                            ensure_ascii=False).encode() + b"\n"
+    for line in (big_line(300), error_line):
         assert decode_message(line) == json.loads(line)
         assert decode_message(line.decode()) == json.loads(line)
-
-
-def encode_message_line() -> bytes:
-    return json.dumps({"id": "x", "ok": False, "error": "é ",
-                       "code": "bad-request", "n": [1.5, None, True]},
-                      ensure_ascii=False).encode() + b"\n"
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
